@@ -454,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = sub.add_parser("normalize", help="normal form of a word")
     n.add_argument("word")
-    n.add_argument("--oracle", action="store_true",
-                   help="use the rewriting oracle (the default path)")
     n.add_argument("--via-ops", action="store_true",
                    help="normalize through the group operations instead")
     n.add_argument("--trace", action="store_true", help="print each rewrite step")

@@ -23,6 +23,18 @@ R2 and R3 fire on brackets of either sign.  Rule application can leave an
 unreduced or mergeable subword behind; later steps clean it up.  Bracket
 folding (a lone positive bracket content absorbed into the iteration count)
 is representational and is not a counted step.
+
+Each search for the next redex skips every subword already found to hold
+none.  Words are immutable and a rewrite rebuilds only the path from the root
+to its redex, so a subword searched clean in one step is the same object, and
+still clean, in every later step that reaches it.  The memo lives for one
+normalization: a dict from ``id(word)`` to the word itself, which it keeps
+alive so that its id cannot be reused by a new, dirty word.  It changes which
+subwords are visited, never which redex is chosen.
+
+Steps are rendered only when traced: ``oracle_normalize`` without a trace
+rewrites words and renders nothing; ``oracle_steps`` and the traced path
+render each step's ``before`` and ``after`` into a :class:`RewriteStep`.
 """
 
 from __future__ import annotations
@@ -110,11 +122,11 @@ def _matches_r3(f) -> bool:
     return isinstance(last, Br) and last.sign > 0 and last.iter >= 2
 
 
-def _find_innermost_leftmost(w: Word, path: tuple):
+def _find_innermost_leftmost(w: Word, path: tuple, clean: dict):
     fs = w.factors
     for i, f in enumerate(fs):
-        if isinstance(f, Br):
-            found = _find_innermost_leftmost(f.content, path + (i,))
+        if isinstance(f, Br) and id(f.content) not in clean:
+            found = _find_innermost_leftmost(f.content, path + (i,), clean)
             if found is not None:
                 return found
     for i, f in enumerate(fs):
@@ -126,10 +138,11 @@ def _find_innermost_leftmost(w: Word, path: tuple):
             rule = _pair_rule(fs[i], fs[i + 1])
             if rule is not None:
                 return path + (i,), rule
+    clean[id(w)] = w
     return None
 
 
-def _find_outermost_rightmost(w: Word, path: tuple):
+def _find_outermost_rightmost(w: Word, path: tuple, clean: dict):
     fs = w.factors
     for i in range(len(fs) - 1, -1, -1):
         if i + 1 < len(fs):
@@ -142,10 +155,11 @@ def _find_outermost_rightmost(w: Word, path: tuple):
             return path + (i,), "R2"
     for i in range(len(fs) - 1, -1, -1):
         f = fs[i]
-        if isinstance(f, Br):
-            found = _find_outermost_rightmost(f.content, path + (i,))
+        if isinstance(f, Br) and id(f.content) not in clean:
+            found = _find_outermost_rightmost(f.content, path + (i,), clean)
             if found is not None:
                 return found
+    clean[id(w)] = w
     return None
 
 
@@ -211,22 +225,33 @@ def _apply_at(w: Word, path: tuple, rule: str):
     return Word(w.factors[:i] + (nf,) + w.factors[i + 1 :]), before, after
 
 
-def oracle_steps(w: Word, strategy: str = "innermost-leftmost", step_limit: int = DEFAULT_STEP_LIMIT):
-    """Yield (word, step) after each rewrite; `step` describes the rule applied."""
+def _rewrites(w: Word, strategy: str, step_limit: int):
+    """Yield (word, rule, path, before, after) after each rewrite; renders nothing.
+
+    `before` and `after` are the rewritten subword and its replacement.  The
+    clean-subword memo is created here and lives as long as this loop.
+    """
     find = _FINDERS[strategy]
+    clean = {}
     cur = w
     for _ in range(step_limit):
-        found = find(cur, ())
+        found = find(cur, (), clean)
         if found is None:
             return
         path, rule = found
         cur, before, after = _apply_at(cur, path, rule)
-        yield cur, RewriteStep(rule, path, render(before), render(after))
-    if find(cur, ()) is not None:
+        yield cur, rule, path, before, after
+    if find(cur, (), clean) is not None:
         raise OracleStepLimit(
             f"no normal form within {step_limit} steps; "
             "this signals suspected non-termination"
         )
+
+
+def oracle_steps(w: Word, strategy: str = "innermost-leftmost", step_limit: int = DEFAULT_STEP_LIMIT):
+    """Yield (word, step) after each rewrite; `step` describes the rule applied."""
+    for cur, rule, path, before, after in _rewrites(w, strategy, step_limit):
+        yield cur, RewriteStep(rule, path, render(before), render(after))
 
 
 def oracle_normalize(
@@ -236,13 +261,14 @@ def oracle_normalize(
     trace: bool = False,
 ):
     """Normal form of `w` under the rewriting rules; optionally with the trace."""
-    steps = []
     cur = w
-    for cur, step in oracle_steps(w, strategy, step_limit):
-        if trace:
-            steps.append(step)
     if trace:
+        steps = []
+        for cur, step in oracle_steps(w, strategy, step_limit):
+            steps.append(step)
         return cur, steps
+    for cur, _, _, _, _ in _rewrites(w, strategy, step_limit):
+        pass
     return cur
 
 

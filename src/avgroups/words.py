@@ -19,14 +19,16 @@ Grammar accepted by :func:`parse`::
 
 ``^k`` is a group power and expands to |k| copies (inverted when k < 0);
 ``@n`` is operator iteration.  The empty input and "1" denote the identity;
-"[]" denotes "[1]".
+"[]" denotes "[1]".  Whitespace is any character ``str.isspace`` accepts and
+numbers are decimal digits of any script.  Brackets may nest at most
+:data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 __all__ = [
     "Gen",
@@ -51,6 +53,7 @@ __all__ = [
     "eval_operated",
     "WordSyntaxError",
     "UnassignedGenerator",
+    "MAX_NESTING",
 ]
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
@@ -69,7 +72,10 @@ class Br:
     sign: int
 
 
-Factor = Union[Gen, Br]
+# A PEP 604 union, not typing.Union: typing caches each Union[...] it builds
+# for the life of the process, and through the classes' methods that cache
+# would keep every earlier import of this module alive.
+Factor = Gen | Br
 
 
 @dataclass(frozen=True)
@@ -94,11 +100,13 @@ def make_br(content: Word, it: int = 1, sign: int = 1) -> Br:
         raise ValueError("iteration must be >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    fs = content.factors
-    while len(fs) == 1 and isinstance(fs[0], Br) and fs[0].sign > 0:
-        it += fs[0].iter
-        fs = fs[0].content.factors
-    return Br(Word(fs), it, sign)
+    while len(content.factors) == 1:
+        f = content.factors[0]
+        if not isinstance(f, Br) or f.sign < 0:
+            break
+        it += f.iter
+        content = f.content
+    return Br(content, it, sign)
 
 
 def single(f: Factor) -> Word:
@@ -203,101 +211,92 @@ class WordSyntaxError(ValueError):
         self.pos = pos
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
+# One factor, after any whitespace (``\s`` is exactly ``str.isspace``):
+# group 1 "[", group 2 the end of the text, or a letter that may carry
+# suffixes: group 3 an identifier, group 4 "]", group 5 "1", then group 6 the
+# digits of "@n" and group 7 the signed digits of "^k".  The suffixes are
+# matched after any base so that a misplaced "@" is reported where it stands.
+_FACTOR_RE = re.compile(
+    rf"\s*(?:(\[)|(\Z)|(?:({_IDENT_RE.pattern})|(\])|(1))(?:@(\d*))?(?:\^(-?\d*))?)"
+)
+_WS_RE = re.compile(r"\s*")
 
-    def error(self, message: str) -> WordSyntaxError:
-        return WordSyntaxError(message, self.i)
-
-    def skip_ws(self) -> None:
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def parse_word(self) -> Word:
-        out: list = []
-        while True:
-            self.skip_ws()
-            c = self.peek()
-            if c == "" or c == "]":
-                return Word(tuple(out))
-            for f in self.parse_factor():
-                _push_reduced(out, f)
-
-    def parse_factor(self) -> list:
-        c = self.peek()
-        if c == "[":
-            self.i += 1
-            content = self.parse_word()
-            if self.peek() != "]":
-                raise self.error("expected ']'")
-            self.i += 1
-            it = self.parse_iter()
-            k = self.parse_power()
-            letter = make_br(content, it, 1)
-            return self.expand_power(letter, k)
-        if c == "1":
-            self.i += 1
-            if self.peek() == "@":
-                raise self.error("'@' is only valid after ']'")
-            self.parse_power()
-            return []
-        m = _IDENT_RE.match(self.text, self.i)
-        if not m:
-            raise self.error("expected a factor: identifier, '[', or '1'")
-        self.i = m.end()
-        if self.peek() == "@":
-            raise self.error("'@' is only valid after ']'")
-        k = self.parse_power()
-        return self.expand_power(Gen(m.group(), 1), k)
-
-    def parse_iter(self) -> int:
-        if self.peek() != "@":
-            return 1
-        self.i += 1
-        start = self.i
-        while self.peek().isdigit():
-            self.i += 1
-        if self.i == start:
-            raise self.error("expected a positive integer after '@'")
-        n = int(self.text[start : self.i])
-        if n < 1:
-            raise WordSyntaxError("iteration must be >= 1", start)
-        return n
-
-    def parse_power(self) -> int:
-        if self.peek() != "^":
-            return 1
-        self.i += 1
-        start = self.i
-        if self.peek() == "-":
-            self.i += 1
-        while self.peek().isdigit():
-            self.i += 1
-        if self.i == start or self.text[self.i - 1] == "-":
-            raise self.error("expected a nonzero integer after '^'")
-        k = int(self.text[start : self.i])
-        if k == 0:
-            raise WordSyntaxError("power 0 is not allowed", start)
-        return k
-
-    @staticmethod
-    def expand_power(letter: Factor, k: int) -> list:
-        if k < 0:
-            return [inv_factor(letter)] * (-k)
-        return [letter] * k
+# Deepest bracket nesting `parse` accepts; one level more is a WordSyntaxError.
+# The program recurses once per nesting level, and each level costs frames
+# under Python's default recursion limit of 1000: four to render, about seven
+# to compare two words (dataclass equality and the tuple comparisons inside
+# it), two for eval_operated, one each for is_normal, the oracle's finders and
+# _apply_at.  A product of two words nests at most as deep as both together,
+# so the costliest calls a command makes on parsed input -- rendering the
+# product of two 100-deep words, comparing two 100-deep letters that cancel --
+# stay near 800 frames; on CPython 3.11 every subcommand ran such words with
+# about 180 frames to spare.  The bound is on the text only: the oracle can
+# nest brackets written side by side deeper than the text does, and a word
+# printed more than MAX_NESTING deep is refused when read back.
+MAX_NESTING = 100
 
 
 def parse(text: str) -> Word:
-    p = _Parser(text)
-    w = p.parse_word()
-    if p.i != len(p.text):
-        raise p.error("unexpected ']'")
-    return w
+    """Word spelled by `text` in the grammar above, reduced and folded.
+
+    Raises WordSyntaxError, with the position, on malformed text and on
+    brackets nested deeper than MAX_NESTING.
+    """
+    out: list = []
+    outer: list = []  # the factor lists of the enclosing brackets
+    gens: dict = {}  # one letter per (name, sign): letters are immutable
+    i = 0
+    match = _FACTOR_RE.match
+    while True:
+        m = match(text, i)
+        if m is None:
+            raise WordSyntaxError(
+                "expected a factor: identifier, '[', or '1'", _WS_RE.match(text, i).end()
+            )
+        i = m.end()
+        opened, end, name, closed, _, it, k = m.groups()
+        if opened:
+            if len(outer) == MAX_NESTING:
+                raise WordSyntaxError(f"brackets nested deeper than {MAX_NESTING}", m.start(1))
+            outer.append(out)
+            out = []
+            continue
+        if end is not None:
+            if outer:
+                raise WordSyntaxError("expected ']'", i)
+            return Word(tuple(out))
+        if closed:
+            if not outer:
+                raise WordSyntaxError("unexpected ']'", m.start(4))
+            n = 1
+            if it is not None:
+                if not it:
+                    raise WordSyntaxError("expected a positive integer after '@'", m.end(6))
+                n = int(it)
+                if n < 1:
+                    raise WordSyntaxError("iteration must be >= 1", m.start(6))
+        elif it is not None:
+            raise WordSyntaxError("'@' is only valid after ']'", m.start(6) - 1)
+        count, sign = 1, 1
+        if k is not None:
+            if not k or k == "-":
+                raise WordSyntaxError("expected a nonzero integer after '^'", m.end(7))
+            count = int(k)
+            if count == 0:
+                raise WordSyntaxError("power 0 is not allowed", m.start(7))
+            if count < 0:
+                count, sign = -count, -1
+        if closed:
+            letter = make_br(Word(tuple(out)), n, sign)
+            out = outer.pop()
+        elif name:
+            letter = gens.get((name, sign))
+            if letter is None:
+                letter = gens[name, sign] = Gen(name, sign)
+        else:
+            continue  # "1", the identity, spells no letter
+        for _ in range(count):
+            _push_reduced(out, letter)
 
 
 # --- rendering -------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from avgroups.words import op_degree, parse, render
+from avgroups.words import MAX_NESTING, op_degree, parse, render
 from avgroups.cli import (
     SuiteConfig,
     main,
@@ -73,6 +73,26 @@ def test_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "normalize", "[x")
     assert code == 2 and "parse error" in err
     assert run(capsys, "mul", "x", "y]")[0] == 2
+
+
+def test_nesting_limit_exits_2_without_traceback(capsys, z2_file):
+    def nested(n):
+        return "[x " * n + "x" + "]" * n
+
+    deep = nested(MAX_NESTING)
+    assert run(capsys, "normalize", deep) == (0, deep + "\n", "")
+    assert run(capsys, "op", deep) == (0, deep + "@2\n", "")
+    assert run(capsys, "inv", deep) == (0, deep + "^-1\n", "")
+    assert run(capsys, "eval", deep, "--group", z2_file, "--map", "x=1") == (0, "1\n", "")
+    code, out, err = run(capsys, "mul", deep, deep)
+    assert (code, err) == (0, "") and out.count("[") == 2 * MAX_NESTING
+    too_deep = nested(MAX_NESTING + 1)
+    want = (f"parse error: brackets nested deeper than {MAX_NESTING} "
+            f"(at position {3 * MAX_NESTING})\n")
+    for argv in (["normalize", too_deep], ["mul", "x", too_deep], ["op", too_deep],
+                 ["inv", too_deep],
+                 ["eval", too_deep, "--group", z2_file, "--map", "x=1"]):
+        assert run(capsys, *argv) == (2, "", want), argv[0]
 
 
 def test_bad_usage_exits_2(capsys):

@@ -16,13 +16,18 @@ from avgroups.words import (
 )
 from avgroups.normalform import (
     OracleStepLimit,
+    RewriteStep,
     STRATEGIES,
+    _apply_at,
+    _matches_r2,
+    _matches_r3,
+    _pair_rule,
     is_normal,
     oracle_normalize,
     oracle_steps,
     replay_trace,
 )
-from avgroups.avgroup import GenParams, random_raw_word
+from avgroups.avgroup import GenParams, random_normal_word, random_raw_word
 from avgroups.structures import IntShiftGroup
 
 
@@ -138,3 +143,98 @@ def test_oracle_output_is_always_normal(seed):
     n = oracle_normalize(r)
     assert is_normal(n)
     assert oracle_normalize(bracket_literal(n)) == oracle_normalize(bracket_literal(r))
+
+
+# --- reference: the search from the root at every step, with no memo ---------
+
+
+def _reference_innermost_leftmost(w, path):
+    fs = w.factors
+    for i, f in enumerate(fs):
+        if isinstance(f, Br):
+            found = _reference_innermost_leftmost(f.content, path + (i,))
+            if found is not None:
+                return found
+    for i, f in enumerate(fs):
+        if _matches_r2(f):
+            return path + (i,), "R2"
+        if _matches_r3(f):
+            return path + (i,), "R3"
+        if i + 1 < len(fs):
+            rule = _pair_rule(fs[i], fs[i + 1])
+            if rule is not None:
+                return path + (i,), rule
+    return None
+
+
+def _reference_outermost_rightmost(w, path):
+    fs = w.factors
+    for i in range(len(fs) - 1, -1, -1):
+        if i + 1 < len(fs):
+            rule = _pair_rule(fs[i], fs[i + 1])
+            if rule is not None:
+                return path + (i,), rule
+        if _matches_r3(fs[i]):
+            return path + (i,), "R3"
+        if _matches_r2(fs[i]):
+            return path + (i,), "R2"
+    for i in range(len(fs) - 1, -1, -1):
+        f = fs[i]
+        if isinstance(f, Br):
+            found = _reference_outermost_rightmost(f.content, path + (i,))
+            if found is not None:
+                return found
+    return None
+
+
+_REFERENCE_FINDERS = {
+    "innermost-leftmost": _reference_innermost_leftmost,
+    "outermost-rightmost": _reference_outermost_rightmost,
+}
+
+
+def _reference_normalize(w, strategy):
+    find = _REFERENCE_FINDERS[strategy]
+    cur, steps = w, []
+    while (found := find(cur, ())) is not None:
+        path, rule = found
+        cur, before, after = _apply_at(cur, path, rule)
+        steps.append(RewriteStep(rule, path, render(before), render(after)))
+    return cur, steps
+
+
+def _seeded_words():
+    for (depth, breadth), seeds in (((5, 6), 120), ((7, 8), 60), ((8, 9), 30)):
+        for seed in range(seeds):
+            p = GenParams(seed=seed, max_depth=depth, max_breadth=breadth)
+            yield random_raw_word(p)
+            yield random_normal_word(p)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_memoized_search_takes_the_reference_steps(strategy):
+    rewritten = steps_taken = 0
+    for w in _seeded_words():
+        want, want_steps = _reference_normalize(w, strategy)
+        normal, steps = oracle_normalize(w, strategy, trace=True)
+        assert steps == want_steps and normal == want, render(w)
+        assert [s for _, s in oracle_steps(w, strategy)] == want_steps
+        assert oracle_normalize(w, strategy) == want
+        assert replay_trace(w, steps) == want
+        rewritten += bool(steps)
+        steps_taken += len(steps)
+    # the sample reaches the oracle: 100 raw words take 1037-1115 steps
+    assert rewritten >= 90 and steps_taken >= 1000
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_step_limit_fires_one_step_short(strategy):
+    for seed in range(10):
+        w = random_raw_word(GenParams(seed=seed, max_depth=5, max_breadth=6))
+        want, steps = _reference_normalize(w, strategy)
+        if not steps:
+            continue
+        assert oracle_normalize(w, strategy, step_limit=len(steps)) == want
+        for trace in (False, True):
+            with pytest.raises(OracleStepLimit):
+                oracle_normalize(w, strategy, step_limit=len(steps) - 1, trace=trace)

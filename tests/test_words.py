@@ -1,5 +1,10 @@
 """Word core: parsing, rendering, reduction, folding, metrics, evaluation."""
 
+import gc
+import importlib
+import sys
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +30,7 @@ from avgroups.words import (
     render,
     single,
 )
-from avgroups.avgroup import GenParams, random_raw_word
+from avgroups.avgroup import GenParams, random_normal_word, random_raw_word
 from avgroups.structures import IntShiftGroup
 
 
@@ -82,22 +87,65 @@ def test_bracket_letter_equality_is_structural():
 
 
 def test_parse_errors():
-    for text, fragment in [
-        ("[x", "expected ']'"),
-        ("x]", "unexpected ']'"),
-        ("x^0", "power 0"),
-        ("x^", "nonzero integer"),
-        ("x@2", "only valid after ']'"),
-        ("1@2", "only valid after ']'"),
-        ("[x]@0", "iteration must be >= 1"),
-        ("[x]@", "positive integer"),
-        ("X", "expected a factor"),
-        ("x^-", "nonzero integer"),
+    for text, fragment, pos in [
+        ("[x", "expected ']'", 2),
+        ("x]", "unexpected ']'", 1),
+        ("x^0", "power 0", 2),
+        ("x^", "nonzero integer", 2),
+        ("x@2", "only valid after ']'", 1),
+        ("1@2", "only valid after ']'", 1),
+        ("[x]@0", "iteration must be >= 1", 4),
+        ("[x]@", "positive integer", 4),
+        ("X", "expected a factor", 0),
+        ("x^-", "nonzero integer", 3),
+        ("  [ x  ", "expected ']'", 7),
+        ("x ^2", "expected a factor", 2),
+        ("[x] @2", "expected a factor", 4),
+        ("x\t]", "unexpected ']'", 2),
+        ("[[x]@2 y^0]", "power 0", 9),
+        ("12", "expected a factor", 1),
+        ("x^-0", "power 0", 2),
+        ("[x]@2^", "nonzero integer", 6),
+        ("[x]@^2", "positive integer", 4),
+        ("1^0", "power 0", 2),
+        ("[x]@00", "iteration must be >= 1", 4),
+        ("[x]@007^-02 y]", "unexpected ']'", 13),
     ]:
         with pytest.raises(WordSyntaxError) as exc:
             parse(text)
-        assert fragment in str(exc.value)
-        assert isinstance(exc.value.pos, int)
+        assert fragment in str(exc.value), text
+        assert exc.value.pos == pos, text
+        assert str(exc.value).endswith(f"(at position {pos})")
+
+
+def test_digits_are_decimal_digits_of_any_script():
+    assert parse("[x]@\u0663") == parse("[x]@3")
+    # superscripts are digits to str.isdigit but no int() can read them
+    for text, fragment, pos in [
+        ("x^\u00b2", "nonzero integer", 2),
+        ("[x]@\u00b2", "positive integer", 4),
+    ]:
+        with pytest.raises(WordSyntaxError) as exc:
+            parse(text)
+        assert fragment in str(exc.value) and exc.value.pos == pos
+
+
+def test_parse_separators_are_any_unicode_whitespace():
+    want = parse("x [y] [z]@2 y^-1")
+    assert parse("x\t[y]\n[z]@2\r\n y^-1") == want
+    assert parse("\u00a0x\u2003[ y\x0b]\x0c[z]@2\u3000y^-1\n") == want
+    assert parse("[\t]\n") == parse("[1]")
+
+
+def test_power_expansion_cancels_across_factors():
+    assert parse("x^3 x^-2") == parse("x")
+    assert parse("x^-2 x^2 y") == parse("y")
+    assert parse("x^2 y^-1 y x^-2") == ONE
+    assert render(parse("x^2 [y]^-3 [y]^2 x^-2")) == "x x [y]^-1 x^-1 x^-1"
+    assert parse("[x]@2^3 [x]@2^-3") == ONE
+    # different letters never cancel, whatever their powers
+    assert render(parse("[x]@2^2 [x]^-1")) == "[x]@2 [x]@2 [x]^-1"
+    assert parse("[x]@007^-02") == parse("[x]@7^-1 [x]@7^-1")
 
 
 def test_make_gen_validates_names():
@@ -177,8 +225,26 @@ def test_eval_operated_missing_assignment():
 
 
 @settings(max_examples=150, derandomize=True)
-@given(st.integers(0, 2**31))
-def test_render_parse_round_trip_on_random_words(seed):
-    w = random_raw_word(GenParams(seed=seed))
-    assert is_reduced(w) and is_folded(w)
-    assert parse(render(w)) == w
+@given(st.integers(0, 2**31), st.sampled_from([(3, 4), (5, 6), (7, 8)]))
+def test_render_parse_round_trip_on_random_words(seed, size):
+    p = GenParams(seed=seed, max_depth=size[0], max_breadth=size[1])
+    for w in (random_raw_word(p), random_normal_word(p)):
+        assert is_reduced(w) and is_folded(w)
+        assert parse(render(w)) == w
+
+
+def test_a_dropped_fresh_import_is_collected():
+    # nothing process-wide (such as typing's Union cache) may hold the module
+    saved = {k: m for k, m in sys.modules.items()
+             if k == "avgroups" or k.startswith("avgroups.")}
+    try:
+        for k in saved:
+            del sys.modules[k]
+        fresh = importlib.import_module("avgroups.words")
+        assert fresh is not saved["avgroups.words"]
+        gone = weakref.ref(fresh.parse)
+        del fresh
+    finally:
+        sys.modules.update(saved)
+    gc.collect()
+    assert gone() is None
