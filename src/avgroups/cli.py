@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .words import (
     Br,
+    MAX_NESTING,
     ONE,
     UnassignedGenerator,
     Word,
@@ -23,6 +24,7 @@ from .words import (
     bracket_literal,
     is_reduced,
     make_br,
+    nesting,
     parse,
     reduce_concat,
     render,
@@ -51,6 +53,7 @@ from .structures import (
     cyclic_group,
     idempotent_endo_operator,
     load_group_file,
+    op_from_names,
     search_averaging_ops,
     sym3,
     sym3_sign_retraction,
@@ -266,6 +269,20 @@ def run_suites(cfg: SuiteConfig):
 
 # --- subcommands ----------------------------------------------------------------
 
+class ResultTooDeep(ValueError):
+    """A result nests brackets deeper than MAX_NESTING, so parse would refuse its text."""
+
+
+def _text(w: Word) -> str:
+    """Rendering of a result word, refused when it could not be read back."""
+    depth = nesting(w)
+    if depth > MAX_NESTING:
+        raise ResultTooDeep(
+            f"result nests brackets {depth} deep, deeper than the {MAX_NESTING} "
+            "that can be read back; not printed")
+    return render(w)
+
+
 def _cmd_normalize(args) -> int:
     w = parse(args.word)
     if args.check_only:
@@ -274,16 +291,17 @@ def _cmd_normalize(args) -> int:
         return 0 if ok else 1
     if args.via_ops:
         hom = extend_hom({a: parse(a) for a in sorted(_generators(w))}, free_target())
-        print(render(hom(w)))
+        print(_text(hom(w)))
         return 0
     if args.trace:
         normal, steps = oracle_normalize(w, args.strategy, trace=True)
+        text = _text(normal)
         for i, s in enumerate(steps, 1):
             at = "/".join(map(str, s.path)) or "top"
             print(f"step {i} {s.rule} at {at}: {s.before} -> {s.after}")
-        print(render(normal))
+        print(text)
         return 0
-    print(render(oracle_normalize(w, args.strategy)))
+    print(_text(oracle_normalize(w, args.strategy)))
     return 0
 
 
@@ -301,14 +319,16 @@ def _normalized_input(text: str) -> Word:
     w = parse(text)
     if not is_normal(w):
         w = oracle_normalize(w)
-        print(f"note: input normalized to {render(w)}", file=sys.stderr)
+        depth = nesting(w)
+        shown = render(w) if depth <= MAX_NESTING else f"a word nested {depth} deep"
+        print(f"note: input normalized to {shown}", file=sys.stderr)
     return w
 
 
 def _cmd_mul(args) -> int:
     u = _normalized_input(args.left)
     v = _normalized_input(args.right)
-    print(render(diamond(u, v)))
+    print(_text(diamond(u, v)))
     return 0
 
 
@@ -317,12 +337,12 @@ def _cmd_op(args) -> int:
     if args.iter < 1:
         print("error: --iter must be at least 1", file=sys.stderr)
         return 2
-    print(render(op_iter(w, args.iter)))
+    print(_text(op_iter(w, args.iter)))
     return 0
 
 
 def _cmd_inv(args) -> int:
-    print(render(inverse(_normalized_input(args.word))))
+    print(_text(inverse(_normalized_input(args.word))))
     return 0
 
 
@@ -402,10 +422,8 @@ def _cmd_hopf_check(args) -> int:
     if args.op:
         with open(args.op, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        raw = data.get("op", data) if isinstance(data, dict) else None
-        if not isinstance(raw, dict):
-            raise TableError("operator file must carry an 'op' name map")
-        op = tuple(table.index(raw[table.name(g)]) for g in range(len(table)))
+        # the file holds an 'op' block, or is the bare name map
+        op = op_from_names(table, data.get("op", data) if isinstance(data, dict) else data)
     if op is None:
         n = len(table)
         if n > args.max_size:
@@ -530,7 +548,7 @@ def main(argv=None) -> int:
     except UnassignedGenerator as exc:
         print(f"missing assignment: {exc.args[0]}", file=sys.stderr)
         return 2
-    except TableError as exc:
+    except (TableError, ResultTooDeep) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleStepLimit as exc:

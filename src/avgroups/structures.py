@@ -47,8 +47,9 @@ class FiniteGroupTable:
     """Multiplication table over named elements.
 
     Construction checks shape only; axioms are the job of validate_group.
-    identity() and inverses() infer their data from the table and raise
-    TableError when the table does not determine them.
+    The identity, the inverses and the name index are inferred once, at
+    construction; identity(), inverses() and inv() raise TableError, when
+    called, if the table does not determine them.
     """
 
     def __init__(self, elements, mul):
@@ -68,14 +69,32 @@ class FiniteGroupTable:
             raise TableError("mul table must be a square of indices in range")
         self.elements = elements
         self.mul_table = tuple(rows)
+        self._index = {name: i for i, name in enumerate(elements)}
+        # the first element that is a two-sided identity, or None
+        self._identity = next(
+            (e for e in range(n)
+             if all(rows[e][x] == x and rows[x][e] == x for x in range(n))), None)
+        # each element's first two-sided inverse; on failure, the first
+        # element that has none
+        self._inverses = self._no_inverse = None
+        if self._identity is not None:
+            e, inv = self._identity, []
+            for a in range(n):
+                b = next((b for b in range(n) if rows[a][b] == e and rows[b][a] == e), None)
+                if b is None:
+                    self._no_inverse = a
+                    break
+                inv.append(b)
+            else:
+                self._inverses = tuple(inv)
 
     def __len__(self):
         return len(self.elements)
 
     def index(self, name) -> int:
         try:
-            return self.elements.index(str(name))
-        except ValueError:
+            return self._index[str(name)]
+        except KeyError:
             raise TableError(f"unknown element {name!r}") from None
 
     def name(self, i: int) -> str:
@@ -85,22 +104,15 @@ class FiniteGroupTable:
         return self.mul_table[a][b]
 
     def identity(self) -> int:
-        for e in range(len(self)):
-            if all(self.mul(e, x) == x and self.mul(x, e) == x for x in range(len(self))):
-                return e
-        raise TableError("table has no two-sided identity")
+        if self._identity is None:
+            raise TableError("table has no two-sided identity")
+        return self._identity
 
     def inverses(self):
-        e = self.identity()
-        inv = []
-        for a in range(len(self)):
-            for b in range(len(self)):
-                if self.mul(a, b) == e and self.mul(b, a) == e:
-                    inv.append(b)
-                    break
-            else:
-                raise TableError(f"element {self.name(a)!r} has no inverse")
-        return tuple(inv)
+        if self._inverses is None:
+            self.identity()
+            raise TableError(f"element {self.name(self._no_inverse)!r} has no inverse")
+        return self._inverses
 
     def inv(self, a: int) -> int:
         return self.inverses()[a]
@@ -126,11 +138,9 @@ def validate_group(t: FiniteGroupTable, max_size: int = 24) -> CheckReport:
     except TableError as exc:
         entries.append(("inverses", False, str(exc)))
 
-    assoc_fail = None
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if t.mul(t.mul(a, b), c) != t.mul(a, t.mul(b, c)):
-            assoc_fail = (a, b, c)
-            break
+    m = t.mul_table
+    assoc_fail = next(((a, b, c) for a, b, c in itertools.product(range(n), repeat=3)
+                       if m[m[a][b]][c] != m[a][m[b][c]]), None)
     if assoc_fail is None:
         entries.append(("associativity", True, ""))
     else:
@@ -152,12 +162,10 @@ def as_operator(t: FiniteGroupTable, op) -> tuple:
 def validate_averaging(t: FiniteGroupTable, op) -> CheckReport:
     """Check A(g)A(h) = A(A(g)h) = A(gA(h)) on all pairs."""
     op = as_operator(t, op)
-    n = len(t)
+    n, m = len(t), t.mul_table
     for g, h in itertools.product(range(n), repeat=2):
-        lhs = t.mul(op[g], op[h])
-        mid = op[t.mul(op[g], h)]
-        rhs = op[t.mul(g, op[h])]
-        if lhs != mid or lhs != rhs:
+        lhs = m[op[g]][op[h]]
+        if lhs != op[m[op[g]][h]] or lhs != op[m[g][op[h]]]:
             return CheckReport((("averaging", False,
                                  f"fails at ({t.name(g)}, {t.name(h)})"),))
     return CheckReport((("averaging", True, ""),))
@@ -296,17 +304,13 @@ def check_pointed_consequences(h: AveragingGroupHandle) -> CheckReport:
     entries.append(("idempotence", bad is None,
                     "" if bad is None else f"fails at {t.name(bad)}"))
 
-    bad = next((g for g in range(n) if t.inv(A[g]) != A[t.inv(A[g])]), None)
+    m, inv = t.mul_table, t.inverses()
+    bad = next((g for g in range(n) if inv[A[g]] != A[inv[A[g]]]), None)
     entries.append(("inverse preservation", bad is None,
                     "" if bad is None else f"fails at {t.name(bad)}"))
 
-    bad = None
-    for g, k in itertools.product(range(n), repeat=2):
-        lhs = t.mul(t.mul(A[g], A[k]), t.inv(A[g]))
-        rhs = A[t.mul(t.mul(A[g], k), t.inv(A[g]))]
-        if lhs != rhs:
-            bad = (g, k)
-            break
+    bad = next(((g, k) for g, k in itertools.product(range(n), repeat=2)
+                if m[m[A[g]][A[k]]][inv[A[g]]] != A[m[m[A[g]][k]][inv[A[g]]]]), None)
     entries.append(("Ad-equivariance", bad is None,
                     "" if bad is None else f"fails at ({t.name(bad[0])}, {t.name(bad[1])})"))
     return CheckReport(tuple(entries))
@@ -328,27 +332,27 @@ def check_disemigroup(h: AveragingGroupHandle) -> CheckReport:
     left, right = disemigroup_ops(h)
     n = len(h.table)
     t = h.table
+    lt = [[left(g, k) for k in range(n)] for g in range(n)]
+    rt = [[right(g, k) for k in range(n)] for g in range(n)]
+    # each law reads p(q(f, g), h) = r(f, s(g, h)); (p, q, r, s) are tables
     laws = (
-        ("(f-|g)-|h = f-|(g-|h)", lambda f, g, k: left(left(f, g), k) == left(f, left(g, k))),
-        ("(f-|g)-|h = f-|(g|-h)", lambda f, g, k: left(left(f, g), k) == left(f, right(g, k))),
-        ("(f|-g)-|h = f|-(g-|h)", lambda f, g, k: left(right(f, g), k) == right(f, left(g, k))),
-        ("(f-|g)|-h = f|-(g|-h)", lambda f, g, k: right(left(f, g), k) == right(f, right(g, k))),
-        ("(f|-g)|-h = f|-(g|-h)", lambda f, g, k: right(right(f, g), k) == right(f, right(g, k))),
+        ("(f-|g)-|h = f-|(g-|h)", (lt, lt, lt, lt)),
+        ("(f-|g)-|h = f-|(g|-h)", (lt, lt, lt, rt)),
+        ("(f|-g)-|h = f|-(g-|h)", (lt, rt, rt, lt)),
+        ("(f-|g)|-h = f|-(g|-h)", (rt, lt, rt, rt)),
+        ("(f|-g)|-h = f|-(g|-h)", (rt, rt, rt, rt)),
     )
     entries = []
-    for name, law in laws:
-        bad = None
-        for f, g, k in itertools.product(range(n), repeat=3):
-            if not law(f, g, k):
-                bad = (f, g, k)
-                break
+    for name, (p, q, r, s) in laws:
+        bad = next(((f, g, k) for f, g, k in itertools.product(range(n), repeat=3)
+                    if p[q[f][g]][k] != r[f][s[g][k]]), None)
         entries.append((name, bad is None,
                         "" if bad is None else
                         f"fails at ({t.name(bad[0])}, {t.name(bad[1])}, {t.name(bad[2])})"))
 
     e = t.identity()
     bad = next((g for g in range(n)
-                if left(g, e) != g or right(e, g) != g), None)
+                if lt[g][e] != g or rt[e][g] != g), None)
     detail = ""
     if bad is not None:
         detail = f"fails at {t.name(bad)}"
@@ -375,18 +379,15 @@ def check_rack(h: AveragingGroupHandle) -> CheckReport:
     n = len(h.table)
     t = h.table
     entries = [("pointed", True, "")]
+    r = [[rack_op(h, g, k) for k in range(n)] for g in range(n)]
 
-    bad = None
-    for f, g, k in itertools.product(range(n), repeat=3):
-        if rack_op(h, f, rack_op(h, g, k)) != rack_op(h, rack_op(h, f, g), rack_op(h, f, k)):
-            bad = (f, g, k)
-            break
+    bad = next(((f, g, k) for f, g, k in itertools.product(range(n), repeat=3)
+                if r[f][r[g][k]] != r[r[f][g]][r[f][k]]), None)
     entries.append(("self-distributivity", bad is None,
                     "" if bad is None else
                     f"fails at ({t.name(bad[0])}, {t.name(bad[1])}, {t.name(bad[2])})"))
 
-    bad = next((g for g in range(n)
-                if len({rack_op(h, g, k) for k in range(n)}) != n), None)
+    bad = next((g for g in range(n) if len(set(r[g])) != n), None)
     entries.append(("translation bijectivity", bad is None,
                     "" if bad is None else f"L_{t.name(bad)} is not a bijection"))
     return CheckReport(tuple(entries))
@@ -396,25 +397,46 @@ def search_averaging_ops(t: FiniteGroupTable, pointed_only: bool = False,
                          max_size: int = 6):
     """All operator tables satisfying the averaging law, in index order.
 
-    The search space is |G|^|G|, so the carrier is capped.  Every hit is
-    re-validated through the ordinary checker before being returned.
+    The carrier is capped because the search space is |G|^|G|.  The search
+    assigns op[0], op[1], ... in turn, each value in increasing order, and
+    abandons a partial table as soon as a pair (g, h) breaks the law once
+    op[g], op[h] and the two lookups op[A(g)h], op[gA(h)] are all assigned.
+    Every complete table is confirmed by validate_averaging before it is
+    returned, so the hits come in the order of the full |G|^|G| enumeration.
     """
     n = len(t)
     if n > max_size:
         raise TableError(f"carrier size {n} exceeds the search cap {max_size}")
     e = t.identity()
+    m = t.mul_table
+    op = [0] * n
     found = []
-    for op in itertools.product(range(n), repeat=n):
-        if pointed_only and op[e] != e:
-            continue
-        ok = True
-        for g, k in itertools.product(range(n), repeat=2):
-            lhs = t.mul(op[g], op[k])
-            if lhs != op[t.mul(op[g], k)] or lhs != op[t.mul(g, op[k])]:
-                ok = False
-                break
-        if ok and validate_averaging(t, op).ok:
-            found.append(op)
+
+    def breaks(g):
+        # the pairs decided by assigning op[g]: all their indices are <= g
+        # and one of them is g, so each pair is checked exactly once
+        for a in range(g + 1):
+            pa = op[a]
+            for b in range(g + 1):
+                pb = op[b]
+                u, v = m[pa][b], m[a][pb]
+                if u <= g and v <= g and g in (a, b, u, v):
+                    lhs = m[pa][pb]
+                    if lhs != op[u] or lhs != op[v]:
+                        return True
+        return False
+
+    def extend(g):
+        if g == n:
+            if validate_averaging(t, op).ok:
+                found.append(tuple(op))
+            return
+        for value in ((e,) if pointed_only and g == e else range(n)):
+            op[g] = value
+            if not breaks(g):
+                extend(g + 1)
+
+    extend(0)
     return found
 
 
@@ -488,14 +510,18 @@ def load_group_file(source):
         raise TableError(f"'mul' must be a row-major table of element indices: {exc}") from None
     op = None
     if data.get("op") is not None:
-        raw = data["op"]
-        if not isinstance(raw, dict):
-            raise TableError("'op' must map element names to element names")
-        op_list = [None] * len(table)
-        for k, v in raw.items():
-            op_list[table.index(k)] = table.index(v)
-        if any(v is None for v in op_list):
-            missing = [table.name(i) for i, v in enumerate(op_list) if v is None]
-            raise TableError(f"'op' is not total; missing {missing}")
-        op = tuple(op_list)
+        op = op_from_names(table, data["op"])
     return table, op
+
+
+def op_from_names(table: FiniteGroupTable, raw) -> tuple:
+    """Index table of an operator given as {element name: element name}."""
+    if not isinstance(raw, dict):
+        raise TableError("'op' must map element names to element names")
+    op_list = [None] * len(table)
+    for k, v in raw.items():
+        op_list[table.index(k)] = table.index(v)
+    if any(v is None for v in op_list):
+        missing = [table.name(i) for i, v in enumerate(op_list) if v is None]
+        raise TableError(f"'op' is not total; missing {missing}")
+    return tuple(op_list)

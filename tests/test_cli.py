@@ -75,6 +75,11 @@ def test_parse_error_exits_2(capsys):
     assert run(capsys, "mul", "x", "y]")[0] == 2
 
 
+def too_deep_result(depth):
+    return (f"error: result nests brackets {depth} deep, deeper than the "
+            f"{MAX_NESTING} that can be read back; not printed\n")
+
+
 def test_nesting_limit_exits_2_without_traceback(capsys, z2_file):
     def nested(n):
         return "[x " * n + "x" + "]" * n
@@ -84,8 +89,8 @@ def test_nesting_limit_exits_2_without_traceback(capsys, z2_file):
     assert run(capsys, "op", deep) == (0, deep + "@2\n", "")
     assert run(capsys, "inv", deep) == (0, deep + "^-1\n", "")
     assert run(capsys, "eval", deep, "--group", z2_file, "--map", "x=1") == (0, "1\n", "")
-    code, out, err = run(capsys, "mul", deep, deep)
-    assert (code, err) == (0, "") and out.count("[") == 2 * MAX_NESTING
+    # the product nests 2 * MAX_NESTING deep: too deep to read back, so refused
+    assert run(capsys, "mul", deep, deep) == (2, "", too_deep_result(2 * MAX_NESTING))
     too_deep = nested(MAX_NESTING + 1)
     want = (f"parse error: brackets nested deeper than {MAX_NESTING} "
             f"(at position {3 * MAX_NESTING})\n")
@@ -93,6 +98,24 @@ def test_nesting_limit_exits_2_without_traceback(capsys, z2_file):
                  ["inv", too_deep],
                  ["eval", too_deep, "--group", z2_file, "--map", "x=1"]):
         assert run(capsys, *argv) == (2, "", want), argv[0]
+
+
+def test_results_deeper_than_the_limit_are_refused(capsys):
+    # the oracle merges side-by-side brackets into one nested word
+    code, out, err = run(capsys, "normalize", f"[x]^{MAX_NESTING}")
+    assert (code, err) == (0, "")
+    assert render(parse(out)) + "\n" == out and out.count("[") == MAX_NESTING
+    want = too_deep_result(MAX_NESTING + 1)
+    for argv in (["normalize", f"[x]^{MAX_NESTING + 1}"],
+                 ["normalize", "--via-ops", f"[x]^{MAX_NESTING + 1}"]):
+        assert run(capsys, *argv) == (2, "", want), argv
+    # an input that normalizes too deep is described, not printed, in the note
+    code, out, err = run(capsys, "inv", f"[x]^{MAX_NESTING + 1}")
+    assert (code, out) == (2, "")
+    assert err == f"note: input normalized to a word nested {MAX_NESTING + 1} deep\n" + want
+    half = MAX_NESTING // 2
+    code, out, err = run(capsys, "mul", f"[x]^{half}", f"[x]^{MAX_NESTING + 1 - half}")
+    assert (code, out) == (2, "") and err.endswith(want) and "Traceback" not in err
 
 
 def test_bad_usage_exits_2(capsys):
@@ -197,6 +220,25 @@ def test_hopf_check(capsys, z2_file, tmp_path):
     noop.write_text(json.dumps({"elements": ["0", "1"], "mul": [[0, 1], [1, 0]]}))
     code, out, _ = run(capsys, "hopf-check", "--group", str(noop))
     assert code == 0 and out == "verdicts agree on all 4 operator maps\n"
+
+
+def test_hopf_check_rejects_malformed_operator_files(capsys, z2_file, tmp_path):
+    def check(data):
+        opfile = tmp_path / "op.json"
+        opfile.write_text(json.dumps(data))
+        return run(capsys, "hopf-check", "--group", z2_file, "--op", str(opfile))
+
+    assert check({"op": {"0": "1"}}) == \
+        (2, "", "error: 'op' is not total; missing ['1']\n")
+    assert check({"0": "1"}) == (2, "", "error: 'op' is not total; missing ['1']\n")
+    assert check({"op": {"0": "1", "1": "zz"}}) == (2, "", "error: unknown element 'zz'\n")
+    assert check({"op": {"0": "1", "1": "0", "2": "0"}}) == \
+        (2, "", "error: unknown element '2'\n")
+    for data in (["0", "1"], {"op": "swap"}, "swap"):
+        assert check(data) == \
+            (2, "", "error: 'op' must map element names to element names\n"), data
+    # the bare name map is read like the 'op' block
+    assert check({"0": "1", "1": "0"}) == (0, "(group: ok, algebra: ok)\n", "")
 
 
 def test_lie_check(capsys, tmp_path):

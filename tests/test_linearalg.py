@@ -224,3 +224,228 @@ def test_loaders_reject_malformed_shapes():
         load_operator_file({"dim": 2, "matrix": [["1", "0"], ["0", "x"]]})
     with pytest.raises(TableError):
         load_operator_file({"dim": True, "matrix": []})
+
+
+# --- reference copies: dense Lie arithmetic, and the group algebra summed
+# --- from Fraction(0), as the checks were first written -------------------
+
+def _ref_bracket(L, x, y):
+    d = L.dim
+    out = [Fraction(0)] * d
+    for i in range(d):
+        if x[i] == 0:
+            continue
+        for j in range(d):
+            if y[j] == 0:
+                continue
+            for k in range(d):
+                out[k] += x[i] * y[j] * L.c[i][j][k]
+    return tuple(out)
+
+
+def _ref_mat_apply(M, v):
+    return tuple(sum((M[i][j] * v[j] for j in range(len(v))), Fraction(0))
+                 for i in range(len(v)))
+
+
+def _ref_validate_lie(L):
+    d = L.dim
+    bad = next(((i, j) for i, j, k in itertools.product(range(d), repeat=3)
+                if L.c[i][j][k] != -L.c[j][i][k]), None)
+    entries = [("antisymmetry", bad is None,
+                "" if bad is None else f"fails at (e{bad[0]+1}, e{bad[1]+1})")]
+    bad = None
+    for i, j, k in itertools.product(range(d), repeat=3):
+        ei, ej, ek = L.basis(i), L.basis(j), L.basis(k)
+        total = [a + b + c for a, b, c in zip(
+            _ref_bracket(L, ei, _ref_bracket(L, ej, ek)),
+            _ref_bracket(L, ej, _ref_bracket(L, ek, ei)),
+            _ref_bracket(L, ek, _ref_bracket(L, ei, ej)))]
+        if any(total):
+            bad = (i, j, k)
+            break
+    entries.append(("Jacobi", bad is None,
+                    "" if bad is None else f"fails at (e{bad[0]+1}, e{bad[1]+1}, e{bad[2]+1})"))
+    return tuple(entries)
+
+
+def _ref_averaging_lie(L, M):
+    bad = None
+    for i, j in itertools.product(range(L.dim), repeat=2):
+        ei, ej = L.basis(i), L.basis(j)
+        Aei, Aej = _ref_mat_apply(M, ei), _ref_mat_apply(M, ej)
+        lhs = _ref_bracket(L, Aei, Aej)
+        if (lhs != _ref_mat_apply(M, _ref_bracket(L, Aei, ej))
+                or lhs != _ref_mat_apply(M, _ref_bracket(L, ei, Aej))):
+            bad = (i, j)
+            break
+    return (("averaging on basis pairs", bad is None,
+             "" if bad is None else f"fails at (e{bad[0]+1}, e{bad[1]+1})"),)
+
+
+def _ref_leibniz(L, M):
+    def br(x, y):
+        return _ref_bracket(L, _ref_mat_apply(M, x), y)
+
+    bad = None
+    for i, j, k in itertools.product(range(L.dim), repeat=3):
+        x, y, z = L.basis(i), L.basis(j), L.basis(k)
+        rhs = tuple(a + b for a, b in zip(br(br(x, y), z), br(y, br(x, z))))
+        if br(x, br(y, z)) != rhs:
+            bad = (i, j, k)
+            break
+    return (("left Leibniz on basis triples", bad is None,
+             "" if bad is None else f"fails at (e{bad[0]+1}, e{bad[1]+1}, e{bad[2]+1})"),)
+
+
+def _lie_cases():
+    def eye(d):
+        return [[int(i == j) for j in range(d)] for i in range(d)]
+
+    def proj(d):
+        return [[int(i == j == 0) for j in range(d)] for i in range(d)]
+
+    def shift(d):
+        return [[int(j == i + 1) for j in range(d)] for i in range(d)]
+
+    rng = random.Random(11)
+    specs = [
+        LieAlgebraSpec.from_brackets(3, {}),
+        LieAlgebraSpec.from_brackets(3, {(0, 1): {2: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}}),
+        LieAlgebraSpec.from_brackets(6, {(0, i): {i + 1: 1} for i in range(1, 5)}),
+        SOLVABLE,
+        LieAlgebraSpec(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]),
+        LieAlgebraSpec.from_brackets(3, {(0, 1): {0: 1}, (0, 2): {2: 1}}),
+    ]
+    # random antisymmetric constants: a few satisfy Jacobi, most do not
+    for _ in range(12):
+        d = rng.randint(2, 4)
+        specs.append(LieAlgebraSpec.from_brackets(d, {
+            (i, j): {k: rng.choice((0, 0, 1, -1, 2, "1/2")) for k in range(d)}
+            for i in range(d) for j in range(i + 1, d) if rng.random() < 0.5}))
+    cases = []
+    for L in specs:
+        d = L.dim
+        mats = [eye(d), proj(d), shift(d), [[0] * d for _ in range(d)]]
+        mats += [[[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(d)] for _ in range(d)]
+                 for _ in range(4)]
+        cases += [(L, M) for M in mats]
+    return specs, cases
+
+
+def _outcome(fn, *args):
+    try:
+        return "report", fn(*args).entries
+    except TableError as exc:
+        return "error", str(exc)
+
+
+def test_sparse_lie_layer_matches_the_dense_reference():
+    specs, cases = _lie_cases()
+    rng = random.Random(5)
+    for L in specs:
+        assert validate_lie(L).entries == _ref_validate_lie(L)
+        assert validate_lie(L) is validate_lie(L)  # made once per spec
+        for _ in range(10):
+            x = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(L.dim))
+            y = tuple(Fraction(rng.randint(-2, 2)) for _ in range(L.dim))
+            assert L.bracket(x, y) == _ref_bracket(L, x, y)
+            assert all(type(v) is Fraction for v in L.bracket(x, y))
+    seen = set()
+    for L, M in cases:
+        valid = validate_lie(L).ok
+        want_error = ("error", "; ".join(validate_lie(L).lines()))
+        matrix = tuple(tuple(Fraction(v) for v in row) for row in M)
+        for check, ref in ((check_averaging_lie, _ref_averaging_lie),
+                           (check_leibniz, _ref_leibniz)):
+            got = _outcome(check, L, M)
+            assert got == (("report", ref(L, matrix)) if valid else want_error)
+            seen.add((check.__name__, got[0], got[0] == "report" and got[1][0][1]))
+    # every outcome kind occurs: invalid spec, passing and failing reports
+    assert len(seen) == 6, seen
+
+
+def _ref_ga_mul(a, b, g):
+    out = {}
+    for i, ci in a.items():
+        for j, cj in b.items():
+            k = g.mul(i, j)
+            out[k] = out.get(k, Fraction(0)) + ci * cj
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _ref_extend(images):
+    def apply(a):
+        out = {}
+        for i, c in a.items():
+            for k, v in images[i].items():
+                out[k] = out.get(k, Fraction(0)) + c * v
+        return {k: v for k, v in out.items() if v != 0}
+    return apply
+
+
+def test_group_algebra_arithmetic_matches_the_reference():
+    rng = random.Random(9)
+    for g in (cyclic_group(4), klein_four_group(), sym3()):
+        n = len(g)
+        elements = [{rng.randrange(n): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 4))} for _ in range(30)]
+        elements = [{k: v for k, v in a.items() if v} for a in elements]
+        op = [rng.randrange(n) for _ in range(n)]
+        spread = [{rng.randrange(n): Fraction(rng.randint(-2, 2)) for _ in range(2)}
+                  for _ in range(n)]
+        P, Q = linear_extend(g, op), linear_extend(g, spread)
+        P_ref = _ref_extend([{k: Fraction(1)} for k in op])
+        Q_ref = _ref_extend([{k: v for k, v in img.items() if v} for img in spread])
+        for a, b in zip(elements, reversed(elements)):
+            assert ga_mul(a, b, g) == _ref_ga_mul(a, b, g)
+            assert P(a) == P_ref(a) and Q(a) == Q_ref(a)
+            assert all(type(v) is Fraction for v in {**P(a), **Q(a), **ga_mul(a, b, g)}.values())
+
+
+def _ref_averaging_algebra(g, P, spot_checks=100, seed=0):
+    n = len(g)
+
+    def holds(a, b):
+        lhs = _ref_ga_mul(P(a), P(b), g)
+        return lhs == P(_ref_ga_mul(P(a), b, g)) and lhs == P(_ref_ga_mul(a, P(b), g))
+
+    bad = next(((i, j) for i, j in itertools.product(range(n), repeat=2)
+                if not holds({i: Fraction(1)}, {j: Fraction(1)})), None)
+    entries = [("averaging on basis pairs", bad is None,
+                "" if bad is None else f"fails at ({g.name(bad[0])}, {g.name(bad[1])})")]
+    if bad is None:
+        rng = random.Random(seed)
+        spot_bad = None
+        for t in range(spot_checks):
+            a = {}
+            for _ in range(rng.randint(1, 3)):
+                a[rng.randrange(n)] = Fraction(rng.randint(-3, 3))
+            b = {}
+            for _ in range(rng.randint(1, 3)):
+                b[rng.randrange(n)] = Fraction(rng.randint(-3, 3))
+            if not holds({k: v for k, v in a.items() if v}, {k: v for k, v in b.items() if v}):
+                spot_bad = t
+                break
+        entries.append(("averaging on random combinations", spot_bad is None,
+                        f"{spot_checks} pairs, seed {seed}" if spot_bad is None
+                        else f"fails at sample {spot_bad}, seed {seed}"))
+    return tuple(entries)
+
+
+def test_averaging_algebra_reports_match_the_reference():
+    rng = random.Random(13)
+    passing = {True: 0, False: 0}  # by whether the operator is a set map
+    for g in (cyclic_group(2), cyclic_group(3), klein_four_group()):
+        n = len(g)
+        ops = [list(op) for op in itertools.product(range(n), repeat=n)]
+        # explicit images: scaled and spread basis vectors
+        ops += [[{rng.randrange(n): rng.choice((1, 1, -1, 2)) for _ in range(rng.randint(1, 2))}
+                 for _ in range(n)] for _ in range(40)]
+        for op in ops:
+            P_ref = _ref_extend([{k: Fraction(1)} for k in op] if isinstance(op[0], int)
+                                else [{k: Fraction(v) for k, v in img.items()} for img in op])
+            rep = check_averaging_algebra(g, op)
+            assert rep.entries == _ref_averaging_algebra(g, P_ref), op
+            passing[isinstance(op[0], int)] += rep.ok
+    assert passing[True] == 3 + 4 + 17 and passing[False] > 0

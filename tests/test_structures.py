@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -161,6 +162,116 @@ def test_search_flags_and_caps():
     assert len(search_averaging_ops(sym3())) == 14
 
 
+def _exhaustive_search(t, pointed_only=False):
+    """Reference: every one of the |G|^|G| maps, tested in index order."""
+    n = len(t)
+    e = t.identity()
+    found = []
+    for op in itertools.product(range(n), repeat=n):
+        if pointed_only and op[e] != e:
+            continue
+        if all(t.mul(op[g], op[k]) == op[t.mul(op[g], k)] == op[t.mul(g, op[k])]
+               for g, k in itertools.product(range(n), repeat=2)):
+            found.append(op)
+    return found
+
+
+def test_search_returns_the_exhaustive_list_in_order():
+    groups = [cyclic_group(n) for n in range(2, 7)] + [klein_four_group(), sym3()]
+    for t in groups:
+        for pointed in (False, True):
+            assert search_averaging_ops(t, pointed_only=pointed) == \
+                _exhaustive_search(t, pointed), (t.elements, pointed)
+
+
+def test_search_beyond_the_default_cap():
+    with pytest.raises(TableError, match="exceeds the search cap 6"):
+        search_averaging_ops(cyclic_group(7))
+    # counts found independently: Z7 has 8 and 2, Z8 has 41 and 14
+    for n, plain, pointed in ((7, 8, 2), (8, 41, 14)):
+        t = cyclic_group(n)
+        ops = search_averaging_ops(t, max_size=n)
+        pointed_ops = search_averaging_ops(t, pointed_only=True, max_size=n)
+        assert (len(ops), len(pointed_ops)) == (plain, pointed)
+        assert ops == sorted(ops) and pointed_ops == [op for op in ops if op[0] == 0]
+        assert all(validate_averaging(t, op).ok for op in ops)
+
+
+def _reference_identity(t):
+    n = len(t)
+    for e in range(n):
+        if all(t.mul(e, x) == x and t.mul(x, e) == x for x in range(n)):
+            return e
+    raise TableError("table has no two-sided identity")
+
+
+def _reference_inverses(t):
+    e = _reference_identity(t)
+    inv = []
+    for a in range(len(t)):
+        for b in range(len(t)):
+            if t.mul(a, b) == e and t.mul(b, a) == e:
+                inv.append(b)
+                break
+        else:
+            raise TableError(f"element {t.name(a)!r} has no inverse")
+    return tuple(inv)
+
+
+def _reference_validate_group(t):
+    entries = []
+    try:
+        entries.append(("identity", True, f"inferred {t.name(_reference_identity(t))!r}"))
+    except TableError as exc:
+        return CheckReport((("identity", False, str(exc)),))
+    try:
+        _reference_inverses(t)
+        entries.append(("inverses", True, ""))
+    except TableError as exc:
+        entries.append(("inverses", False, str(exc)))
+    bad = next(((a, b, c) for a, b, c in itertools.product(range(len(t)), repeat=3)
+                if t.mul(t.mul(a, b), c) != t.mul(a, t.mul(b, c))), None)
+    entries.append(("associativity", bad is None, "" if bad is None else
+                    f"fails at ({t.name(bad[0])}, {t.name(bad[1])}, {t.name(bad[2])})"))
+    return CheckReport(tuple(entries))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except TableError as exc:
+        return "error", str(exc)
+
+
+def test_cached_identity_and_inverses_match_the_table():
+    rng = random.Random(7)
+    tables = [cyclic_group(5), klein_four_group(), sym3(),
+              FiniteGroupTable(["a", "b"], [[0, 1], [0, 1]]),          # no identity
+              FiniteGroupTable(["e", "a", "b"], [[0, 1, 2], [1, 1, 1], [2, 1, 0]])]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        e = rng.randrange(n)
+        mul = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.7:  # mostly tables with an identity, so inverses get tested
+            for x in range(n):
+                mul[e][x] = mul[x][e] = x
+        tables.append(FiniteGroupTable([f"g{i}" for i in range(n)], mul))
+    errors = {"identity": 0, "inverses": 0}
+    for t in tables:
+        identity = _outcome(_reference_identity, t)
+        inverses = _outcome(_reference_inverses, t)
+        assert _outcome(t.identity) == identity
+        assert _outcome(t.inverses) == inverses
+        for a in range(len(t)):
+            assert _outcome(t.inv, a) == (
+                inverses if inverses[0] == "error" else ("value", inverses[1][a]))
+        assert validate_group(t).entries == _reference_validate_group(t).entries
+        errors["identity"] += identity[0] == "error"
+        errors["inverses"] += inverses[0] == "error"
+    # both failures occur among the sampled tables
+    assert errors["identity"] > 10 and errors["inverses"] > errors["identity"] + 10
+
+
 def test_pointed_consequences():
     s3h = idempotent_endo_operator(sym3(), sym3_sign_retraction())
     rep = check_pointed_consequences(s3h)
@@ -201,6 +312,88 @@ def test_rack_values_and_laws():
         rack_op(shifted, 0, 1)
     rep = check_rack(shifted)
     assert not rep.ok and "inapplicable" in rep.entries[0][2]
+
+
+def _reference_pointed_consequences(h):
+    t, A = h.table, h.op_table
+    e = t.identity()
+    if A[e] != e:
+        return ((("pointed", False, f"A(e) = {t.name(A[e])!r}; consequences inapplicable"),))
+    n = len(t)
+    bad1 = next((g for g in range(n) if A[A[g]] != A[g]), None)
+    bad2 = next((g for g in range(n) if t.inv(A[g]) != A[t.inv(A[g])]), None)
+    bad3 = next(((g, k) for g, k in itertools.product(range(n), repeat=2)
+                 if t.mul(t.mul(A[g], A[k]), t.inv(A[g]))
+                 != A[t.mul(t.mul(A[g], k), t.inv(A[g]))]), None)
+    return (("pointed", True, ""),
+            ("idempotence", bad1 is None, "" if bad1 is None else f"fails at {t.name(bad1)}"),
+            ("inverse preservation", bad2 is None,
+             "" if bad2 is None else f"fails at {t.name(bad2)}"),
+            ("Ad-equivariance", bad3 is None,
+             "" if bad3 is None else f"fails at ({t.name(bad3[0])}, {t.name(bad3[1])})"))
+
+
+def _triple(t, bad):
+    return "" if bad is None else f"fails at ({', '.join(t.name(x) for x in bad)})"
+
+
+def _reference_disemigroup(h):
+    t, n = h.table, len(h.table)
+    left = lambda g, k: h.mul(g, h.op(k))
+    right = lambda g, k: h.mul(h.op(g), k)
+    laws = (
+        ("(f-|g)-|h = f-|(g-|h)", lambda f, g, k: left(left(f, g), k) == left(f, left(g, k))),
+        ("(f-|g)-|h = f-|(g|-h)", lambda f, g, k: left(left(f, g), k) == left(f, right(g, k))),
+        ("(f|-g)-|h = f|-(g-|h)", lambda f, g, k: left(right(f, g), k) == right(f, left(g, k))),
+        ("(f-|g)|-h = f|-(g|-h)", lambda f, g, k: right(left(f, g), k) == right(f, right(g, k))),
+        ("(f|-g)|-h = f|-(g|-h)", lambda f, g, k: right(right(f, g), k) == right(f, right(g, k))),
+    )
+    entries = []
+    for name, law in laws:
+        bad = next((fgk for fgk in itertools.product(range(n), repeat=3) if not law(*fgk)),
+                   None)
+        entries.append((name, bad is None, _triple(t, bad)))
+    e = t.identity()
+    bad = next((g for g in range(n) if left(g, e) != g or right(e, g) != g), None)
+    detail = ""
+    if bad is not None:
+        detail = f"fails at {t.name(bad)}" + ("" if h.is_pointed() else " (not pointed)")
+    entries.append(("dimonoid units", bad is None, detail))
+    return tuple(entries)
+
+
+def _reference_rack(h):
+    t, n = h.table, len(h.table)
+    if not h.is_pointed():
+        return (("pointed", False, f"A(e) = {h.name(h.op(h.identity()))!r}; rack inapplicable"),)
+    r = lambda g, k: h.mul(h.mul(h.op(g), k), h.inv(h.op(g)))
+    bad = next(((f, g, k) for f, g, k in itertools.product(range(n), repeat=3)
+                if r(f, r(g, k)) != r(r(f, g), r(f, k))), None)
+    bij = next((g for g in range(n) if len({r(g, k) for k in range(n)}) != n), None)
+    return (("pointed", True, ""), ("self-distributivity", bad is None, _triple(t, bad)),
+            ("translation bijectivity", bij is None,
+             "" if bij is None else f"L_{t.name(bij)} is not a bijection"))
+
+
+def test_derived_checks_match_the_reference_reports():
+    rng = random.Random(3)
+    groups = [cyclic_group(n) for n in range(2, 7)] + [klein_four_group(), sym3()]
+    handles = [AveragingGroupHandle(t, op) for t in groups for op in search_averaging_ops(t)]
+    # the checks read only the handle's data, so unvalidated maps probe the
+    # failing witnesses too
+    for t in groups:
+        for _ in range(40):
+            h = object.__new__(AveragingGroupHandle)
+            h.table = t
+            h.op_table = tuple(rng.randrange(len(t)) for _ in range(len(t)))
+            handles.append(h)
+    failing = 0
+    for h in handles:
+        assert check_pointed_consequences(h).entries == _reference_pointed_consequences(h)
+        assert check_disemigroup(h).entries == _reference_disemigroup(h)
+        assert check_rack(h).entries == _reference_rack(h)
+        failing += not check_disemigroup(h).ok and not check_rack(h).entries[-1][1]
+    assert failing > 20
 
 
 def test_int_shift_group_protocol():
