@@ -48,8 +48,10 @@ from .avgroup import (
 )
 from .structures import (
     AveragingGroupHandle,
+    CheckFailed,
     IntShiftGroup,
     TableError,
+    _load_json,
     cyclic_group,
     idempotent_endo_operator,
     load_group_file,
@@ -361,25 +363,11 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _load_handle(path):
-    table, op = load_group_file(path)
+def _cmd_eval(args) -> int:
+    table, op = load_group_file(args.group)
     if op is None:
         raise TableError("group file has no 'op' block")
-    rep = validate_group(table)
-    if not rep.ok:
-        return None, rep
-    rep = validate_averaging(table, op)
-    if not rep.ok:
-        return None, rep
-    return AveragingGroupHandle(table, op), None
-
-
-def _cmd_eval(args) -> int:
-    handle, failure = _load_handle(args.group)
-    if handle is None:
-        for line in failure.lines():
-            print(line)
-        return 1
+    handle = AveragingGroupHandle(table, op)
     assignment = {}
     if args.map:
         for part in args.map.split(","):
@@ -396,11 +384,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_search_ops(args) -> int:
     table, _ = load_group_file(args.group)
-    rep = validate_group(table)
-    if not rep.ok:
-        for line in rep.lines():
-            print(line)
-        return 1
+    validate_group(table).require()
     ops = search_averaging_ops(table, pointed_only=args.pointed,
                                max_size=args.max_size)
     kind = "pointed averaging" if args.pointed else "averaging"
@@ -414,14 +398,9 @@ def _cmd_search_ops(args) -> int:
 
 def _cmd_hopf_check(args) -> int:
     table, op = load_group_file(args.group)
-    rep = validate_group(table)
-    if not rep.ok:
-        for line in rep.lines():
-            print(line)
-        return 1
+    validate_group(table).require()
     if args.op:
-        with open(args.op, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _load_json(args.op)
         # the file holds an 'op' block, or is the bare name map
         op = op_from_names(table, data.get("op", data) if isinstance(data, dict) else data)
     if op is None:
@@ -439,20 +418,14 @@ def _cmd_hopf_check(args) -> int:
     word = {True: "ok", False: "FAIL"}
     print(f"(group: {word[group_ok]}, algebra: {word[algebra_ok]})")
     if not group_ok:
-        for line in validate_averaging(table, op).lines():
-            print(line)
-        return 1
+        validate_averaging(table, op).require()
     return 0
 
 
 def _cmd_lie_check(args) -> int:
     L = load_lie_file(args.structure)
     M = load_operator_file(args.operator, dim=L.dim)
-    rep = validate_lie(L)
-    if not rep.ok:
-        for line in rep.lines():
-            print(line)
-        return 1
+    validate_lie(L).require()
     code = 0
     for rep in (check_averaging_lie(L, M), check_leibniz(L, M)):
         for line in rep.lines():
@@ -548,6 +521,10 @@ def main(argv=None) -> int:
     except UnassignedGenerator as exc:
         print(f"missing assignment: {exc.args[0]}", file=sys.stderr)
         return 2
+    except CheckFailed as exc:
+        # a table, operator or Lie spec failed its axioms: the report is the finding
+        print("\n".join(exc.report.lines()))
+        return 1
     except (TableError, ResultTooDeep) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

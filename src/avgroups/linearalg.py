@@ -11,11 +11,18 @@ floating point enters this module.
 """
 
 from fractions import Fraction
-import itertools
-import json
 import random
 
-from .structures import CheckReport, FiniteGroupTable, TableError, as_operator, validate_averaging
+from .structures import (
+    CheckReport,
+    FiniteGroupTable,
+    TableError,
+    _as_int,
+    _law,
+    _load_json,
+    as_operator,
+    validate_averaging,
+)
 
 
 def _frac(v) -> Fraction:
@@ -135,28 +142,21 @@ def check_averaging_algebra(g: FiniteGroupTable, A, spot_checks: int = 100,
         lhs = ga_mul(pa, pb, g)
         return lhs == P(ga_mul(pa, b, g)) and lhs == P(ga_mul(a, pb, g))
 
-    entries = []
-    bad = None
-    for i, j in itertools.product(range(n), repeat=2):
-        if not holds(ga_basis(i), ga_basis(j)):
-            bad = (i, j)
-            break
-    entries.append(("averaging on basis pairs", bad is None,
-                    "" if bad is None else
-                    f"fails at ({g.name(bad[0])}, {g.name(bad[1])})"))
-
-    if bad is None:
+    entries = [_law("averaging on basis pairs",
+                    lambda i, j: holds(ga_basis(i), ga_basis(j)), n, 2, g.name)]
+    if entries[0][1]:
         rng = random.Random(seed)
-        spot_bad = None
-        for t in range(spot_checks):
-            a, b = _random_element(rng, n), _random_element(rng, n)
-            if not holds(a, b):
-                spot_bad = t
-                break
-        entries.append(("averaging on random combinations", spot_bad is None,
-                        f"{spot_checks} pairs, seed {seed}" if spot_bad is None
-                        else f"fails at sample {spot_bad}, seed {seed}"))
+        entries.append(_spot_checks(
+            "averaging on random combinations",
+            lambda _: holds(_random_element(rng, n), _random_element(rng, n)),
+            spot_checks, f"{spot_checks} pairs, seed {seed}", seed))
     return CheckReport(tuple(entries))
+
+
+def _spot_checks(law, holds, samples, passed, seed):
+    """Entry of a seeded random check: holds(t) draws and tests sample t."""
+    law, ok, detail = _law(law, holds, samples, 1, lambda t: f"sample {t}, seed {seed}")
+    return law, ok, detail if not ok else passed
 
 
 def coproduct(a: dict) -> dict:
@@ -193,25 +193,19 @@ def check_coalgebra_map(g: FiniteGroupTable, A, spot_checks: int = 20,
     def counit_ok(x):
         return counit(P(x)) == counit(x)
 
-    entries = []
-    bad = next((i for i in range(n) if not cop_ok(ga_basis(i))), None)
-    entries.append(("coproduct compatibility on basis", bad is None,
-                    "" if bad is None else f"fails at {g.name(bad)}"))
-    bad = next((i for i in range(n) if not counit_ok(ga_basis(i))), None)
-    entries.append(("counit preservation on basis", bad is None,
-                    "" if bad is None else f"fails at {g.name(bad)}"))
-
+    entries = [
+        _law("coproduct compatibility on basis", lambda i: cop_ok(ga_basis(i)), n, 1, g.name),
+        _law("counit preservation on basis", lambda i: counit_ok(ga_basis(i)), n, 1, g.name),
+    ]
     if all(ok for _, ok, _ in entries):
         rng = random.Random(seed)
-        spot_bad = None
-        for t in range(spot_checks):
+
+        def sample_ok(_):
             x = _random_element(rng, n)
-            if not cop_ok(x) or not counit_ok(x):
-                spot_bad = t
-                break
-        entries.append(("compatibility on random combinations", spot_bad is None,
-                        f"{spot_checks} samples, seed {seed}" if spot_bad is None
-                        else f"fails at sample {spot_bad}, seed {seed}"))
+            return cop_ok(x) and counit_ok(x)
+
+        entries.append(_spot_checks("compatibility on random combinations", sample_ok,
+                                    spot_checks, f"{spot_checks} samples, seed {seed}", seed))
     return CheckReport(tuple(entries))
 
 
@@ -241,14 +235,11 @@ def check_antipode_averaging(g: FiniteGroupTable) -> CheckReport:
     makes no claim either way.
     """
     inv = g.inverses()
-    square_is_s = all(inv[inv[x]] == inv[x] for x in range(len(g)))
-    if not square_is_s:
-        bad = next(x for x in range(len(g)) if inv[inv[x]] != inv[x])
-        return CheckReport((("S squared equals S", False,
-                             f"fails at {g.name(bad)}; nothing to assert"),))
-    entries = [("S squared equals S", True, "")]
-    entries.extend(check_averaging_algebra(g, inv).entries)
-    return CheckReport(tuple(entries))
+    law, ok, detail = _law("S squared equals S", lambda x: inv[inv[x]] == inv[x],
+                           len(g), 1, g.name)
+    if not ok:
+        return CheckReport(((law, False, f"{detail}; nothing to assert"),))
+    return CheckReport(((law, True, ""),) + check_averaging_algebra(g, inv).entries)
 
 
 def _sparse(v) -> dict:
@@ -328,30 +319,24 @@ def validate_lie(L: LieAlgebraSpec) -> CheckReport:
     if L._report is not None:
         return L._report
     d, sc = L.dim, L._sparse_c
-    entries = []
-    bad = next(((i, j) for i, j in itertools.product(range(d), repeat=2)
-                if sc[i][j] != {k: -v for k, v in sc[j][i].items()}), None)
-    entries.append(("antisymmetry", bad is None,
-                    "" if bad is None else f"fails at (e{bad[0]+1}, e{bad[1]+1})"))
     basis = _units(d)
 
-    def jacobi(i, j, k):
-        # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
-        return _combine((1, _bilinear(sc, basis[a], sc[b][c]))
-                        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+    def jacobi_holds(i, j, k):
+        # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] = 0
+        return not _combine((1, _bilinear(sc, basis[a], sc[b][c]))
+                            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
 
-    bad = next((ijk for ijk in itertools.product(range(d), repeat=3) if jacobi(*ijk)), None)
-    entries.append(("Jacobi", bad is None,
-                    "" if bad is None else
-                    f"fails at (e{bad[0]+1}, e{bad[1]+1}, e{bad[2]+1})"))
-    L._report = CheckReport(tuple(entries))
+    L._report = CheckReport((
+        _law("antisymmetry", lambda i, j: sc[i][j] == {k: -v for k, v in sc[j][i].items()},
+             d, 2, _e),
+        _law("Jacobi", jacobi_holds, d, 3, _e),
+    ))
     return L._report
 
 
-def _require_lie(L: LieAlgebraSpec) -> None:
-    rep = validate_lie(L)
-    if not rep.ok:
-        raise TableError("; ".join(rep.lines()))
+def _e(i: int) -> str:
+    """Name of the basis vector e_{i+1} in reports: indices are one-based there."""
+    return f"e{i + 1}"
 
 
 def mat_apply(M, v):
@@ -385,7 +370,7 @@ def check_averaging_lie(L: LieAlgebraSpec, M) -> CheckReport:
     The identity is bilinear, so basis pairs decide it.  The Lie spec is
     validated first; an invalid spec is an error, not a report entry.
     """
-    _require_lie(L)
+    validate_lie(L).require()
     M = as_matrix(L.dim, M)
     sc, cols = L._sparse_c, _columns(M)
     basis = _units(L.dim)
@@ -393,16 +378,12 @@ def check_averaging_lie(L: LieAlgebraSpec, M) -> CheckReport:
     def A(v):
         return _combine((x, cols[j]) for j, x in v.items())
 
-    bad = None
-    for i, j in itertools.product(range(L.dim), repeat=2):
+    def holds(i, j):
         lhs = _bilinear(sc, cols[i], cols[j])
-        if (lhs != A(_bilinear(sc, cols[i], basis[j]))
-                or lhs != A(_bilinear(sc, basis[i], cols[j]))):
-            bad = (i, j)
-            break
-    return CheckReport((("averaging on basis pairs", bad is None,
-                         "" if bad is None else
-                         f"fails at (e{bad[0]+1}, e{bad[1]+1})"),))
+        return (lhs == A(_bilinear(sc, cols[i], basis[j]))
+                and lhs == A(_bilinear(sc, basis[i], cols[j])))
+
+    return CheckReport((_law("averaging on basis pairs", holds, L.dim, 2, _e),))
 
 
 def leibniz_bracket(L: LieAlgebraSpec, M):
@@ -417,23 +398,18 @@ def leibniz_bracket(L: LieAlgebraSpec, M):
 
 def check_leibniz(L: LieAlgebraSpec, M) -> CheckReport:
     """Left Leibniz law {x,{y,z}} = {{x,y},z} + {y,{x,z}} on basis triples."""
-    _require_lie(L)
+    validate_lie(L).require()
     M = as_matrix(L.dim, M)
     d, sc, cols = L.dim, L._sparse_c, _columns(M)
     basis = _units(d)
     # the derived bracket is bilinear: tabulate it on basis pairs once
     D = [[_bilinear(sc, cols[a], basis[b]) for b in range(d)] for a in range(d)]
-    bad = None
-    for i, j, k in itertools.product(range(d), repeat=3):
-        lhs = _bilinear(D, basis[i], D[j][k])
-        rhs = _combine(((1, _bilinear(D, D[i][j], basis[k])),
-                        (1, _bilinear(D, basis[j], D[i][k]))))
-        if lhs != rhs:
-            bad = (i, j, k)
-            break
-    return CheckReport((("left Leibniz on basis triples", bad is None,
-                         "" if bad is None else
-                         f"fails at (e{bad[0]+1}, e{bad[1]+1}, e{bad[2]+1})"),))
+
+    def holds(i, j, k):
+        return _bilinear(D, basis[i], D[j][k]) == _combine(
+            ((1, _bilinear(D, D[i][j], basis[k])), (1, _bilinear(D, basis[j], D[i][k]))))
+
+    return CheckReport((_law("left Leibniz on basis triples", holds, d, 3, _e),))
 
 
 def load_lie_file(source) -> LieAlgebraSpec:
@@ -458,8 +434,11 @@ def load_lie_file(source) -> LieAlgebraSpec:
         j = _as_int(entry["j"], "'j'") - 1
         if not (0 <= i < dim and 0 <= j < dim):
             raise TableError(f"bracket index out of range in {entry!r}")
+        raw = entry.get("coeffs", {})
+        if not isinstance(raw, dict):
+            raise TableError(f"malformed bracket entry {entry!r}")
         coeffs = {}
-        for k, v in entry.get("coeffs", {}).items():
+        for k, v in raw.items():
             k = _as_int(k, "coefficient index") - 1
             if not 0 <= k < dim:
                 raise TableError(f"coefficient index out of range in {entry!r}")
@@ -486,22 +465,3 @@ def load_operator_file(source, dim: int = None):
     if len(flat) != d * d:
         raise TableError("flat matrix must have dim*dim entries")
     return as_matrix(d, [flat[r * d:(r + 1) * d] for r in range(d)])
-
-
-def _load_json(source):
-    if isinstance(source, dict):
-        return source
-    if hasattr(source, "read"):
-        return json.load(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _as_int(v, what):
-    # bool is an int subclass; JSON true/false are not indices
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise TableError(f"{what} must be an integer, got {v!r}")
-    try:
-        return int(v)
-    except ValueError:
-        raise TableError(f"{what} must be an integer, got {v!r}") from None

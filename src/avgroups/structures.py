@@ -19,6 +19,14 @@ class TableError(ValueError):
     """Malformed table data or an unsatisfiable construction."""
 
 
+class CheckFailed(TableError):
+    """A failed CheckReport, raised; the message is its lines joined by '; '."""
+
+    def __init__(self, report):
+        super().__init__("; ".join(report.lines()))
+        self.report = report
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of a structured verification: (law, ok, detail) entries."""
@@ -42,6 +50,30 @@ class CheckReport:
                 return ok, detail
         raise KeyError(law)
 
+    def require(self):
+        """Raise CheckFailed unless every entry passed."""
+        if not self.ok:
+            raise CheckFailed(self)
+
+
+def _first_failure(holds, n, arity):
+    """First index tuple over range(n), in itertools.product order, that
+    fails holds(*tuple); None when every tuple holds."""
+    for args in itertools.product(range(n), repeat=arity):
+        if not holds(*args):
+            return args
+    return None
+
+
+def _law(law, holds, n, arity, names):
+    """(law, ok, detail) entry of an exhaustive check; the detail names the
+    first failing tuple, as "fails at x" or "fails at (x, y, ...)"."""
+    bad = _first_failure(holds, n, arity)
+    if bad is None:
+        return law, True, ""
+    shown = ", ".join(names(i) for i in bad)
+    return law, False, f"fails at {shown}" if arity == 1 else f"fails at ({shown})"
+
 
 class FiniteGroupTable:
     """Multiplication table over named elements.
@@ -61,7 +93,7 @@ class FiniteGroupTable:
         n = len(elements)
         rows = []
         for row in mul:
-            row = tuple(int(v) for v in row)
+            row = tuple(map(_int, row))
             if len(row) != n or any(not 0 <= v < n for v in row):
                 raise TableError("mul table must be a square of indices in range")
             rows.append(row)
@@ -139,14 +171,8 @@ def validate_group(t: FiniteGroupTable, max_size: int = 24) -> CheckReport:
         entries.append(("inverses", False, str(exc)))
 
     m = t.mul_table
-    assoc_fail = next(((a, b, c) for a, b, c in itertools.product(range(n), repeat=3)
-                       if m[m[a][b]][c] != m[a][m[b][c]]), None)
-    if assoc_fail is None:
-        entries.append(("associativity", True, ""))
-    else:
-        a, b, c = assoc_fail
-        entries.append(("associativity", False,
-                        f"fails at ({t.name(a)}, {t.name(b)}, {t.name(c)})"))
+    entries.append(_law("associativity", lambda a, b, c: m[m[a][b]][c] == m[a][m[b][c]],
+                        n, 3, t.name))
     return CheckReport(tuple(entries))
 
 
@@ -162,13 +188,13 @@ def as_operator(t: FiniteGroupTable, op) -> tuple:
 def validate_averaging(t: FiniteGroupTable, op) -> CheckReport:
     """Check A(g)A(h) = A(A(g)h) = A(gA(h)) on all pairs."""
     op = as_operator(t, op)
-    n, m = len(t), t.mul_table
-    for g, h in itertools.product(range(n), repeat=2):
+    m = t.mul_table
+
+    def holds(g, h):
         lhs = m[op[g]][op[h]]
-        if lhs != op[m[op[g]][h]] or lhs != op[m[g][op[h]]]:
-            return CheckReport((("averaging", False,
-                                 f"fails at ({t.name(g)}, {t.name(h)})"),))
-    return CheckReport((("averaging", True, ""),))
+        return lhs == op[m[op[g]][h]] and lhs == op[m[g][op[h]]]
+
+    return CheckReport((_law("averaging", holds, len(t), 2, t.name),))
 
 
 class AveragingGroupHandle:
@@ -179,13 +205,9 @@ class AveragingGroupHandle:
     """
 
     def __init__(self, table: FiniteGroupTable, op):
-        rep = validate_group(table)
-        if not rep.ok:
-            raise TableError("; ".join(rep.lines()))
+        validate_group(table).require()
         op = as_operator(table, op)
-        rep = validate_averaging(table, op)
-        if not rep.ok:
-            raise TableError("; ".join(rep.lines()))
+        validate_averaging(table, op).require()
         self.table = table
         self.op_table = op
 
@@ -242,11 +264,10 @@ class IntShiftGroup:
 def shift_operator(t: FiniteGroupTable, z) -> AveragingGroupHandle:
     """A(h) = z*h for a central z; centrality is checked, not assumed."""
     zi = z if isinstance(z, int) else t.index(z)
-    for x in range(len(t)):
-        if t.mul(zi, x) != t.mul(x, zi):
-            raise TableError(
-                f"shift element {t.name(zi)!r} is not central: "
-                f"fails against {t.name(x)!r}")
+    bad = _first_failure(lambda x: t.mul(zi, x) == t.mul(x, zi), len(t), 1)
+    if bad is not None:
+        raise TableError(f"shift element {t.name(zi)!r} is not central: "
+                         f"fails against {t.name(bad[0])!r}")
     op = tuple(t.mul(zi, x) for x in range(len(t)))
     return AveragingGroupHandle(t, op)
 
@@ -255,13 +276,12 @@ def idempotent_endo_operator(t: FiniteGroupTable, phi) -> AveragingGroupHandle:
     """A = an idempotent group endomorphism; both properties checked."""
     phi = as_operator(t, phi)
     n = len(t)
-    for a, b in itertools.product(range(n), repeat=2):
-        if phi[t.mul(a, b)] != t.mul(phi[a], phi[b]):
-            raise TableError(
-                f"not a homomorphism: fails at ({t.name(a)}, {t.name(b)})")
-    for a in range(n):
-        if phi[phi[a]] != phi[a]:
-            raise TableError(f"not idempotent: fails at {t.name(a)}")
+    for law, holds, arity in (
+            ("not a homomorphism", lambda a, b: phi[t.mul(a, b)] == t.mul(phi[a], phi[b]), 2),
+            ("not idempotent", lambda a: phi[phi[a]] == phi[a], 1)):
+        _, ok, detail = _law(law, holds, n, arity, t.name)
+        if not ok:
+            raise TableError(f"{law}: {detail}")
     return AveragingGroupHandle(t, phi)
 
 
@@ -276,12 +296,10 @@ def compose_operators(g, a1, a2) -> AveragingGroupHandle:
     a1 = as_operator(t, a1)
     a2 = as_operator(t, a2)
     for op in (a1, a2):
-        rep = validate_averaging(t, op)
-        if not rep.ok:
-            raise TableError("; ".join(rep.lines()))
-    for x in range(len(t)):
-        if a1[a2[x]] != a2[a1[x]]:
-            raise TableError(f"operators do not commute: fail at {t.name(x)!r}")
+        validate_averaging(t, op).require()
+    bad = _first_failure(lambda x: a1[a2[x]] == a2[a1[x]], len(t), 1)
+    if bad is not None:
+        raise TableError(f"operators do not commute: fail at {t.name(bad[0])!r}")
     comp = tuple(a1[a2[x]] for x in range(len(t)))
     return AveragingGroupHandle(t, comp)
 
@@ -297,23 +315,15 @@ def check_pointed_consequences(h: AveragingGroupHandle) -> CheckReport:
     if A[e] != e:
         return CheckReport((("pointed", False,
                              f"A(e) = {t.name(A[e])!r}; consequences inapplicable"),))
-    entries = [("pointed", True, "")]
-    n = len(t)
-
-    bad = next((g for g in range(n) if A[A[g]] != A[g]), None)
-    entries.append(("idempotence", bad is None,
-                    "" if bad is None else f"fails at {t.name(bad)}"))
-
-    m, inv = t.mul_table, t.inverses()
-    bad = next((g for g in range(n) if inv[A[g]] != A[inv[A[g]]]), None)
-    entries.append(("inverse preservation", bad is None,
-                    "" if bad is None else f"fails at {t.name(bad)}"))
-
-    bad = next(((g, k) for g, k in itertools.product(range(n), repeat=2)
-                if m[m[A[g]][A[k]]][inv[A[g]]] != A[m[m[A[g]][k]][inv[A[g]]]]), None)
-    entries.append(("Ad-equivariance", bad is None,
-                    "" if bad is None else f"fails at ({t.name(bad[0])}, {t.name(bad[1])})"))
-    return CheckReport(tuple(entries))
+    n, m, inv = len(t), t.mul_table, t.inverses()
+    return CheckReport((
+        ("pointed", True, ""),
+        _law("idempotence", lambda g: A[A[g]] == A[g], n, 1, t.name),
+        _law("inverse preservation", lambda g: inv[A[g]] == A[inv[A[g]]], n, 1, t.name),
+        _law("Ad-equivariance",
+             lambda g, k: m[m[A[g]][A[k]]][inv[A[g]]] == A[m[m[A[g]][k]][inv[A[g]]]],
+             n, 2, t.name),
+    ))
 
 
 def disemigroup_ops(h):
@@ -342,23 +352,15 @@ def check_disemigroup(h: AveragingGroupHandle) -> CheckReport:
         ("(f-|g)|-h = f|-(g|-h)", (rt, lt, rt, rt)),
         ("(f|-g)|-h = f|-(g|-h)", (rt, rt, rt, rt)),
     )
-    entries = []
-    for name, (p, q, r, s) in laws:
-        bad = next(((f, g, k) for f, g, k in itertools.product(range(n), repeat=3)
-                    if p[q[f][g]][k] != r[f][s[g][k]]), None)
-        entries.append((name, bad is None,
-                        "" if bad is None else
-                        f"fails at ({t.name(bad[0])}, {t.name(bad[1])}, {t.name(bad[2])})"))
-
+    entries = [_law(name, lambda f, g, k, p=p, q=q, r=r, s=s: p[q[f][g]][k] == r[f][s[g][k]],
+                    n, 3, t.name)
+               for name, (p, q, r, s) in laws]
     e = t.identity()
-    bad = next((g for g in range(n)
-                if lt[g][e] != g or rt[e][g] != g), None)
-    detail = ""
-    if bad is not None:
-        detail = f"fails at {t.name(bad)}"
-        if not h.is_pointed():
-            detail += " (not pointed)"
-    entries.append(("dimonoid units", bad is None, detail))
+    law, ok, detail = _law("dimonoid units", lambda g: lt[g][e] == g and rt[e][g] == g,
+                           n, 1, t.name)
+    if not ok and not h.is_pointed():
+        detail += " (not pointed)"
+    entries.append((law, ok, detail))
     return CheckReport(tuple(entries))
 
 
@@ -378,19 +380,15 @@ def check_rack(h: AveragingGroupHandle) -> CheckReport:
                              f"A(e) = {h.name(h.op(e))!r}; rack inapplicable"),))
     n = len(h.table)
     t = h.table
-    entries = [("pointed", True, "")]
     r = [[rack_op(h, g, k) for k in range(n)] for g in range(n)]
-
-    bad = next(((f, g, k) for f, g, k in itertools.product(range(n), repeat=3)
-                if r[f][r[g][k]] != r[r[f][g]][r[f][k]]), None)
-    entries.append(("self-distributivity", bad is None,
-                    "" if bad is None else
-                    f"fails at ({t.name(bad[0])}, {t.name(bad[1])}, {t.name(bad[2])})"))
-
-    bad = next((g for g in range(n) if len(set(r[g])) != n), None)
-    entries.append(("translation bijectivity", bad is None,
-                    "" if bad is None else f"L_{t.name(bad)} is not a bijection"))
-    return CheckReport(tuple(entries))
+    bad = _first_failure(lambda g: len(set(r[g])) == n, n, 1)
+    return CheckReport((
+        ("pointed", True, ""),
+        _law("self-distributivity", lambda f, g, k: r[f][r[g][k]] == r[r[f][g]][r[f][k]],
+             n, 3, t.name),
+        ("translation bijectivity", bad is None,
+         "" if bad is None else f"L_{t.name(bad[0])} is not a bijection"),
+    ))
 
 
 def search_averaging_ops(t: FiniteGroupTable, pointed_only: bool = False,
@@ -493,13 +491,7 @@ def load_group_file(source):
     "op" block maps element names to element names.  Returns (table, op or
     None); the identity and inverses are inferred by the table itself.
     """
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = _load_json(source)
     if not isinstance(data, dict) or "elements" not in data or "mul" not in data:
         raise TableError("group file needs 'elements' and 'mul'")
     try:
@@ -512,6 +504,34 @@ def load_group_file(source):
     if data.get("op") is not None:
         op = op_from_names(table, data["op"])
     return table, op
+
+
+def _load_json(source):
+    """JSON data from a path or a file object; a dict is already data."""
+    if isinstance(source, dict):
+        return source
+    if hasattr(source, "read"):
+        return json.load(source)
+    with open(source, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _int(v) -> int:
+    """An int or an integer string as an int.
+
+    bool is an int subclass and int() truncates a float, so JSON true/false
+    and 1.5 raise TypeError instead of passing for indices.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise TypeError(f"{v!r} is not an integer")
+    return int(v)
+
+
+def _as_int(v, what) -> int:
+    try:
+        return _int(v)
+    except (TypeError, ValueError):
+        raise TableError(f"{what} must be an integer, got {v!r}") from None
 
 
 def op_from_names(table: FiniteGroupTable, raw) -> tuple:

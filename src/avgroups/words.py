@@ -240,16 +240,16 @@ _WS_RE = re.compile(r"\s*")
 
 # Deepest bracket nesting `parse` accepts; one level more is a WordSyntaxError.
 # The program recurses once per nesting level, and each level costs frames
-# under Python's default recursion limit of 1000: four to render, about seven
-# to compare two words (dataclass equality and the tuple comparisons inside
-# it), two for eval_operated, one each for is_normal, the oracle's finders and
-# _apply_at.  A product of two words nests at most as deep as both together,
-# so the costliest calls a command makes on parsed input -- rendering the
-# product of two 100-deep words, comparing two 100-deep letters that cancel --
-# stay near 800 frames; on CPython 3.11 every subcommand ran such words with
-# about 180 frames to spare.  The bound is on the text only: the oracle can
-# nest brackets written side by side deeper than the text does, and a word
-# printed more than MAX_NESTING deep is refused when read back.
+# under Python's default recursion limit of 1000: about seven to compare two
+# words (dataclass equality and the tuple comparisons inside it), two for
+# eval_operated, one each for is_normal, the oracle's finders and _apply_at;
+# render uses an explicit stack.  A product of two words nests at most as deep
+# as both together, so the costliest call a command makes on parsed input --
+# comparing two 100-deep letters that cancel -- stays near 800 frames; on
+# CPython 3.11 every subcommand ran such words with at least 180 frames to
+# spare.  The bound is on the text only: the oracle can nest brackets written
+# side by side deeper than the text does, and a word printed more than
+# MAX_NESTING deep is refused when read back.
 MAX_NESTING = 100
 
 
@@ -319,21 +319,32 @@ def parse(text: str) -> Word:
 # --- rendering -------------------------------------------------------------
 
 
-def _render_factor(f: Factor) -> str:
-    if isinstance(f, Gen):
-        return f.name if f.sign > 0 else f.name + "^-1"
-    s = "[" + render(f.content) + "]"
-    if f.iter >= 2:
-        s += f"@{f.iter}"
-    if f.sign < 0:
-        s += "^-1"
-    return s
-
-
 def render(w: Word) -> str:
+    """Text of `w` in the grammar above, by an explicit stack: any depth renders."""
     if not w.factors:
         return "1"
-    return " ".join(_render_factor(f) for f in w.factors)
+    out = []
+    # (factors, next index, closing text) of each enclosing bracket
+    outer = []
+    fs, i, close = w.factors, 0, ""
+    while True:
+        if i < len(fs):
+            f = fs[i]
+            if i:
+                out.append(" ")
+            i += 1
+            if isinstance(f, Gen):
+                out.append(f.name if f.sign > 0 else f.name + "^-1")
+                continue
+            outer.append((fs, i, close))
+            fs, i = f.content.factors, 0
+            close = "]" + (f"@{f.iter}" if f.iter >= 2 else "") + ("^-1" if f.sign < 0 else "")
+            out.append("[" if fs else "[1")
+        elif outer:
+            out.append(close)
+            fs, i, close = outer.pop()
+        else:
+            return "".join(out)
 
 
 # --- evaluation into operated groups ---------------------------------------

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism, shrinking."""
 
 import json
+import random
 
 import pytest
 
@@ -186,6 +187,12 @@ def test_eval_validation_failures(capsys, tmp_path):
                                  "op": {"e": "e", "g": "e"}}))
     code, _, err = run(capsys, "eval", "x", "--group", str(names), "--map", "x=g")
     assert code == 2 and "indices" in err
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps({"elements": ["a", "b"], "mul": [[0, 1.7], [True, 0]],
+                                  "op": {"a": "a", "b": "b"}}))
+    want = "error: 'mul' must be a row-major table of element indices: 1.7 is not an integer\n"
+    assert run(capsys, "eval", "x", "--group", str(floats), "--map", "x=b") == (2, "", want)
+    assert run(capsys, "search-ops", "--group", str(floats)) == (2, "", want)
     badlie = tmp_path / "badlie.json"
     badlie.write_text(json.dumps({"dim": 2, "brackets": {"[1,2]": {"2": "1"}}}))
     goodop = tmp_path / "goodop.json"
@@ -193,6 +200,58 @@ def test_eval_validation_failures(capsys, tmp_path):
     code, _, err = run(capsys, "lie-check", "--structure", str(badlie),
                        "--operator", str(goodop))
     assert code == 2 and "brackets" in err
+
+
+NOT_A_GROUP = {"elements": ["e", "a", "b"], "mul": [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+               "op": {"e": "e", "a": "a", "b": "b"}}
+NOT_A_GROUP_REPORT = ("identity: ok inferred 'e'\n"
+                      "inverses: FAIL element 'a' has no inverse\n"
+                      "associativity: FAIL fails at (a, a, a)\n")
+
+
+def test_failed_reports_print_in_full_and_exit_1(capsys, tmp_path):
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    nongroup = write("nongroup.json", NOT_A_GROUP)
+    assert run(capsys, "eval", "x", "--group", nongroup, "--map", "x=a") == \
+        (1, NOT_A_GROUP_REPORT, "")
+    badop = write("badop.json", {"elements": ["0", "1"], "mul": [[0, 1], [1, 0]],
+                                 "op": {"0": "1", "1": "1"}})
+    assert run(capsys, "eval", "x", "--group", badop, "--map", "x=1") == \
+        (1, "averaging: FAIL fails at (0, 0)\n", "")
+    assert run(capsys, "search-ops", "--group", nongroup) == (1, NOT_A_GROUP_REPORT, "")
+    noid = write("noid.json", {"elements": ["a", "b"], "mul": [[0, 1], [0, 1]]})
+    assert run(capsys, "search-ops", "--group", noid) == \
+        (1, "identity: FAIL table has no two-sided identity\n", "")
+    assert run(capsys, "hopf-check", "--group", nongroup) == (1, NOT_A_GROUP_REPORT, "")
+    zero3 = write("zero3.json", {"dim": 3, "matrix": [0] * 9})
+    nojac = write("nojac.json", {"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "coeffs": {"1": "1"}}, {"i": 1, "j": 3, "coeffs": {"3": "1"}}]})
+    assert run(capsys, "lie-check", "--structure", nojac, "--operator", zero3) == \
+        (1, "antisymmetry: ok\nJacobi: FAIL fails at (e1, e2, e3)\n", "")
+    zero2 = write("zero2.json", {"dim": 2, "matrix": [0] * 4})
+    skew = write("skew.json", {"dim": 2, "brackets": [
+        {"i": 1, "j": 2, "coeffs": {"2": "1"}}, {"i": 2, "j": 1, "coeffs": {"2": "1"}}]})
+    assert run(capsys, "lie-check", "--structure", skew, "--operator", zero2) == \
+        (1, "antisymmetry: FAIL fails at (e1, e2)\nJacobi: FAIL fails at (e1, e1, e2)\n", "")
+
+
+def test_eval_validates_the_table_and_operator_once(capsys, monkeypatch, z2_file):
+    import avgroups.cli as cli_mod
+    import avgroups.structures as structures_mod
+    calls = []
+    for name in ("validate_group", "validate_averaging"):
+        def counted(*args, _real=getattr(structures_mod, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        for mod in (structures_mod, cli_mod):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+    assert run(capsys, "eval", "[x]", "--group", z2_file, "--map", "x=1") == (0, "0\n", "")
+    assert sorted(calls) == ["validate_averaging", "validate_group"]
 
 
 def test_search_ops(capsys, z2_file):
@@ -282,3 +341,63 @@ def test_run_suite_reports_minimal_counterexample(monkeypatch):
     assert lines[1].startswith("counterexample:")
     code, lines = run_suites(SuiteConfig(suite="assoc", trials=30, seed=1))
     assert code == 1
+
+
+# --- hostile files -----------------------------------------------------------
+
+HOSTILE_VALUES = (None, True, 1.5, "x", [], {}, -1, 7)
+
+
+def _value_paths(data, path=()):
+    """Every position in parsed JSON data that holds a value, the root included."""
+    yield path
+    children = data.items() if isinstance(data, dict) else (
+        enumerate(data) if isinstance(data, list) else ())
+    for key, value in children:
+        yield from _value_paths(value, path + (key,))
+
+
+def _replaced(data, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(data))
+    holder = copy
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return copy
+
+
+def test_hostile_files_keep_the_exit_contract(capsys, tmp_path):
+    # every dim and element count stays <= 8: a Lie spec allocates dim^3
+    # constants before any check
+    files = {
+        "group": {"elements": ["0", "1", "2"], "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                  "op": {"0": "1", "1": "2", "2": "0"}},
+        "op": {"op": {"0": "0", "1": "1", "2": "2"}},
+        "lie": {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]},
+        "matrix": {"dim": 2, "matrix": [["1", "0"], ["0", "0"]]},
+    }
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    commands = {
+        "group": [["eval", "[x] x^-1", "--group", paths["group"], "--map", "x=1"],
+                  ["search-ops", "--group", paths["group"]],
+                  ["hopf-check", "--group", paths["group"]]],
+        "op": [["hopf-check", "--group", paths["group"], "--op", paths["op"]]],
+        "lie": [["lie-check", "--structure", paths["lie"], "--operator", paths["matrix"]]],
+        "matrix": [["lie-check", "--structure", paths["lie"], "--operator", paths["matrix"]]],
+    }
+    cases = [(name, path, value) for name, data in files.items()
+             for path in _value_paths(data) for value in HOSTILE_VALUES]
+    rng = random.Random(4)
+    seen = set()
+    for name, path, value in rng.sample(cases, 160):
+        for other, data in files.items():
+            hostile = _replaced(data, path, value) if other == name else data
+            with open(paths[other], "w", encoding="utf-8") as fh:
+                json.dump(hostile, fh)
+        for argv in commands[name]:
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2) and "Traceback" not in err, (name, path, value, argv)
+            seen.add(code)
+    assert seen == {0, 1, 2}

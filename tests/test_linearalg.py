@@ -110,6 +110,37 @@ def test_antipode_averaging():
     assert not check_antipode_averaging(sym3()).ok
 
 
+def test_coalgebra_and_antipode_reports_keep_their_text():
+    passed = (("coproduct compatibility on basis", True, ""),
+              ("counit preservation on basis", True, ""),
+              ("compatibility on random combinations", True, "20 samples, seed 1"))
+    averaging = (("S squared equals S", True, ""),
+                 ("averaging on basis pairs", True, ""),
+                 ("averaging on random combinations", True, "100 pairs, seed 0"))
+    for g in (cyclic_group(2), cyclic_group(3), klein_four_group(), sym3()):
+        assert check_coalgebra_map(g, tuple(range(len(g)))).entries == passed
+    assert check_antipode_averaging(cyclic_group(2)).entries == averaging
+    assert check_antipode_averaging(klein_four_group()).entries == averaging
+    assert check_antipode_averaging(cyclic_group(3)).entries == \
+        (("S squared equals S", False, "fails at 1; nothing to assert"),)
+    assert check_antipode_averaging(sym3()).entries == \
+        (("S squared equals S", False, "fails at (123); nothing to assert"),)
+    z3 = cyclic_group(3)
+    rest = [ga_basis(1), ga_basis(2)]
+    spread = [ga_add(ga_basis(0), ga_basis(1))] + rest
+    assert check_coalgebra_map(z3, spread).entries == (
+        ("coproduct compatibility on basis", False, "fails at 0"),
+        ("counit preservation on basis", False, "fails at 0"))
+    half = [ga_scale("1/2", ga_add(ga_basis(0), ga_basis(1)))] + rest
+    assert check_coalgebra_map(z3, half).entries == (
+        ("coproduct compatibility on basis", False, "fails at 0"),
+        ("counit preservation on basis", True, ""))
+    dropped = [ga_basis(0), {}, ga_basis(2)]
+    assert check_coalgebra_map(z3, dropped).entries == (
+        ("coproduct compatibility on basis", True, ""),
+        ("counit preservation on basis", False, "fails at 1"))
+
+
 SOLVABLE = LieAlgebraSpec.from_brackets(2, {(0, 1): {1: 1}})
 PROJ_E1 = [[1, 0], [0, 0]]
 PROJ_E2 = [[0, 0], [0, 1]]
@@ -224,6 +255,9 @@ def test_loaders_reject_malformed_shapes():
         load_operator_file({"dim": 2, "matrix": [["1", "0"], ["0", "x"]]})
     with pytest.raises(TableError):
         load_operator_file({"dim": True, "matrix": []})
+    for coeffs in (5, None, [], "x"):
+        with pytest.raises(TableError):
+            load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]})
 
 
 # --- reference copies: dense Lie arithmetic, and the group algebra summed

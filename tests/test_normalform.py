@@ -98,6 +98,24 @@ def test_replay_rejects_tampered_trace():
         replay_trace(w, broken)
 
 
+def test_trace_renders_deep_intermediates():
+    # x [x [x ... [x]]] [x], 300 deep: each R1 step moves the trailing [x] one
+    # level in, so the traced steps render words about 300 deep.  Deep words
+    # are compared by their text: dataclass equality on them overflows.
+    x = Gen("x", 1)
+    w = Word((x,))
+    for _ in range(300):
+        w = Word((x, Br(w, 1, 1)))
+    w = Word(w.factors + (Br(Word((x,)), 1, 1),))
+    normal, steps = oracle_normalize(w, trace=True)
+    text = render(normal)
+    assert text == "x [" * 301 + "x" + "]" * 301
+    assert len(steps) == 300 and {s.rule for s in steps} == {"R1"}
+    assert steps[0].before == render(Word(w.factors[1:]))
+    assert render(oracle_normalize(w)) == text
+    assert render(replay_trace(w, steps)) == text
+
+
 def test_oracle_intermediates_are_identity_sound():
     # every rewrite step preserves the element named by the word
     zs = IntShiftGroup(5)

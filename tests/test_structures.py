@@ -85,6 +85,46 @@ def test_validate_averaging():
         validate_averaging(z2, (0,))
 
 
+def test_validate_averaging_names_the_first_failing_pair():
+    # pairs are tried in index order, the left element first
+    assert validate_averaging(cyclic_group(2), (1, 1)).entries == \
+        (("averaging", False, "fails at (0, 0)"),)
+    assert validate_averaging(sym3(), (1,) * 6).entries == \
+        (("averaging", False, "fails at (e, e)"),)
+    assert validate_averaging(cyclic_group(3), (0, 0, 1)).entries == \
+        (("averaging", False, "fails at (0, 2)"),)
+    assert validate_averaging(klein_four_group(), (0, 0, 2, 0)).entries == \
+        (("averaging", False, "fails at (a, b)"),)
+    assert validate_averaging(sym3(), sym3_sign_retraction()).entries == \
+        (("averaging", True, ""),)
+
+
+NOT_A_GROUP = FiniteGroupTable(["e", "a", "b"], [[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+
+def test_constructor_errors_carry_the_full_witness():
+    def message(fn, *args):
+        with pytest.raises(TableError) as exc:
+            fn(*args)
+        return str(exc.value)
+
+    assert message(AveragingGroupHandle, NOT_A_GROUP, (0, 1, 2)) == (
+        "identity: ok inferred 'e'; inverses: FAIL element 'a' has no inverse; "
+        "associativity: FAIL fails at (a, a, a)")
+    assert message(AveragingGroupHandle, cyclic_group(2), (1, 1)) == \
+        "averaging: FAIL fails at (0, 0)"
+    assert message(compose_operators, cyclic_group(2), (0, 1), (1, 1)) == \
+        "averaging: FAIL fails at (0, 0)"
+    assert message(compose_operators, sym3(), (0,) * 6, (1, 0, 0, 0, 1, 1)) == \
+        "operators do not commute: fail at 'e'"
+    assert message(shift_operator, sym3(), "(12)") == \
+        "shift element '(12)' is not central: fails against '(13)'"
+    assert message(idempotent_endo_operator, cyclic_group(4), (0, 2, 0, 2)) == \
+        "not idempotent: fails at 1"
+    assert message(idempotent_endo_operator, cyclic_group(4), (0, 0, 1, 0)) == \
+        "not a homomorphism: fails at (1, 1)"
+
+
 def test_handle_validates_on_construction():
     z2 = cyclic_group(2)
     h = AveragingGroupHandle(z2, (1, 0))
@@ -428,6 +468,11 @@ def test_load_group_file(tmp_path):
     with pytest.raises(TableError, match="indices"):
         load_group_file({"elements": ["e", "g"],
                          "mul": [["e", "g"], ["g", "e"]]})
+    # int() would read 1.7 as 1 and true as 1: neither is an index
+    for entry in (1.7, True, None, [1]):
+        with pytest.raises(TableError, match="indices"):
+            load_group_file({"elements": ["0", "1"], "mul": [[0, entry], [1, 0]]})
+    assert load_group_file({"elements": ["0", "1"], "mul": [[0, "1"], [1, 0]]})[0].mul(0, 1) == 1
 
 
 def test_check_report_helpers():
