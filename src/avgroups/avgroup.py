@@ -1,14 +1,18 @@
 """The free averaging group on a set.
 
-Elements are normal words (see :mod:`avgroups.normalform`).  The product
-``diamond`` concatenates two normal words and works the seam: mutually inverse
-letters cancel, two positive brackets merge as
+Elements are normal words (see :mod:`avgroups.normalform`), and ``diamond``
+and ``op_apply`` take normal operands.  The product ``diamond`` concatenates
+two normal words and works the seam: mutually inverse letters cancel, two
+positive brackets merge as
 
     [a]@s [b]@t  ->  [a <> [b]]@(s+t-1)
 
 and two negative brackets merge as the inverse of the swapped positive merge.
 A merged or exposed letter is re-examined against both of its new neighbours,
-cascading until the seam is quiet.
+cascading until the seam is quiet.  The seam is quiet as soon as one of v's
+own letters is placed untouched: v is reduced and has no two adjacent
+same-sign brackets, so none of its later letters can interact, and they are
+appended in one go.
 
 The operator ``op_apply`` follows the standard factorization w = w1...wk:
 
@@ -19,16 +23,17 @@ The operator ``op_apply`` follows the standard factorization w = w1...wk:
       the operator s times;
     * wk = [b] with s = 1: the merge reproduces w itself, so wrap literally.
 
-Outer iterations are realized by repeated application of the operator, never
-by literal repeated bracketing: the literal reading produces non-normal
-intermediates.  Every output of op_apply is a single positive bracket letter,
-so all but the first application in a run of iterations just fold.
+Outer iterations are realized by applying the operator, never by literal
+repeated bracketing: the literal reading produces non-normal intermediates.
+Every output of op_apply is a single positive bracket letter [c]@k, and the
+operator on such a letter only raises its count, so n applications are one
+application and a fold: A^n(w) = [c]@(k+n-1).  ``op_iter`` costs the same
+for every n >= 1.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .normalform import is_normal, oracle_normalize
@@ -67,47 +72,69 @@ def _seam_merge(a: Br, b: Br) -> Br:
 
 
 def diamond(u: Word, v: Word) -> Word:
+    vs = v.factors
+    if not vs:
+        return u
+    if not u.factors:
+        return v
     out = list(u.factors)
-    queue = deque(v.factors)
-    while queue:
-        b = queue.popleft()
-        if out:
+    for i, b in enumerate(vs):
+        untouched = True
+        while out:
             a = out[-1]
             if are_inverse(a, b):
                 out.pop()
-                continue
-            if isinstance(a, Br) and isinstance(b, Br) and a.sign == b.sign:
-                out.pop()
-                queue.appendleft(_seam_merge(a, b))
-                continue
+                b = None
+                break
+            if not (type(a) is Br and type(b) is Br and a.sign == b.sign):
+                break
+            out.pop()
+            b = _seam_merge(a, b)
+            untouched = False
+        if b is None:
+            continue
+        if untouched:
+            # the seam is quiet: v's later letters cannot interact
+            out.extend(vs[i:])
+            break
         out.append(b)
     return Word(tuple(out))
 
 
 def op_apply(w: Word) -> Word:
     fs = w.factors
-    if len(fs) == 1 and isinstance(fs[0], Br) and fs[0].sign > 0:
+    if len(fs) == 1:
         f = fs[0]
-        return single(Br(f.content, f.iter + 1, 1))
-    if len(fs) <= 1:
-        return single(make_br(w, 1, 1))
-    first, last = fs[0], fs[-1]
-    if isinstance(first, Br) and first.sign > 0:
-        inner = op_apply(Word(fs[1:]))
-        return op_iter(diamond(first.content, inner), first.iter)
-    if isinstance(last, Br) and last.sign > 0 and last.iter >= 2:
-        inner = op_apply(last.content)
-        return op_iter(diamond(Word(fs[:-1]), inner), last.iter)
-    # neither end forces a merge; one literal bracket is already normal
-    return single(make_br(w, 1, 1))
+        if type(f) is Br and f.sign > 0:
+            return Word((Br(f.content, f.iter + 1, 1),))
+    elif fs:
+        first, last = fs[0], fs[-1]
+        if type(first) is Br and first.sign > 0:
+            return _fold(diamond(first.content, op_apply(Word(fs[1:]))), first.iter)
+        if type(last) is Br and last.sign > 0 and last.iter >= 2:
+            return _fold(diamond(Word(fs[:-1]), op_apply(last.content)), last.iter)
+    # neither end forces a merge, and w is not a lone positive bracket, so one
+    # literal bracket is already normal and folded
+    return Word((Br(w, 1, 1),))
+
+
+def _fold(w: Word, n: int) -> Word:
+    """A^n(w) for n >= 1: one application, then n - 1 folded into the count."""
+    fs = w.factors
+    if len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0:
+        c = fs[0]
+        return Word((Br(c.content, c.iter + n, 1),))
+    a = op_apply(w)
+    if n == 1:
+        return a
+    (c,) = a.factors
+    return Word((Br(c.content, c.iter + n - 1, 1),))
 
 
 def op_iter(w: Word, n: int) -> Word:
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    for _ in range(n):
-        w = op_apply(w)
-    return w
+    return _fold(w, n) if n else w
 
 
 def inverse(w: Word) -> Word:

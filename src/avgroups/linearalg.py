@@ -28,6 +28,9 @@ from .structures import (
 def _frac(v) -> Fraction:
     if isinstance(v, float):
         raise TableError("rational values must be exact (int or 'p/q' string)")
+    if isinstance(v, bool):
+        # an int subclass: JSON true/false would pass for 1 and 0
+        raise TableError(f"not a rational value: {v!r}")
     try:
         return Fraction(str(v)) if isinstance(v, str) else Fraction(v)
     except (ValueError, ZeroDivisionError, TypeError):

@@ -58,27 +58,30 @@ DEFAULT_STEP_LIMIT = 10**6
 
 
 def is_normal(w: Word) -> bool:
-    fs = w.factors
-    for i, f in enumerate(fs):
-        if i > 0 and are_inverse(fs[i - 1], f):
-            return False
-        if (
-            i > 0
-            and isinstance(f, Br)
-            and isinstance(fs[i - 1], Br)
-            and f.sign == fs[i - 1].sign
-        ):
-            return False
-        if isinstance(f, Br):
-            c = f.content.factors
-            if len(c) >= 2:
-                first, last = c[0], c[-1]
-                if isinstance(first, Br) and first.sign > 0:
+    """Whether `w` satisfies N0-N3, checked level by level on an explicit stack."""
+    stack = [w.factors]
+    while stack:
+        prev = None
+        for f in stack.pop():
+            if type(f) is Br:
+                c = f.content.factors
+                if len(c) >= 2:
+                    first, last = c[0], c[-1]
+                    if type(first) is Br and first.sign > 0:
+                        return False
+                    if type(last) is Br and last.sign > 0 and last.iter >= 2:
+                        return False
+                if c:
+                    stack.append(c)
+                if type(prev) is Br and (
+                    prev.sign == f.sign  # N1
+                    or (prev.sign == -f.sign and prev.iter == f.iter
+                        and prev.content == f.content)  # N0
+                ):
                     return False
-                if isinstance(last, Br) and last.sign > 0 and last.iter >= 2:
-                    return False
-            if not is_normal(f.content):
-                return False
+            elif type(prev) is Gen and prev.name == f.name and prev.sign == -f.sign:
+                return False  # N0
+            prev = f
     return True
 
 

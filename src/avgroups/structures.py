@@ -178,7 +178,7 @@ def validate_group(t: FiniteGroupTable, max_size: int = 24) -> CheckReport:
 
 def as_operator(t: FiniteGroupTable, op) -> tuple:
     """Normalize an operator to an index tuple, total on the carrier."""
-    op = tuple(int(v) for v in op)
+    op = tuple(_as_int(v, "operator entry") for v in op)
     n = len(t)
     if len(op) != n or any(not 0 <= v < n for v in op):
         raise TableError("operator must map every element to an element")

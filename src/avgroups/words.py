@@ -242,8 +242,8 @@ _WS_RE = re.compile(r"\s*")
 # The program recurses once per nesting level, and each level costs frames
 # under Python's default recursion limit of 1000: about seven to compare two
 # words (dataclass equality and the tuple comparisons inside it), two for
-# eval_operated, one each for is_normal, the oracle's finders and _apply_at;
-# render uses an explicit stack.  A product of two words nests at most as deep
+# eval_operated, one each for the oracle's finders and _apply_at; render and
+# is_normal use an explicit stack.  A product of two words nests at most as deep
 # as both together, so the costliest call a command makes on parsed input --
 # comparing two 100-deep letters that cancel -- stays near 800 frames; on
 # CPython 3.11 every subcommand ran such words with at least 180 frames to

@@ -1,17 +1,25 @@
 """Recursive product, operator, homomorphism extension, and random words."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avgroups.words import (
     ONE,
+    Br,
+    Gen,
+    Word,
+    are_inverse,
     bracket_literal,
     eval_operated,
     is_reduced,
+    make_br,
     op_degree,
     parse,
     reduce_concat,
     render,
+    single,
 )
 from avgroups.normalform import is_normal, oracle_normalize
 from avgroups.avgroup import (
@@ -222,3 +230,141 @@ def test_law_properties_on_random_seeds(seed):
     assert lhs == op_apply(diamond(op_apply(u), v))
     assert lhs == op_apply(diamond(u, op_apply(v)))
     assert is_normal(diamond(u, v))
+
+
+# --- reference copies: the product as a deque walk over every letter of v,
+# --- iteration as repeated application, normality by recursion -------------
+
+
+def _ref_seam_merge(a, b):
+    if a.sign > 0:
+        content = _ref_diamond(a.content, single(make_br(b.content, 1, 1)))
+        return make_br(content, a.iter + b.iter - 1, 1)
+    content = _ref_diamond(b.content, single(make_br(a.content, 1, 1)))
+    return make_br(content, a.iter + b.iter - 1, -1)
+
+
+def _ref_diamond(u, v):
+    out = list(u.factors)
+    queue = deque(v.factors)
+    while queue:
+        b = queue.popleft()
+        if out:
+            a = out[-1]
+            if are_inverse(a, b):
+                out.pop()
+                continue
+            if isinstance(a, Br) and isinstance(b, Br) and a.sign == b.sign:
+                out.pop()
+                queue.appendleft(_ref_seam_merge(a, b))
+                continue
+        out.append(b)
+    return Word(tuple(out))
+
+
+def _ref_op_apply(w):
+    fs = w.factors
+    if len(fs) == 1 and isinstance(fs[0], Br) and fs[0].sign > 0:
+        f = fs[0]
+        return single(Br(f.content, f.iter + 1, 1))
+    if len(fs) <= 1:
+        return single(make_br(w, 1, 1))
+    first, last = fs[0], fs[-1]
+    if isinstance(first, Br) and first.sign > 0:
+        inner = _ref_op_apply(Word(fs[1:]))
+        return _ref_op_iter(_ref_diamond(first.content, inner), first.iter)
+    if isinstance(last, Br) and last.sign > 0 and last.iter >= 2:
+        inner = _ref_op_apply(last.content)
+        return _ref_op_iter(_ref_diamond(Word(fs[:-1]), inner), last.iter)
+    return single(make_br(w, 1, 1))
+
+
+def _ref_op_iter(w, n):
+    for _ in range(n):
+        w = _ref_op_apply(w)
+    return w
+
+
+def _ref_is_normal(w):
+    fs = w.factors
+    for i, f in enumerate(fs):
+        if i > 0 and are_inverse(fs[i - 1], f):
+            return False
+        if i > 0 and isinstance(f, Br) and isinstance(fs[i - 1], Br) and f.sign == fs[i - 1].sign:
+            return False
+        if isinstance(f, Br):
+            c = f.content.factors
+            if len(c) >= 2:
+                first, last = c[0], c[-1]
+                if isinstance(first, Br) and first.sign > 0:
+                    return False
+                if isinstance(last, Br) and last.sign > 0 and last.iter >= 2:
+                    return False
+            if not _ref_is_normal(f.content):
+                return False
+    return True
+
+
+EQUIVALENCE_SIZES = ((3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
+
+
+def _battery(D, A, It, u, v, w):
+    """Products, inverses, the averaging law's three sides, and A^n, n = 0..4."""
+    uv, iu, au, av = D(u, v), inverse(u), A(u), A(v)
+    outs = [uv, D(uv, w), D(u, D(v, w)), iu, D(u, iu), D(iu, u),
+            au, D(au, av), A(D(au, v)), A(D(u, av))]
+    for n in range(5):
+        outs += [It(u, n), A(D(u, It(v, n))), It(D(u, av), n)]
+    return outs
+
+
+@pytest.mark.parametrize("via_oracle", [False, True], ids=["positive", "full"])
+def test_product_hot_path_matches_the_reference(via_oracle):
+    """diamond, op_apply, op_iter and is_normal give the reference's results.
+
+    1000 seeded triples per sector, d3b4 to d7b8; the full sector reaches
+    inverse and identity brackets and outputs that are not normal.
+    """
+    verdicts = set()
+    for k in range(1000):
+        d, b = EQUIVALENCE_SIZES[k % len(EQUIVALENCE_SIZES)]
+        u, v, w = (random_normal_word(GenParams(d, b, seed=60_000 + 3 * k + j),
+                                      via_oracle=via_oracle) for j in range(3))
+        got = _battery(diamond, op_apply, op_iter, u, v, w)
+        want = _battery(_ref_diamond, _ref_op_apply, _ref_op_iter, u, v, w)
+        assert got == want, (render(u), render(v), render(w))
+        for x in (u, v, w, *got):
+            verdicts.add(is_normal(x))
+            assert is_normal(x) == _ref_is_normal(x), render(x)
+    assert verdicts == ({True, False} if via_oracle else {True})
+
+
+def test_is_normal_matches_the_reference_on_raw_and_breaching_words():
+    raw = [random_raw_word(GenParams(*EQUIVALENCE_SIZES[k % len(EQUIVALENCE_SIZES)],
+                                     seed=61_000 + k)) for k in range(600)]
+    x, y = Gen("x", 1), Gen("y", 1)
+    breaches = [
+        Word((x, Gen("x", -1))),                                   # N0, generators
+        Word((y, Br(Word((x,)), 2, 1), Br(Word((x,)), 2, -1))),    # N0, brackets
+        parse("y [x]^-1 [y]^-1"),                                  # N1
+        parse("[[x] y]"),                                          # N2
+        parse("z [w [y [x]@2]]"),                                  # N3 (an N2 breach inside)
+    ]
+    for w in breaches:
+        assert not is_normal(w) and not _ref_is_normal(w), render(w)
+    verdicts = [is_normal(w) for w in raw]
+    assert verdicts == [_ref_is_normal(w) for w in raw]
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_is_normal_answers_on_deep_words(depth):
+    # built directly, not parsed, so no nesting bound applies
+    w = ONE
+    for _ in range(depth):
+        w = Word((Gen("x", 1), Br(w, 1, 1)))
+    assert is_normal(w)
+    bad = parse("[x] y")  # the innermost content starts with a positive bracket
+    for _ in range(depth):
+        bad = Word((Gen("x", 1), Br(bad, 1, 1)))
+    assert not is_normal(bad)

@@ -57,6 +57,8 @@ def test_mul_op_inv(capsys):
     assert run(capsys, "mul", "[x [y]]@2", "[z]@3") == (0, "[x [y [z]]]@4\n", "")
     assert run(capsys, "op", "[x]@3 y [z]@2") == (0, "[x [y [z]]]@4\n", "")
     assert run(capsys, "op", "--iter", "2", "x") == (0, "[x]@2\n", "")
+    # n applications are one application and a fold, so a huge count is cheap
+    assert run(capsys, "op", "--iter", "3000000", "x") == (0, "[x]@3000000\n", "")
     assert run(capsys, "inv", "1") == (0, "1\n", "")
     assert run(capsys, "inv", "x [y]") == (0, "[y]^-1 x^-1\n", "")
     code, _, err = run(capsys, "op", "--iter", "0", "x")

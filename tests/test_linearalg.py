@@ -255,6 +255,11 @@ def test_loaders_reject_malformed_shapes():
         load_operator_file({"dim": 2, "matrix": [["1", "0"], ["0", "x"]]})
     with pytest.raises(TableError):
         load_operator_file({"dim": True, "matrix": []})
+    # JSON booleans are not rationals, as they are not group-table indices
+    with pytest.raises(TableError, match="not a rational value: True"):
+        load_operator_file({"dim": 2, "matrix": [True, False, False, True]})
+    with pytest.raises(TableError, match="not a rational value: True"):
+        load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": True}}]})
     for coeffs in (5, None, [], "x"):
         with pytest.raises(TableError):
             load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]})

@@ -83,6 +83,11 @@ def test_validate_averaging():
         validate_averaging(z2, (0, 7))
     with pytest.raises(TableError):
         validate_averaging(z2, (0,))
+    # entries follow the group files' integer rule: no truncated floats or bools
+    for op in ((1.7, 0.2), (True, False), (1, "x")):
+        with pytest.raises(TableError, match="operator entry must be an integer"):
+            validate_averaging(z2, op)
+    assert validate_averaging(z2, ("1", "0")).ok
 
 
 def test_validate_averaging_names_the_first_failing_pair():
