@@ -47,14 +47,12 @@ from .words import (
     make_br,
     single,
 )
-from .words import eval_operated as _eval_operated
 
 __all__ = [
     "diamond",
     "op_apply",
     "op_iter",
     "inverse",
-    "extend_hom",
     "free_target",
     "GenParams",
     "random_normal_word",
@@ -143,18 +141,8 @@ def inverse(w: Word) -> Word:
 
 # --- the universal property --------------------------------------------------
 
-
-def extend_hom(assignment, target):
-    """Evaluator for the homomorphism sending each generator to its assignment.
-
-    `target` provides identity(), mul(a, b), inv(a) and op(a); brackets map to
-    iterated applications of op.
-    """
-
-    def evaluator(w: Word):
-        return _eval_operated(w, target, assignment)
-
-    return evaluator
+# words.eval_operated extends a generator assignment to any target; into this
+# one, with each generator sent to itself, it is the identity map.
 
 
 class _FreeTarget:

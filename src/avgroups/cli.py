@@ -22,8 +22,11 @@ from .words import (
     Word,
     WordSyntaxError,
     bracket_literal,
+    eval_operated,
     is_reduced,
     make_br,
+    make_gen,
+    metrics,
     nesting,
     parse,
     reduce_concat,
@@ -38,7 +41,6 @@ from .normalform import (
 from .avgroup import (
     GenParams,
     diamond,
-    extend_hom,
     free_target,
     inverse,
     op_apply,
@@ -94,15 +96,6 @@ def _sample(cfg: SuiteConfig, trial: int, slot: int, raw: bool = False) -> Word:
     return random_raw_word(p) if raw else random_normal_word(p)
 
 
-def _size(w: Word) -> int:
-    total = 0
-    for f in w.factors:
-        total += 1
-        if isinstance(f, Br):
-            total += f.iter + _size(f.content)
-    return total
-
-
 def _shrink_word(w: Word):
     """Strictly smaller variants: factor deletion, then depth truncation."""
     out = []
@@ -116,9 +109,9 @@ def _shrink_word(w: Word):
                 out.append(reduce_concat(spliced, Word(fs[i + 1:])))
             if f.iter > 1:
                 out.append(Word(fs[:i] + (make_br(f.content, 1, f.sign),) + fs[i + 1:]))
-    seen, final = set(), []
+    seen, final, size = set(), [], metrics(w).size
     for c in out:
-        if c != w and _size(c) < _size(w) and c not in seen:
+        if c != w and metrics(c).size < size and c not in seen:
             seen.add(c)
             final.append(c)
     return final
@@ -145,7 +138,7 @@ def shrink_counterexample(words, fails, valid=is_normal, rounds: int = 200):
     return cur
 
 
-# --- law predicates -----------------------------------------------------------
+# --- the law table -------------------------------------------------------------
 
 def _law_assoc(u, v, w):
     return diamond(diamond(u, v), w) == diamond(u, diamond(v, w))
@@ -188,62 +181,56 @@ def _law_oracle_raw(r):
     return n1 == n2 and oracle_normalize(n1) == n1 and is_normal(n1)
 
 
-def _hom_targets(cfg: SuiteConfig):
-    targets = []
-    zs = IntShiftGroup(5)
-    targets.append((zs, {a: i + 2 for i, a in enumerate(cfg.alphabet)}))
-    z4 = AveragingGroupHandle(cyclic_group(4), tuple((x + 1) % 4 for x in range(4)))
-    targets.append((z4, {a: (i + 1) % 4 for i, a in enumerate(cfg.alphabet)}))
-    s3 = idempotent_endo_operator(sym3(), sym3_sign_retraction())
-    targets.append((s3, {a: (2 * i + 1) % 6 for i, a in enumerate(cfg.alphabet)}))
-    return targets
-
-
-def _make_hom_law(cfg: SuiteConfig):
-    targets = _hom_targets(cfg)
-    ft = free_target()
-    self_asg = {a: parse(a) for a in cfg.alphabet}
-    self_hom = extend_hom(self_asg, ft)
-
+def law_commutes(targets):
+    """Predicate on (u, v): evaluation into each (target, assignment) pair
+    commutes with the product, the operator and the inverse."""
     def law(u, v):
         for target, asg in targets:
-            hom = extend_hom(asg, target)
-            if hom(diamond(u, v)) != target.mul(hom(u), hom(v)):
+            hu = eval_operated(u, target, asg)
+            if (eval_operated(diamond(u, v), target, asg)
+                    != target.mul(hu, eval_operated(v, target, asg))
+                    or eval_operated(op_apply(u), target, asg) != target.op(hu)
+                    or eval_operated(inverse(u), target, asg) != target.inv(hu)):
                 return False
-            if hom(op_apply(u)) != target.op(hom(u)):
-                return False
-            if hom(inverse(u)) != target.inv(hom(u)):
-                return False
-        return self_hom(u) == u
+        return True
 
     return law
 
 
-def _suite_laws(name: str, cfg: SuiteConfig):
-    """(label, slots, predicate, corpus) rows for one suite."""
-    if name == "assoc":
-        return [("associativity", 3, _law_assoc, "normal"),
-                ("identity", 3, _law_identity, "normal"),
-                ("inverses", 3, _law_inverse, "normal")]
-    if name == "averaging":
-        return [("averaging law", 2, _law_averaging, "normal")]
-    if name == "derived":
-        return [("iterated averaging laws", 2, _law_derived, "normal")]
-    if name == "closure":
-        return [("closure of outputs", 2, _law_closure, "normal")]
-    if name == "oracle":
-        return [("oracle agreement", 2, _law_oracle_agreement, "normal"),
-                ("oracle idempotence and confluence", 1, _law_oracle_raw, "raw")]
-    if name == "hom":
-        return [("evaluation homomorphisms", 2, _make_hom_law(cfg), "normal")]
-    raise ValueError(f"unknown suite {name!r}")
+def law_table(alphabet):
+    """(suite, label, slots, corpus, predicate) for every law the suites check.
+
+    A predicate takes `slots` words drawn from the corpus ("normal" words, or
+    reduced "raw" ones) and returns whether the law holds on them.
+    """
+    z4 = AveragingGroupHandle(cyclic_group(4), (1, 2, 3, 0))
+    s3 = idempotent_endo_operator(sym3(), sym3_sign_retraction())
+    targets = [(IntShiftGroup(5), {a: i + 2 for i, a in enumerate(alphabet)}),
+               (z4, {a: (i + 1) % 4 for i, a in enumerate(alphabet)}),
+               (s3, {a: (2 * i + 1) % 6 for i, a in enumerate(alphabet)})]
+    free, itself = free_target(), {a: parse(a) for a in alphabet}
+    return [
+        ("assoc", "associativity", 3, "normal", _law_assoc),
+        ("assoc", "identity", 3, "normal", _law_identity),
+        ("assoc", "inverses", 3, "normal", _law_inverse),
+        ("averaging", "averaging law", 2, "normal", _law_averaging),
+        ("derived", "iterated averaging laws", 2, "normal", _law_derived),
+        ("closure", "closure of outputs", 2, "normal", _law_closure),
+        ("oracle", "oracle agreement", 2, "normal", _law_oracle_agreement),
+        ("oracle", "oracle idempotence and confluence", 1, "raw", _law_oracle_raw),
+        ("hom", "evaluation homomorphisms", 2, "normal", law_commutes(targets)),
+        ("hom", "self-target evaluation", 1, "normal",
+         lambda u: eval_operated(u, free, itself) == u),
+    ]
 
 
 def run_suite(name: str, cfg: SuiteConfig):
     """Run one suite; returns (ok, report lines)."""
-    laws = _suite_laws(name, cfg)
+    laws = [row[1:] for row in law_table(cfg.alphabet) if row[0] == name]
+    if not laws:
+        raise ValueError(f"unknown suite {name!r}")
     for trial in range(cfg.trials):
-        for label, slots, law, corpus in laws:
+        for label, slots, corpus, law in laws:
             raw = corpus == "raw"
             words = tuple(_sample(cfg, trial, s, raw=raw) for s in range(slots))
             if law(*words):
@@ -292,8 +279,8 @@ def _cmd_normalize(args) -> int:
         print("normal" if ok else "not normal")
         return 0 if ok else 1
     if args.via_ops:
-        hom = extend_hom({a: parse(a) for a in sorted(_generators(w))}, free_target())
-        print(_text(hom(w)))
+        itself = {a: parse(a) for a in metrics(w).generators}
+        print(_text(eval_operated(w, free_target(), itself)))
         return 0
     if args.trace:
         normal, steps = oracle_normalize(w, args.strategy, trace=True)
@@ -305,16 +292,6 @@ def _cmd_normalize(args) -> int:
         return 0
     print(_text(oracle_normalize(w, args.strategy)))
     return 0
-
-
-def _generators(w: Word):
-    names = set()
-    for f in w.factors:
-        if isinstance(f, Br):
-            names |= _generators(f.content)
-        else:
-            names.add(f.name)
-    return names
 
 
 def _normalized_input(text: str) -> Word:
@@ -352,6 +329,12 @@ def _cmd_check(args) -> int:
     cfg = SuiteConfig(suite=args.suite, trials=args.trials, seed=args.seed,
                       max_depth=args.max_depth, max_breadth=args.max_breadth,
                       alphabet=tuple(args.alphabet.split(",")))
+    try:
+        for name in cfg.alphabet:
+            make_gen(name)
+    except ValueError as exc:
+        print(f"error: --alphabet: {exc}", file=sys.stderr)
+        return 2
     if cfg.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2
@@ -377,8 +360,7 @@ def _cmd_eval(args) -> int:
                 return 2
             assignment[name.strip()] = handle.element(value.strip())
     w = parse(args.word)
-    result = extend_hom(assignment, handle)(w)
-    print(handle.name(result))
+    print(handle.name(eval_operated(w, handle, assignment)))
     return 0
 
 

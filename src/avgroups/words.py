@@ -131,25 +131,29 @@ def are_inverse(a: Factor, b: Factor) -> bool:
     return a.iter == b.iter and a.content == b.content
 
 
+def _levels(w: Word):
+    """(factors, nesting, operator depth) of `w` and of every bracket content in it.
+
+    Nesting counts the enclosing brackets as rendered; operator depth sums
+    their iteration counts.  An explicit stack: words of any depth are walked.
+    """
+    stack = [(w.factors, 0, 0)]
+    while stack:
+        level = fs, nest, depth = stack.pop()
+        yield level
+        for f in fs:
+            if type(f) is Br:
+                stack.append((f.content.factors, nest + 1, depth + f.iter))
+
+
 def is_reduced(w: Word) -> bool:
-    fs = w.factors
-    for i, f in enumerate(fs):
-        if i > 0 and are_inverse(fs[i - 1], f):
-            return False
-        if isinstance(f, Br) and not is_reduced(f.content):
-            return False
-    return True
+    return not any(are_inverse(a, b) for fs, _, _ in _levels(w) for a, b in zip(fs, fs[1:]))
 
 
 def is_folded(w: Word) -> bool:
-    for f in w.factors:
-        if isinstance(f, Br):
-            c = f.content.factors
-            if len(c) == 1 and isinstance(c[0], Br) and c[0].sign > 0:
-                return False
-            if not is_folded(f.content):
-                return False
-    return True
+    """No bracket content is a lone positive bracket."""
+    return not any(len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0
+                   for fs, nest, _ in _levels(w) if nest)
 
 
 def _push_reduced(stack: list, f: Factor) -> None:
@@ -177,46 +181,37 @@ def bracket_literal(w: Word) -> Word:
 
 @dataclass(frozen=True)
 class WordMetrics:
-    breadth: int
-    depth: int
-    op_degree: int
-
-
-def _factor_depth(f: Factor) -> int:
-    if isinstance(f, Gen):
-        return 0
-    return f.iter + _word_depth(f.content)
-
-
-def _word_depth(w: Word) -> int:
-    return max((_factor_depth(f) for f in w.factors), default=0)
-
-
-def _factor_degree(f: Factor) -> int:
-    if isinstance(f, Gen):
-        return 0
-    return f.iter + op_degree(f.content)
-
-
-def op_degree(w: Word) -> int:
-    return sum(_factor_degree(f) for f in w.factors)
+    breadth: int  # letters at the top level
+    depth: int  # most operator applications along one path: iterations summed
+    op_degree: int  # operator applications in all: every bracket's iterations
+    size: int  # letters at every level, plus every bracket's iterations
+    generators: frozenset  # the generator names that occur
 
 
 def metrics(w: Word) -> WordMetrics:
-    return WordMetrics(len(w.factors), _word_depth(w), op_degree(w))
+    depth = degree = size = 0
+    names = set()
+    for fs, _, d in _levels(w):
+        depth = max(depth, d)
+        size += len(fs)
+        for f in fs:
+            if type(f) is Br:
+                degree += f.iter
+            else:
+                names.add(f.name)
+    return WordMetrics(len(w.factors), depth, degree, size + degree, frozenset(names))
+
+
+def op_degree(w: Word) -> int:
+    return metrics(w).op_degree
 
 
 def nesting(w: Word) -> int:
-    """Deepest bracket nesting of `w` as rendered, by an explicit stack.
+    """Deepest bracket nesting of `w` as rendered.
 
     This is the depth `parse` bounds by MAX_NESTING; ``[x]@5`` nests 1 deep.
     """
-    deepest, stack = 0, [(w, 0)]
-    while stack:
-        v, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack.extend((f.content, depth + 1) for f in v.factors if isinstance(f, Br))
-    return deepest
+    return max(nest for _, nest, _ in _levels(w))
 
 
 # --- parsing ---------------------------------------------------------------
@@ -242,14 +237,15 @@ _WS_RE = re.compile(r"\s*")
 # The program recurses once per nesting level, and each level costs frames
 # under Python's default recursion limit of 1000: about seven to compare two
 # words (dataclass equality and the tuple comparisons inside it), two for
-# eval_operated, one each for the oracle's finders and _apply_at; render and
-# is_normal use an explicit stack.  A product of two words nests at most as deep
-# as both together, so the costliest call a command makes on parsed input --
-# comparing two 100-deep letters that cancel -- stays near 800 frames; on
-# CPython 3.11 every subcommand ran such words with at least 180 frames to
-# spare.  The bound is on the text only: the oracle can nest brackets written
-# side by side deeper than the text does, and a word printed more than
-# MAX_NESTING deep is refused when read back.
+# eval_operated, one each for the oracle's finders and _apply_at.  render,
+# is_normal and the level walker behind is_reduced, is_folded, op_degree,
+# metrics and nesting use an explicit stack.  A product of two words nests at
+# most as deep as both together, so the costliest call a command makes on
+# parsed input -- comparing two 100-deep letters that cancel -- stays near 800
+# frames; on CPython 3.11 every subcommand ran such words with at least 180
+# frames to spare.  The bound is on the text only: the oracle can nest
+# brackets written side by side deeper than the text does, and a word printed
+# more than MAX_NESTING deep is refused when read back.
 MAX_NESTING = 100
 
 

@@ -1,29 +1,31 @@
 """Acceptance gate: one test per criterion, one verdict line each.
 
 Run with -s (or read the -v test ids) to see the per-criterion lines.
-Randomized suites are seeded, so every run checks the same corpus.
+Randomized suites are seeded, so every run checks the same corpus.  The law
+criteria evaluate the rows of ``cli.law_table``, the table ``avgroups check``
+runs.
 """
 
 import itertools
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import avgroups.avgroup as avgroup_mod
 import avgroups.cli as cli_mod
-from avgroups.words import Br, ONE, bracket_literal, parse, render, single
-from avgroups.normalform import STRATEGIES, is_normal, oracle_normalize
+import avgroups.normalform as normalform_mod
+from avgroups.words import Br, parse, render, single
+from avgroups.normalform import is_normal
 from avgroups.avgroup import (
     GenParams,
     diamond,
-    extend_hom,
-    free_target,
     inverse,
     op_apply,
     op_iter,
     random_normal_word,
     random_raw_word,
 )
-from avgroups.cli import SuiteConfig, run_suite
+from avgroups.cli import SuiteConfig, law_commutes, law_table, run_suite
 from avgroups.structures import (
     AveragingGroupHandle,
     check_disemigroup,
@@ -57,6 +59,17 @@ EXACT_OPS = [
 ]
 
 _closure_outputs = []
+
+LAWS = law_table(("x", "y", "z"))
+
+
+def _holds(suite, *words, corpus="normal", label=None):
+    """Assert every law of `suite` on `corpus` (or the one labelled) on `words`."""
+    rows = [r for r in LAWS if r[0] == suite and r[3] == corpus
+            and label in (None, r[1])]
+    assert rows
+    for _, name, slots, _, law in rows:
+        assert law(*words[:slots]), (name, [render(w) for w in words[:slots]])
 
 
 def _passed(num, detail):
@@ -94,12 +107,8 @@ def test_criterion_02_group_law_suite():
     t0 = time.perf_counter()
     for trial in range(1000):
         u, v, w = (_words(trial, s) for s in range(3))
-        a = diamond(u, v)
-        b = diamond(v, w)
-        assert diamond(a, w) == diamond(u, b)
-        assert diamond(u, ONE) == u and diamond(ONE, u) == u
-        assert diamond(u, inverse(u)) == ONE and diamond(inverse(u), u) == ONE
-        _closure_outputs.extend((a, b, inverse(u)))
+        _holds("assoc", u, v, w)
+        _closure_outputs.extend((diamond(u, v), diamond(v, w), inverse(u)))
     dt = time.perf_counter() - t0
     assert dt < 30.0
     _passed(2, f"associativity, identity, inverses on 1000 triples in {dt:.2f}s")
@@ -110,15 +119,12 @@ def test_criterion_03_averaging_and_derived_laws():
     for trial in range(1000):
         u = _words(trial, 5)
         v = _words(trial, 6)
-        au, av = op_apply(u), op_apply(v)
-        lhs = diamond(au, av)
-        assert lhs == op_apply(diamond(au, v))
-        assert lhs == op_apply(diamond(u, av))
-        _closure_outputs.extend((au, lhs))
-        for n in (2, 3, 4):
-            left = op_apply(diamond(u, op_iter(v, n)))
-            assert left == op_iter(diamond(u, op_apply(v)), n)
-            _closure_outputs.append(left)
+        _holds("averaging", u, v)
+        _holds("derived", u, v)
+        # outputs the laws produce, for criterion 4
+        au = op_apply(u)
+        _closure_outputs.extend((au, diamond(au, op_apply(v))))
+        _closure_outputs.extend(op_apply(diamond(u, op_iter(v, n))) for n in (2, 3, 4))
     dt = time.perf_counter() - t0
     assert dt < 30.0
     _passed(3, f"averaging plus iterated laws (n <= 4) on 1000 pairs in {dt:.2f}s")
@@ -136,16 +142,9 @@ def test_criterion_04_closure():
 
 def test_criterion_05_oracle_equivalence():
     for trial in range(1000):
-        u = _words(trial, 7)
-        v = _words(trial, 8)
-        from avgroups.words import reduce_concat
-        assert diamond(u, v) == oracle_normalize(reduce_concat(u, v))
-        assert op_apply(u) == oracle_normalize(bracket_literal(u))
+        _holds("oracle", _words(trial, 7), _words(trial, 8))
     for seed in range(400):
-        r = random_raw_word(GenParams(seed=seed ^ 0xACE))
-        n1 = oracle_normalize(r, STRATEGIES[0])
-        assert n1 == oracle_normalize(r, STRATEGIES[1])
-        assert oracle_normalize(n1) == n1
+        _holds("oracle", random_raw_word(GenParams(seed=seed ^ 0xACE)), corpus="raw")
     _passed(5, "oracle agreement on 1000 pairs; idempotence and "
                "two-strategy confluence on 400 raw words")
 
@@ -165,19 +164,13 @@ def test_criterion_06_homomorphism_suite():
     assert len(handles) >= 3 + 4 + 4 + 1
     for hi, h in enumerate(handles):
         n = len(h.table)
-        asg = {a: (i + 1) % n for i, a in enumerate(("x", "y", "z"))}
-        hom = extend_hom(asg, h)
+        commutes = law_commutes([(h, {a: (i + 1) % n for i, a in enumerate(("x", "y", "z"))})])
         for trial in range(100):
             u = _words(1000 * hi + trial, 1)
             v = _words(1000 * hi + trial, 2)
-            assert hom(diamond(u, v)) == h.mul(hom(u), hom(v))
-            assert hom(op_apply(u)) == h.op(hom(u))
-            assert hom(inverse(u)) == h.inv(hom(u))
-    ft = free_target()
-    self_hom = extend_hom({a: parse(a) for a in ("x", "y", "z")}, ft)
+            assert commutes(u, v), (hi, render(u), render(v))
     for trial in range(100):
-        w = _words(trial, 3)
-        assert self_hom(w) == w
+        _holds("hom", _words(trial, 3), label="self-target evaluation")
     _passed(6, f"evaluation commutes on {len(handles)} searched handles x 100 "
                "words; self-target is the identity on 100 words")
 
@@ -251,33 +244,87 @@ def test_criterion_09_lie_layer():
                "pass on the abelian algebra")
 
 
+# --- mutants: each breaks one operation the laws check -------------------------
+
+
+def _seam_merge_off_by_one(m):
+    real = avgroup_mod._seam_merge
+    m.setattr(avgroup_mod, "_seam_merge",
+              lambda a, b: (lambda r: Br(r.content, r.iter + 1, r.sign))(real(a, b)))
+
+
+def _literal(w):
+    fs = w.factors
+    if len(fs) == 1 and isinstance(fs[0], Br) and fs[0].sign > 0:
+        return single(Br(fs[0].content, fs[0].iter + 1, 1))
+    return single(Br(w, 1, 1))
+
+
+def _literal_iter(w, n):
+    for _ in range(n):
+        w = _literal(w)
+    return w
+
+
+def _operator_is_a_literal_wrap(m):
+    m.setattr(avgroup_mod, "op_apply", _literal)
+    m.setattr(cli_mod, "op_apply", _literal)
+    m.setattr(cli_mod, "op_iter", _literal_iter)
+
+
+def _product_drops_the_last_letter(m):
+    real = cli_mod.diamond
+    m.setattr(cli_mod, "diamond",
+              lambda u, v: real(u, v if not v.factors else type(v)(v.factors[:-1])))
+
+
+def _oracle_without_r2(m):
+    m.setattr(normalform_mod, "_matches_r2", lambda f: False)
+
+
+def _evaluation_ignores_the_operator(m):
+    real = cli_mod.eval_operated
+    m.setattr(cli_mod, "eval_operated", lambda w, t, asg: real(
+        w, SimpleNamespace(identity=t.identity, mul=t.mul, inv=t.inv, op=lambda a: a), asg))
+
+
+MUTANTS = (_seam_merge_off_by_one, _operator_is_a_literal_wrap,
+           _product_drops_the_last_letter, _oracle_without_r2,
+           _evaluation_ignores_the_operator)
+
+
 def test_criterion_10_mutation_sensitivity(monkeypatch):
     # mutant A: merged-seam exponent off by one
-    real_merge = avgroup_mod._seam_merge
-    monkeypatch.setattr(avgroup_mod, "_seam_merge",
-                        lambda a, b: (lambda r: Br(r.content, r.iter + 1, r.sign))
-                        (real_merge(a, b)))
-    got = render(diamond(parse("[x [y]]@2"), parse("[z]@3")))
-    assert got != "[x [y [z]]]@4"
-    ok, _ = run_suite("oracle", SuiteConfig(suite="oracle", trials=40, seed=7))
-    assert not ok
-    monkeypatch.setattr(avgroup_mod, "_seam_merge", real_merge)
+    with monkeypatch.context() as m:
+        _seam_merge_off_by_one(m)
+        got = render(diamond(parse("[x [y]]@2"), parse("[z]@3")))
+        assert got != "[x [y [z]]]@4"
+        ok, _ = run_suite("oracle", SuiteConfig(suite="oracle", trials=40, seed=7))
+        assert not ok
 
     # mutant B: operator degenerates to a literal wrap
-    literal = lambda w: single(Br(w, 1, 1)) if not (
-        len(w.factors) == 1 and isinstance(w.factors[0], Br)
-        and w.factors[0].sign > 0) else single(
-        Br(w.factors[0].content, w.factors[0].iter + 1, 1))
-    def literal_iter(w, n):
-        for _ in range(n):
-            w = literal(w)
-        return w
-    monkeypatch.setattr(avgroup_mod, "op_apply", literal)
-    monkeypatch.setattr(cli_mod, "op_apply", literal)
-    monkeypatch.setattr(cli_mod, "op_iter", literal_iter)
-    got = render(literal(parse("[x]@3 y [z]@2")))
-    assert got != "[x [y [z]]]@4"
-    ok, _ = run_suite("oracle", SuiteConfig(suite="oracle", trials=40, seed=7))
-    assert not ok
+    with monkeypatch.context() as m:
+        _operator_is_a_literal_wrap(m)
+        got = render(_literal(parse("[x]@3 y [z]@2")))
+        assert got != "[x [y [z]]]@4"
+        ok, _ = run_suite("oracle", SuiteConfig(suite="oracle", trials=40, seed=7))
+        assert not ok
     _passed(10, "both recursion mutants break the exact examples and the "
                 "oracle-equivalence suite")
+
+
+def test_no_law_row_is_vacuous(monkeypatch):
+    """Every row of the law table fails on a seeded tuple under some mutant."""
+    cfg = SuiteConfig(trials=40, seed=7)
+    rows = law_table(cfg.alphabet)
+    killed = set()
+    for mutate in MUTANTS:
+        with monkeypatch.context() as m:
+            mutate(m)
+            for _, label, slots, corpus, law in rows:
+                if label not in killed and any(
+                        not law(*(cli_mod._sample(cfg, t, s, raw=corpus == "raw")
+                                  for s in range(slots)))
+                        for t in range(cfg.trials)):
+                    killed.add(label)
+    assert killed == {row[1] for row in rows}

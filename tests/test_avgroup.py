@@ -1,4 +1,7 @@
-"""Recursive product, operator, homomorphism extension, and random words."""
+"""Recursive product, operator, evaluation, and random words.
+
+The law tests evaluate the rows of ``cli.law_table`` on their own corpora.
+"""
 
 from collections import deque
 
@@ -11,13 +14,11 @@ from avgroups.words import (
     Gen,
     Word,
     are_inverse,
-    bracket_literal,
     eval_operated,
     is_reduced,
     make_br,
     op_degree,
     parse,
-    reduce_concat,
     render,
     single,
 )
@@ -25,19 +26,29 @@ from avgroups.normalform import is_normal, oracle_normalize
 from avgroups.avgroup import (
     GenParams,
     diamond,
-    extend_hom,
-    free_target,
     inverse,
     op_apply,
     op_iter,
     random_normal_word,
     random_raw_word,
 )
+from avgroups.cli import law_commutes, law_table
 from avgroups.structures import AveragingGroupHandle, IntShiftGroup, cyclic_group
+
+LAWS = law_table(("x", "y", "z"))
 
 
 def _corpus(n, base_seed=0, **kw):
     return [random_normal_word(GenParams(seed=base_seed + i, **kw)) for i in range(n)]
+
+
+def _holds(suite, *words, label=None):
+    """Assert every normal-corpus law of `suite` (or the one labelled) on `words`."""
+    rows = [r for r in LAWS if r[0] == suite and r[3] == "normal"
+            and label in (None, r[1])]
+    assert rows
+    for _, name, slots, _, law in rows:
+        assert law(*words[:slots]), (name, [render(w) for w in words[:slots]])
 
 
 def test_product_examples():
@@ -85,28 +96,19 @@ def test_group_laws_on_generated_words():
         assert is_normal(u)
         v = words[(i + 7) % len(words)]
         w = words[(i + 31) % len(words)]
-        assert diamond(diamond(u, v), w) == diamond(u, diamond(v, w))
-        assert diamond(u, ONE) == u and diamond(ONE, u) == u
-        assert diamond(u, inverse(u)) == ONE
-        assert diamond(inverse(u), u) == ONE
+        _holds("assoc", u, v, w)
 
 
 def test_averaging_law_on_generated_words():
     words = _corpus(120, base_seed=900)
     for i, u in enumerate(words):
-        v = words[(i + 13) % len(words)]
-        lhs = diamond(op_apply(u), op_apply(v))
-        assert lhs == op_apply(diamond(op_apply(u), v))
-        assert lhs == op_apply(diamond(u, op_apply(v)))
+        _holds("averaging", u, words[(i + 13) % len(words)])
 
 
 def test_iterated_averaging_laws_on_generated_words():
     words = _corpus(80, base_seed=1300)
     for i, u in enumerate(words):
-        v = words[(i + 11) % len(words)]
-        for n in (2, 3, 4):
-            assert (op_apply(diamond(u, op_iter(v, n)))
-                    == op_iter(diamond(u, op_apply(v)), n))
+        _holds("derived", u, words[(i + 11) % len(words)])
 
 
 def test_outputs_stay_normal_even_on_oracle_built_words():
@@ -114,17 +116,14 @@ def test_outputs_stay_normal_even_on_oracle_built_words():
     for seed in range(150):
         u = oracle_normalize(random_raw_word(GenParams(seed=seed)))
         v = oracle_normalize(random_raw_word(GenParams(seed=seed + 10_000)))
-        assert is_normal(diamond(u, v))
-        assert is_normal(op_apply(u))
-        assert is_normal(inverse(u))
+        _holds("closure", u, v)
 
 
 def test_oracle_and_recursions_agree_everywhere():
     for seed in range(150):
         u = oracle_normalize(random_raw_word(GenParams(seed=3 * seed)))
         v = oracle_normalize(random_raw_word(GenParams(seed=3 * seed + 1)))
-        assert diamond(u, v) == oracle_normalize(reduce_concat(u, v))
-        assert op_apply(u) == oracle_normalize(bracket_literal(u))
+        _holds("oracle", u, v)
 
 
 def test_operator_degree_grows_by_one_on_positive_words():
@@ -140,35 +139,21 @@ def test_operator_degree_can_collapse_on_mixed_words():
     assert op_degree(op_apply(w)) == op_degree(w) - 1
 
 
-def test_extend_hom_into_integer_shift():
-    zs = IntShiftGroup(5)
-    hom = extend_hom({"x": 2, "y": 3}, zs)
-    assert hom(parse("x [y]")) == 10
-    assert hom(ONE) == 0
-
-
-def test_extend_hom_commutes_with_operations():
+def test_evaluation_commutes_with_operations():
     z4 = AveragingGroupHandle(cyclic_group(4), (1, 2, 3, 0))
-    targets = [
+    commutes = law_commutes([
         (IntShiftGroup(5), {"x": 2, "y": 3, "z": 4}),
         (z4, {"x": 1, "y": 2, "z": 3}),
-    ]
+    ])
     words = _corpus(80, base_seed=2100)
-    for target, asg in targets:
-        hom = extend_hom(asg, target)
-        for i, u in enumerate(words):
-            v = words[(i + 17) % len(words)]
-            assert hom(diamond(u, v)) == target.mul(hom(u), hom(v))
-            assert hom(op_apply(u)) == target.op(hom(u))
-            assert hom(inverse(u)) == target.inv(hom(u))
+    for i, u in enumerate(words):
+        v = words[(i + 17) % len(words)]
+        assert commutes(u, v), (render(u), render(v))
 
 
 def test_self_target_evaluation_is_the_identity():
-    ft = free_target()
-    asg = {a: parse(a) for a in ("x", "y", "z")}
-    hom = extend_hom(asg, ft)
     for w in _corpus(120, base_seed=2500):
-        assert hom(w) == w
+        _holds("hom", w, label="self-target evaluation")
 
 
 def test_generator_determinism_and_bounds():
@@ -222,14 +207,10 @@ def test_written_forms_can_alias_one_element():
 @settings(max_examples=120, derandomize=True)
 @given(st.integers(0, 2**31 - 3))
 def test_law_properties_on_random_seeds(seed):
-    u = random_normal_word(GenParams(seed=seed))
-    v = random_normal_word(GenParams(seed=seed + 1))
-    w = random_normal_word(GenParams(seed=seed + 2))
-    assert diamond(diamond(u, v), w) == diamond(u, diamond(v, w))
-    lhs = diamond(op_apply(u), op_apply(v))
-    assert lhs == op_apply(diamond(op_apply(u), v))
-    assert lhs == op_apply(diamond(u, op_apply(v)))
-    assert is_normal(diamond(u, v))
+    u, v, w = (random_normal_word(GenParams(seed=seed + j)) for j in range(3))
+    _holds("assoc", u, v, w)
+    _holds("averaging", u, v)
+    _holds("closure", u, v)
 
 
 # --- reference copies: the product as a deque walk over every letter of v,

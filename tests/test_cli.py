@@ -1,10 +1,16 @@
-"""Command-line surface: outputs, exit codes, determinism, shrinking."""
+"""Command-line and package surface: outputs, exit codes, determinism,
+shrinking, the README's examples and the top-level names."""
 
+import ast
+import inspect
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import avgroups
 from avgroups.words import MAX_NESTING, op_degree, parse, render
 from avgroups.cli import (
     SuiteConfig,
@@ -153,6 +159,14 @@ def test_check_single_suite_and_flags(capsys):
     assert out.splitlines()[0] == "suite oracle: 15 trials, pass"
     assert main(["check", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+def test_check_refuses_alphabet_names_that_are_not_generators(capsys):
+    for alphabet, name in (("x,", ""), ("1,y", "1"), ("x y", "x y"), ("x,X", "X")):
+        want = f"error: --alphabet: bad generator name {name!r}\n"
+        assert run(capsys, "check", "--alphabet", alphabet) == (2, "", want), alphabet
+    code, out, _ = run(capsys, "check", "--trials", "5", "--alphabet", "a,b")
+    assert code == 0 and len(out.splitlines()) == 7
 
 
 def test_eval(capsys, z2_file):
@@ -403,3 +417,44 @@ def test_hostile_files_keep_the_exit_contract(capsys, tmp_path):
             assert code in (0, 1, 2) and "Traceback" not in err, (name, path, value, argv)
             seen.add(code)
     assert seen == {0, 1, 2}
+
+
+# --- README and package surface ------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_python_blocks():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", text, re.S)
+
+
+def test_readme_python_blocks_run_and_show_their_values():
+    # in order, in one namespace; an expression statement ends in a comment
+    # holding the literal it evaluates to
+    namespace = {}
+    for block in _readme_python_blocks():
+        lines = block.splitlines()
+        for stmt in ast.parse(block).body:
+            if not isinstance(stmt, ast.Expr):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+                continue
+            shown = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+            assert shown.startswith("# "), lines[stmt.end_lineno - 1]
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert got == ast.literal_eval(shown[2:]), lines[stmt.end_lineno - 1]
+
+
+def _imported_from_avgroups(source):
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "avgroups"
+            for alias in node.names}
+
+
+def test_top_level_names_are_the_readme_surface_and_the_benchmark_imports():
+    readme = _imported_from_avgroups("\n".join(_readme_python_blocks()))
+    bench = _imported_from_avgroups(
+        (ROOT / "avbench" / "test_avbench.py").read_text(encoding="utf-8"))
+    top = {name for name, value in vars(avgroups).items()
+           if not name.startswith("_") and not inspect.ismodule(value)}
+    assert top == readme | bench

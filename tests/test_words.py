@@ -14,6 +14,7 @@ from avgroups.words import (
     ONE,
     UnassignedGenerator,
     Word,
+    WordMetrics,
     WordSyntaxError,
     are_inverse,
     bracket_literal,
@@ -24,6 +25,7 @@ from avgroups.words import (
     make_br,
     make_gen,
     metrics,
+    nesting,
     op_degree,
     parse,
     reduce_concat,
@@ -201,6 +203,65 @@ def test_metrics():
     m = metrics(parse("[x] [y [z]^-1]@3"))
     assert (m.breadth, m.depth, m.op_degree) == (2, 4, 5)
     assert op_degree(parse("[x]@3 y [z]@2")) == 5
+
+
+# --- reference copies: the recursive metrics the level walker replaced -------
+
+
+def _ref_size(w):
+    total = 0
+    for f in w.factors:
+        total += 1
+        if isinstance(f, Br):
+            total += f.iter + _ref_size(f.content)
+    return total
+
+
+def _ref_generators(w):
+    names = set()
+    for f in w.factors:
+        if isinstance(f, Br):
+            names |= _ref_generators(f.content)
+        else:
+            names.add(f.name)
+    return names
+
+
+def _ref_depth(w):
+    return max((f.iter + _ref_depth(f.content) for f in w.factors if isinstance(f, Br)),
+               default=0)
+
+
+def _ref_degree(w):
+    return sum(f.iter + _ref_degree(f.content) for f in w.factors if isinstance(f, Br))
+
+
+@pytest.mark.parametrize("via_oracle", [False, True], ids=["positive", "full"])
+def test_metrics_match_the_reference(via_oracle):
+    sizes = ((3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
+    for k in range(500):
+        d, b = sizes[k % len(sizes)]
+        w = random_normal_word(GenParams(d, b, seed=62_000 + k), via_oracle=via_oracle)
+        want = WordMetrics(len(w.factors), _ref_depth(w), _ref_degree(w),
+                           _ref_size(w), _ref_generators(w))
+        assert metrics(w) == want, render(w)
+
+
+def test_the_level_walker_answers_on_deep_words():
+    # built directly, not parsed, so no nesting bound applies
+    depth, x = 5000, Gen("x", 1)
+
+    def nest(bottom):
+        for _ in range(depth):
+            bottom = Word((x, Br(bottom, 1, 1)))
+        return bottom
+
+    w = nest(ONE)
+    assert is_reduced(w) and is_folded(w)
+    assert op_degree(w) == depth and nesting(w) == depth
+    assert metrics(w) == WordMetrics(2, depth, depth, 3 * depth, frozenset({"x"}))
+    assert not is_reduced(nest(Word((x, Gen("x", -1)))))
+    assert not is_folded(nest(single(Br(ONE, 1, 1))))
 
 
 def test_bracket_literal_wraps_and_folds():
