@@ -37,6 +37,7 @@ from .normalform import (
     STRATEGIES,
     is_normal,
     oracle_normalize,
+    oracle_steps,
 )
 from .avgroup import (
     GenParams,
@@ -117,10 +118,10 @@ def _shrink_word(w: Word):
     return final
 
 
-def shrink_counterexample(words, fails, valid=is_normal, rounds: int = 200):
-    """Greedy minimization; each kept candidate still fails the same law."""
+def shrink_counterexample(words, fails, valid=is_normal):
+    """Greedy minimization in at most 200 rounds; each kept candidate still fails the law."""
     cur = tuple(words)
-    for _ in range(rounds):
+    for _ in range(200):
         better = None
         for idx in range(len(cur)):
             for cand in _shrink_word(cur[idx]):
@@ -226,13 +227,21 @@ def law_table(alphabet):
 
 def run_suite(name: str, cfg: SuiteConfig):
     """Run one suite; returns (ok, report lines)."""
-    laws = [row[1:] for row in law_table(cfg.alphabet) if row[0] == name]
+    return _run_suite(name, cfg, law_table(cfg.alphabet), {})
+
+
+def _run_suite(name: str, cfg: SuiteConfig, table, drawn: dict):
+    """run_suite on a built `table`; `drawn` keeps each word by (trial, slot, corpus)."""
+    laws = [row[1:] for row in table if row[0] == name]
     if not laws:
         raise ValueError(f"unknown suite {name!r}")
     for trial in range(cfg.trials):
         for label, slots, corpus, law in laws:
             raw = corpus == "raw"
-            words = tuple(_sample(cfg, trial, s, raw=raw) for s in range(slots))
+            for s in range(slots):
+                if (trial, s, corpus) not in drawn:
+                    drawn[trial, s, corpus] = _sample(cfg, trial, s, raw=raw)
+            words = tuple(drawn[trial, s, corpus] for s in range(slots))
             if law(*words):
                 continue
             small = shrink_counterexample(
@@ -248,8 +257,9 @@ def run_suite(name: str, cfg: SuiteConfig):
 def run_suites(cfg: SuiteConfig):
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     code, lines = 0, []
+    table, drawn = law_table(cfg.alphabet), {}
     for name in names:
-        ok, out = run_suite(name, cfg)
+        ok, out = _run_suite(name, cfg, table, drawn)
         lines.extend(out)
         if not ok:
             code = 1
@@ -283,7 +293,9 @@ def _cmd_normalize(args) -> int:
         print(_text(eval_operated(w, free_target(), itself)))
         return 0
     if args.trace:
-        normal, steps = oracle_normalize(w, args.strategy, trace=True)
+        normal, steps = w, []
+        for normal, step in oracle_steps(w, args.strategy):
+            steps.append(step)
         text = _text(normal)
         for i, s in enumerate(steps, 1):
             at = "/".join(map(str, s.path)) or "top"

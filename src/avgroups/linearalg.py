@@ -130,8 +130,7 @@ def _random_element(rng, n: int) -> dict:
     return _norm(out)
 
 
-def check_averaging_algebra(g: FiniteGroupTable, A, spot_checks: int = 100,
-                            seed: int = 0) -> CheckReport:
+def check_averaging_algebra(g: FiniteGroupTable, A) -> CheckReport:
     """P(a)P(b) = P(P(a)b) = P(aP(b)) on the group algebra.
 
     Both sides are bilinear, so basis pairs decide the law; the random
@@ -148,18 +147,19 @@ def check_averaging_algebra(g: FiniteGroupTable, A, spot_checks: int = 100,
     entries = [_law("averaging on basis pairs",
                     lambda i, j: holds(ga_basis(i), ga_basis(j)), n, 2, g.name)]
     if entries[0][1]:
-        rng = random.Random(seed)
         entries.append(_spot_checks(
             "averaging on random combinations",
-            lambda _: holds(_random_element(rng, n), _random_element(rng, n)),
-            spot_checks, f"{spot_checks} pairs, seed {seed}", seed))
+            lambda rng: holds(_random_element(rng, n), _random_element(rng, n)),
+            100, "pairs", 0))
     return CheckReport(tuple(entries))
 
 
-def _spot_checks(law, holds, samples, passed, seed):
-    """Entry of a seeded random check: holds(t) draws and tests sample t."""
-    law, ok, detail = _law(law, holds, samples, 1, lambda t: f"sample {t}, seed {seed}")
-    return law, ok, detail if not ok else passed
+def _spot_checks(law, draw_ok, samples, noun, seed):
+    """Entry of a seeded random check: draw_ok(rng) draws one sample and tests it."""
+    rng = random.Random(seed)
+    law, ok, detail = _law(law, lambda _: draw_ok(rng), samples, 1,
+                           lambda t: f"sample {t}, seed {seed}")
+    return law, ok, detail if not ok else f"{samples} {noun}, seed {seed}"
 
 
 def coproduct(a: dict) -> dict:
@@ -175,8 +175,7 @@ def _tensor_square(a: dict, b: dict) -> dict:
     return _norm({(i, j): ci * cj for i, ci in a.items() for j, cj in b.items()})
 
 
-def check_coalgebra_map(g: FiniteGroupTable, A, spot_checks: int = 20,
-                        seed: int = 1) -> CheckReport:
+def check_coalgebra_map(g: FiniteGroupTable, A) -> CheckReport:
     """Coproduct and counit compatibility of an operator on the algebra.
 
     Verifies cop(P(x)) = (P tensor P)(cop(x)) and counit(P(x)) = counit(x),
@@ -201,14 +200,10 @@ def check_coalgebra_map(g: FiniteGroupTable, A, spot_checks: int = 20,
         _law("counit preservation on basis", lambda i: counit_ok(ga_basis(i)), n, 1, g.name),
     ]
     if all(ok for _, ok, _ in entries):
-        rng = random.Random(seed)
-
-        def sample_ok(_):
-            x = _random_element(rng, n)
-            return cop_ok(x) and counit_ok(x)
-
-        entries.append(_spot_checks("compatibility on random combinations", sample_ok,
-                                    spot_checks, f"{spot_checks} samples, seed {seed}", seed))
+        entries.append(_spot_checks(
+            "compatibility on random combinations",
+            lambda rng: cop_ok(x := _random_element(rng, n)) and counit_ok(x),
+            20, "samples", 1))
     return CheckReport(tuple(entries))
 
 

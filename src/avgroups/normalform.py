@@ -32,16 +32,18 @@ normalization: a dict from ``id(word)`` to the word itself, which it keeps
 alive so that its id cannot be reused by a new, dirty word.  It changes which
 subwords are visited, never which redex is chosen.
 
-Steps are rendered only when traced: ``oracle_normalize`` without a trace
-rewrites words and renders nothing; ``oracle_steps`` and the traced path
-render each step's ``before`` and ``after`` into a :class:`RewriteStep`.
+A step is a rule and a path to its redex.  One function, the rule table, maps
+a redex's letters to their replacement; a rewrite splices that in and rebuilds
+the path.  ``oracle_normalize`` renders nothing.  Only ``oracle_steps`` and
+``replay_trace`` build a :class:`RewriteStep`, reading the redex from the word
+before the step: rebuilding the path can fold the rewritten level away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Br, Gen, Word, are_inverse, make_br, render, single
+from .words import Br, Gen, Word, are_inverse, make_br, render
 
 __all__ = [
     "is_normal",
@@ -175,112 +177,94 @@ _FINDERS = {
 # --- rule application --------------------------------------------------------
 
 
-def _apply_local(fs: tuple, i: int, rule: str):
-    """Apply `rule` at index i of the factor sequence; return (new, before, after)."""
+def _replacement(redex: tuple, rule: str) -> tuple:
+    """The letters that replace `redex`, the 1 or 2 letters `rule` rewrites."""
     if rule == "R0":
-        return fs[:i] + fs[i + 2 :], Word(fs[i : i + 2]), Word(())
+        return ()
     if rule == "R1":
-        a, b = fs[i], fs[i + 1]
-        merged = make_br(
-            Word(a.content.factors + (make_br(b.content, 1, 1),)),
-            a.iter + b.iter - 1,
-            1,
-        )
-        return fs[:i] + (merged,) + fs[i + 2 :], Word(fs[i : i + 2]), single(merged)
-    if rule == "R1-":
-        a, b = fs[i], fs[i + 1]
-        merged = make_br(
-            Word(b.content.factors + (make_br(a.content, 1, 1),)),
-            a.iter + b.iter - 1,
-            -1,
-        )
-        return fs[:i] + (merged,) + fs[i + 2 :], Word(fs[i : i + 2]), single(merged)
-    if rule == "R2":
-        f = fs[i]
-        head = f.content.factors[0]
-        rest = Word(f.content.factors[1:])
-        new = make_br(
-            Word(head.content.factors + (make_br(rest, 1, 1),)),
-            f.iter + head.iter - 1,
-            f.sign,
-        )
-        return fs[:i] + (new,) + fs[i + 1 :], single(f), single(new)
-    if rule == "R3":
-        f = fs[i]
-        last = f.content.factors[-1]
-        new = make_br(
-            Word(f.content.factors[:-1] + (make_br(last.content, 1, 1),)),
-            f.iter + last.iter - 1,
-            f.sign,
-        )
-        return fs[:i] + (new,) + fs[i + 1 :], single(f), single(new)
-    raise ValueError(f"unknown rule {rule}")
+        outer, inner = redex
+        head, tail, sign = outer.content, inner.content, 1
+    elif rule == "R1-":
+        outer, inner = redex
+        head, tail, sign = inner.content, outer.content, -1
+    elif rule == "R2":
+        (outer,) = redex
+        inner = outer.content.factors[0]
+        head, tail, sign = inner.content, Word(outer.content.factors[1:]), outer.sign
+    elif rule == "R3":
+        (outer,) = redex
+        inner = outer.content.factors[-1]
+        head, tail, sign = Word(outer.content.factors[:-1]), inner.content, outer.sign
+    else:
+        raise ValueError(f"unknown rule {rule}")
+    it = outer.iter + inner.iter - 1
+    return (make_br(Word(head.factors + (make_br(tail, 1, 1),)), it, sign),)
 
 
-def _apply_at(w: Word, path: tuple, rule: str):
+def _width(rule: str) -> int:
+    """Letters in a redex of `rule`: one bracket, or a pair."""
+    return 1 if rule == "R2" or rule == "R3" else 2
+
+
+def _apply_at(w: Word, path: tuple, rule: str) -> Word:
+    """`w` with `rule` applied at `path`; only the letters along the path are rebuilt."""
+    fs, i = w.factors, path[0]
     if len(path) == 1:
-        new, before, after = _apply_local(w.factors, path[0], rule)
-        return Word(new), before, after
-    i = path[0]
-    f = w.factors[i]
-    new_content, before, after = _apply_at(f.content, path[1:], rule)
-    nf = make_br(new_content, f.iter, f.sign)
-    return Word(w.factors[:i] + (nf,) + w.factors[i + 1 :]), before, after
+        n = _width(rule)
+        return Word(fs[:i] + _replacement(fs[i : i + n], rule) + fs[i + n :])
+    f = fs[i]
+    nf = make_br(_apply_at(f.content, path[1:], rule), f.iter, f.sign)
+    return Word(fs[:i] + (nf,) + fs[i + 1 :])
 
 
 def _rewrites(w: Word, strategy: str, step_limit: int):
-    """Yield (word, rule, path, before, after) after each rewrite; renders nothing.
-
-    `before` and `after` are the rewritten subword and its replacement.  The
-    clean-subword memo is created here and lives as long as this loop.
-    """
-    find = _FINDERS[strategy]
-    clean = {}
-    cur = w
+    """Yield (word, rule, path) after each rewrite; the clean-subword memo lives here."""
+    find, clean = _FINDERS[strategy], {}
     for _ in range(step_limit):
-        found = find(cur, (), clean)
+        found = find(w, (), clean)
         if found is None:
             return
         path, rule = found
-        cur, before, after = _apply_at(cur, path, rule)
-        yield cur, rule, path, before, after
-    if find(cur, (), clean) is not None:
+        w = _apply_at(w, path, rule)
+        yield w, rule, path
+    if find(w, (), clean) is not None:
         raise OracleStepLimit(
             f"no normal form within {step_limit} steps; "
             "this signals suspected non-termination"
         )
 
 
-def oracle_steps(w: Word, strategy: str = "innermost-leftmost", step_limit: int = DEFAULT_STEP_LIMIT):
+def _step(w: Word, rule: str, path: tuple) -> RewriteStep:
+    """The rendered step applying `rule` at `path` of `w`, the word before it."""
+    for i in path[:-1]:
+        w = w.factors[i].content
+    redex = w.factors[path[-1] : path[-1] + _width(rule)]
+    after = Word(_replacement(redex, rule))
+    return RewriteStep(rule, path, render(Word(redex)), render(after))
+
+
+def oracle_steps(w: Word, strategy: str = "innermost-leftmost",
+                 step_limit: int = DEFAULT_STEP_LIMIT):
     """Yield (word, step) after each rewrite; `step` describes the rule applied."""
-    for cur, rule, path, before, after in _rewrites(w, strategy, step_limit):
-        yield cur, RewriteStep(rule, path, render(before), render(after))
+    for cur, rule, path in _rewrites(w, strategy, step_limit):
+        yield cur, _step(w, rule, path)
+        w = cur
 
 
-def oracle_normalize(
-    w: Word,
-    strategy: str = "innermost-leftmost",
-    step_limit: int = DEFAULT_STEP_LIMIT,
-    trace: bool = False,
-):
-    """Normal form of `w` under the rewriting rules; optionally with the trace."""
+def oracle_normalize(w: Word, strategy: str = "innermost-leftmost",
+                     step_limit: int = DEFAULT_STEP_LIMIT):
+    """Normal form of `w` under the rewriting rules; `oracle_steps` has the trace."""
     cur = w
-    if trace:
-        steps = []
-        for cur, step in oracle_steps(w, strategy, step_limit):
-            steps.append(step)
-        return cur, steps
-    for cur, _, _, _, _ in _rewrites(w, strategy, step_limit):
+    for cur, _, _ in _rewrites(w, strategy, step_limit):
         pass
     return cur
 
 
 def replay_trace(w: Word, steps) -> Word:
     """Re-apply a recorded trace, checking each local redex; returns the result."""
-    cur = w
     for step in steps:
-        nxt, before, after = _apply_at(cur, step.path, step.rule)
-        if render(before) != step.before or render(after) != step.after:
+        mine = _step(w, step.rule, step.path)
+        if (mine.before, mine.after) != (step.before, step.after):
             raise ValueError(f"trace mismatch at {step}")
-        cur = nxt
-    return cur
+        w = _apply_at(w, step.path, step.rule)
+    return w

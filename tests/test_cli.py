@@ -6,6 +6,7 @@ import inspect
 import json
 import random
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -138,9 +139,15 @@ def test_bad_usage_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_check_all_passes_and_is_deterministic(capsys):
+def test_check_all_passes_and_is_deterministic(capsys, monkeypatch):
+    import avgroups.cli as cli_mod
+    drawn = []
+    real = cli_mod._sample
+    monkeypatch.setattr(cli_mod, "_sample", lambda *a, **k: drawn.append(a) or real(*a, **k))
     code, out, _ = run(capsys, "check", "--trials", "40", "--seed", "9")
     assert code == 0
+    # each word is drawn once: three normal slots and one raw slot per trial
+    assert len(drawn) == 40 * 4
     lines = out.splitlines()
     assert lines[-1].startswith("elapsed:")
     body = lines[:-1]
@@ -443,6 +450,24 @@ def test_readme_python_blocks_run_and_show_their_values():
             assert shown.startswith("# "), lines[stmt.end_lineno - 1]
             got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
             assert got == ast.literal_eval(shown[2:]), lines[stmt.end_lineno - 1]
+
+
+def test_readme_cli_lines_keep_their_exit_codes(capsys):
+    # every line of the README's CLI block that needs no file, run in-process
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    ran = 0
+    for line in block.splitlines():
+        prog, *argv = shlex.split(line, comments=True)
+        assert prog == "avgroups", line
+        if any(a.endswith(".json") for a in argv):
+            continue
+        code, out, _ = run(capsys, *argv)
+        assert code == (1 if argv[:2] == ["normalize", "--check-only"] else 0), line
+        if argv[:2] == ["normalize", "--trace"]:
+            assert out == "step 1 R1 at 0: [x] [y] -> [x [y]]\n[x [y]]\n"
+        ran += 1
+    assert ran == 10
 
 
 def _imported_from_avgroups(source):

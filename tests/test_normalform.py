@@ -10,15 +10,17 @@ from avgroups.words import (
     Word,
     bracket_literal,
     eval_operated,
+    make_br,
     parse,
     reduce_concat,
     render,
+    single,
 )
 from avgroups.normalform import (
     OracleStepLimit,
     RewriteStep,
     STRATEGIES,
-    _apply_at,
+    _FINDERS,
     _matches_r2,
     _matches_r3,
     _pair_rule,
@@ -34,6 +36,14 @@ from avgroups.structures import IntShiftGroup
 # the table's row on raw words: both strategies agree, and the result is
 # normal and a fixed point
 (ORACLE_RAW_LAW,) = [r[4] for r in law_table(("x", "y", "z")) if r[3] == "raw"]
+
+
+def _traced(w, strategy=STRATEGIES[0]):
+    """The normal form of `w` and the steps `oracle_steps` takes to it."""
+    normal, steps = w, []
+    for normal, step in oracle_steps(w, strategy):
+        steps.append(step)
+    return normal, steps
 
 
 def test_is_normal_accepts_standard_forms():
@@ -89,7 +99,7 @@ def test_oracle_leaves_normal_words_alone():
 
 def test_oracle_rule_names_and_trace_replay():
     w = parse("[[x]@2 y] [z]")
-    normal, steps = oracle_normalize(w, trace=True)
+    normal, steps = _traced(w)
     assert normal == parse("[x [y [z]]]@2")
     assert [s.rule for s in steps] == ["R2", "R1", "R1"]
     assert replay_trace(w, steps) == normal
@@ -97,10 +107,12 @@ def test_oracle_rule_names_and_trace_replay():
 
 def test_replay_rejects_tampered_trace():
     w = parse("[x] [y]")
-    _, steps = oracle_normalize(w, trace=True)
-    broken = [type(steps[0])(steps[0].rule, steps[0].path, "[q]", steps[0].after)]
-    with pytest.raises(ValueError):
-        replay_trace(w, broken)
+    _, (step,) = _traced(w)
+    for broken in (RewriteStep(step.rule, step.path, "[q]", step.after),
+                   RewriteStep(step.rule, step.path, step.before, "[q]"),
+                   RewriteStep("R9", step.path, step.before, step.after)):
+        with pytest.raises(ValueError):
+            replay_trace(w, [broken])
 
 
 def test_trace_renders_deep_intermediates():
@@ -112,7 +124,7 @@ def test_trace_renders_deep_intermediates():
     for _ in range(300):
         w = Word((x, Br(w, 1, 1)))
     w = Word(w.factors + (Br(Word((x,)), 1, 1),))
-    normal, steps = oracle_normalize(w, trace=True)
+    normal, steps = _traced(w)
     text = render(normal)
     assert text == "x [" * 301 + "x" + "]" * 301
     assert len(steps) == 300 and {s.rule for s in steps} == {"R1"}
@@ -143,6 +155,21 @@ def test_two_strategies_agree_and_are_idempotent():
         assert ORACLE_RAW_LAW(r), render(r)
 
 
+def test_is_normal_exactly_when_neither_finder_finds_a_redex():
+    normal = total = 0
+    for depth, breadth in ((3, 4), (5, 6), (7, 8)):
+        for seed in range(400):
+            p = GenParams(seed=seed, max_depth=depth, max_breadth=breadth)
+            for w in (random_raw_word(p), random_normal_word(p),
+                      random_normal_word(p, via_oracle=True)):
+                clean = all(find(w, (), {}) is None for find in _FINDERS.values())
+                assert is_normal(w) == clean, render(w)
+                normal += clean
+                total += 1
+    # both verdicts occur: 3,105 of the 3,600 words are normal
+    assert normal >= 3000 and total - normal >= 400
+
+
 def test_step_limit_raises():
     with pytest.raises(OracleStepLimit):
         oracle_normalize(parse("[x] [y]"), step_limit=0)
@@ -164,7 +191,61 @@ def test_oracle_output_is_always_normal(seed):
     assert oracle_normalize(bracket_literal(n)) == oracle_normalize(bracket_literal(r))
 
 
-# --- reference: the search from the root at every step, with no memo ---------
+# --- reference: the search from the root at every step, with no memo, and a
+# rule application written out rule by rule --------------------------------
+
+
+def _reference_apply_local(fs, i, rule):
+    """Apply `rule` at index i of the factor sequence; return (new, before, after)."""
+    if rule == "R0":
+        return fs[:i] + fs[i + 2 :], Word(fs[i : i + 2]), Word(())
+    if rule == "R1":
+        a, b = fs[i], fs[i + 1]
+        merged = make_br(
+            Word(a.content.factors + (make_br(b.content, 1, 1),)),
+            a.iter + b.iter - 1,
+            1,
+        )
+        return fs[:i] + (merged,) + fs[i + 2 :], Word(fs[i : i + 2]), single(merged)
+    if rule == "R1-":
+        a, b = fs[i], fs[i + 1]
+        merged = make_br(
+            Word(b.content.factors + (make_br(a.content, 1, 1),)),
+            a.iter + b.iter - 1,
+            -1,
+        )
+        return fs[:i] + (merged,) + fs[i + 2 :], Word(fs[i : i + 2]), single(merged)
+    if rule == "R2":
+        f = fs[i]
+        head = f.content.factors[0]
+        rest = Word(f.content.factors[1:])
+        new = make_br(
+            Word(head.content.factors + (make_br(rest, 1, 1),)),
+            f.iter + head.iter - 1,
+            f.sign,
+        )
+        return fs[:i] + (new,) + fs[i + 1 :], single(f), single(new)
+    if rule == "R3":
+        f = fs[i]
+        last = f.content.factors[-1]
+        new = make_br(
+            Word(f.content.factors[:-1] + (make_br(last.content, 1, 1),)),
+            f.iter + last.iter - 1,
+            f.sign,
+        )
+        return fs[:i] + (new,) + fs[i + 1 :], single(f), single(new)
+    raise ValueError(f"unknown rule {rule}")
+
+
+def _reference_apply_at(w, path, rule):
+    if len(path) == 1:
+        new, before, after = _reference_apply_local(w.factors, path[0], rule)
+        return Word(new), before, after
+    i = path[0]
+    f = w.factors[i]
+    new_content, before, after = _reference_apply_at(f.content, path[1:], rule)
+    nf = make_br(new_content, f.iter, f.sign)
+    return Word(w.factors[:i] + (nf,) + w.factors[i + 1 :]), before, after
 
 
 def _reference_innermost_leftmost(w, path):
@@ -217,7 +298,7 @@ def _reference_normalize(w, strategy):
     cur, steps = w, []
     while (found := find(cur, ())) is not None:
         path, rule = found
-        cur, before, after = _apply_at(cur, path, rule)
+        cur, before, after = _reference_apply_at(cur, path, rule)
         steps.append(RewriteStep(rule, path, render(before), render(after)))
     return cur, steps
 
@@ -235,9 +316,8 @@ def test_memoized_search_takes_the_reference_steps(strategy):
     rewritten = steps_taken = 0
     for w in _seeded_words():
         want, want_steps = _reference_normalize(w, strategy)
-        normal, steps = oracle_normalize(w, strategy, trace=True)
+        normal, steps = _traced(w, strategy)
         assert steps == want_steps and normal == want, render(w)
-        assert [s for _, s in oracle_steps(w, strategy)] == want_steps
         assert oracle_normalize(w, strategy) == want
         assert replay_trace(w, steps) == want
         rewritten += bool(steps)
@@ -254,6 +334,7 @@ def test_step_limit_fires_one_step_short(strategy):
         if not steps:
             continue
         assert oracle_normalize(w, strategy, step_limit=len(steps)) == want
-        for trace in (False, True):
-            with pytest.raises(OracleStepLimit):
-                oracle_normalize(w, strategy, step_limit=len(steps) - 1, trace=trace)
+        with pytest.raises(OracleStepLimit):
+            oracle_normalize(w, strategy, step_limit=len(steps) - 1)
+        with pytest.raises(OracleStepLimit):
+            list(oracle_steps(w, strategy, step_limit=len(steps) - 1))
