@@ -1,16 +1,21 @@
 """Exact-rational linear layer: group algebras and Lie structure constants.
 
-Group algebra elements are finitely supported maps from element index to
-Fraction; zero coefficients never appear in the support.  The group algebra
-carries the diagonal coproduct, the sum counit, and the inversion antipode,
-which together feed the operator checks: an operator table is averaging on
-the group exactly when its linear extension is averaging on the algebra and
-a coalgebra map, and that equivalence is asserted, never assumed.  The Lie
-side works over structure constants with exact arithmetic throughout; no
-floating point enters this module.
+Group algebra elements are finitely supported maps from element index to an
+exact coefficient, a plain int or a Fraction; zero coefficients never appear
+in the support.  Integral data stays in ints (basis vectors, set-map
+extensions, the seeded spot-check samples); a Fraction enters only where a
+caller supplies one, and int-Fraction arithmetic stays exact.
+
+The group algebra carries the diagonal coproduct, the sum counit, and the
+inversion antipode, which together feed the operator checks: an operator
+table is averaging on the group exactly when its linear extension is
+averaging on the algebra and a coalgebra map, and that equivalence is
+asserted, never assumed.  The Lie side works over Fraction structure
+constants; no floating point enters this module.
 """
 
 from fractions import Fraction
+import functools
 import random
 
 from .structures import (
@@ -37,7 +42,12 @@ def _frac(v) -> Fraction:
         raise TableError(f"not a rational value: {v!r}") from None
 
 
-_ZERO = Fraction(0)
+def _coeff(v):
+    """A group algebra coefficient: an int stays an int, anything else is read by _frac."""
+    return v if type(v) is int else _frac(v)
+
+
+_ZERO = 0
 
 
 def _norm(coeffs: dict) -> dict:
@@ -59,7 +69,7 @@ def _combine(terms) -> dict:
 
 
 def ga_basis(i: int) -> dict:
-    return {i: Fraction(1)}
+    return {i: 1}
 
 
 def ga_add(a: dict, b: dict) -> dict:
@@ -70,7 +80,7 @@ def ga_add(a: dict, b: dict) -> dict:
 
 
 def ga_scale(q, a: dict) -> dict:
-    q = _frac(q)
+    q = _coeff(q)
     return _norm({k: q * v for k, v in a.items()})
 
 
@@ -103,7 +113,7 @@ def linear_extend(g: FiniteGroupTable, A):
     if seq and isinstance(seq[0], dict):
         if len(seq) != len(g):
             raise TableError("one basis image per carrier element required")
-        images = [_norm({int(k): _frac(v) for k, v in img.items()}) for img in seq]
+        images = [_norm({int(k): _coeff(v) for k, v in img.items()}) for img in seq]
 
         def apply(a: dict) -> dict:
             return _combine((c, images[i]) for i, c in a.items())
@@ -126,15 +136,28 @@ def linear_extend(g: FiniteGroupTable, A):
 def _random_element(rng, n: int) -> dict:
     out = {}
     for _ in range(rng.randint(1, 3)):
-        out[rng.randrange(n)] = Fraction(rng.randint(-3, 3))
+        out[rng.randrange(n)] = rng.randint(-3, 3)
     return _norm(out)
+
+
+@functools.lru_cache(maxsize=32)
+def _samples(n: int, seed: int, count: int, per_sample: int) -> tuple:
+    """`count` samples of `per_sample` random elements over a carrier of size n.
+
+    Drawn once per argument tuple, with the random.Random(seed) calls the
+    checks would make one sample at a time; the checks only read them.
+    """
+    rng = random.Random(seed)
+    return tuple(tuple(_random_element(rng, n) for _ in range(per_sample))
+                 for _ in range(count))
 
 
 def check_averaging_algebra(g: FiniteGroupTable, A) -> CheckReport:
     """P(a)P(b) = P(P(a)b) = P(aP(b)) on the group algebra.
 
     Both sides are bilinear, so basis pairs decide the law; the random
-    non-basis pairs only guard the linear-extension plumbing.
+    non-basis pairs only guard the linear-extension plumbing.  Those seeded
+    pairs are drawn once per (carrier size, seed) and reused by every call.
     """
     P = linear_extend(g, A)
     n = len(g)
@@ -148,18 +171,16 @@ def check_averaging_algebra(g: FiniteGroupTable, A) -> CheckReport:
                     lambda i, j: holds(ga_basis(i), ga_basis(j)), n, 2, g.name)]
     if entries[0][1]:
         entries.append(_spot_checks(
-            "averaging on random combinations",
-            lambda rng: holds(_random_element(rng, n), _random_element(rng, n)),
-            100, "pairs", 0))
+            "averaging on random combinations", holds, n, 100, 2, "pairs", 0))
     return CheckReport(tuple(entries))
 
 
-def _spot_checks(law, draw_ok, samples, noun, seed):
-    """Entry of a seeded random check: draw_ok(rng) draws one sample and tests it."""
-    rng = random.Random(seed)
-    law, ok, detail = _law(law, lambda _: draw_ok(rng), samples, 1,
+def _spot_checks(law, holds, n, count, per_sample, noun, seed):
+    """Entry of a seeded random check: holds(*sample) on each cached sample in turn."""
+    samples = _samples(n, seed, count, per_sample)
+    law, ok, detail = _law(law, lambda t: holds(*samples[t]), count, 1,
                            lambda t: f"sample {t}, seed {seed}")
-    return law, ok, detail if not ok else f"{samples} {noun}, seed {seed}"
+    return law, ok, detail if not ok else f"{count} {noun}, seed {seed}"
 
 
 def coproduct(a: dict) -> dict:
@@ -167,7 +188,7 @@ def coproduct(a: dict) -> dict:
     return _norm({(i, i): c for i, c in a.items()})
 
 
-def counit(a: dict) -> Fraction:
+def counit(a: dict):
     return sum(a.values(), _ZERO)
 
 
@@ -180,7 +201,8 @@ def check_coalgebra_map(g: FiniteGroupTable, A) -> CheckReport:
 
     Verifies cop(P(x)) = (P tensor P)(cop(x)) and counit(P(x)) = counit(x),
     on the basis and on random combinations.  Linear extensions of set maps
-    always pass; genuinely spread-out operators can fail.
+    always pass; genuinely spread-out operators can fail.  The seeded
+    samples are drawn once per (carrier size, seed) and reused by every call.
     """
     P = linear_extend(g, A)
     n = len(g)
@@ -202,8 +224,7 @@ def check_coalgebra_map(g: FiniteGroupTable, A) -> CheckReport:
     if all(ok for _, ok, _ in entries):
         entries.append(_spot_checks(
             "compatibility on random combinations",
-            lambda rng: cop_ok(x := _random_element(rng, n)) and counit_ok(x),
-            20, "samples", 1))
+            lambda x: cop_ok(x) and counit_ok(x), n, 20, 1, "samples", 1))
     return CheckReport(tuple(entries))
 
 
@@ -300,7 +321,7 @@ class LieAlgebraSpec:
     def bracket(self, x, y):
         """[x, y] on coefficient tuples."""
         v = _bilinear(self._sparse_c, _sparse(x), _sparse(y))
-        return tuple(v.get(i, _ZERO) for i in range(self.dim))
+        return tuple(v.get(i, Fraction(0)) for i in range(self.dim))
 
     def basis(self, i: int):
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))

@@ -234,11 +234,36 @@ def _rewrites(w: Word, strategy: str, step_limit: int):
         )
 
 
+def _redex(w: Word, rule: str, path: tuple) -> tuple:
+    """The letters at `path` of `w` that `rule` rewrites.
+
+    Raises ValueError unless the path runs through brackets to a level of
+    `w` and `rule` licenses the letters it names there.
+    """
+    fs = w.factors
+    for depth, i in enumerate(path, 1):
+        if type(i) is not int or not 0 <= i < len(fs):
+            break
+        if depth == len(path):
+            redex = fs[i : i + _width(rule)]
+            if rule == "R2":
+                ok = _matches_r2(redex[0])
+            elif rule == "R3":
+                ok = _matches_r3(redex[0])
+            else:
+                ok = len(redex) == 2 and _pair_rule(*redex) == rule
+            if ok:
+                return redex
+            break
+        if type(fs[i]) is not Br:
+            break
+        fs = fs[i].content.factors
+    raise ValueError(f"no {rule} redex at path {path}")
+
+
 def _step(w: Word, rule: str, path: tuple) -> RewriteStep:
     """The rendered step applying `rule` at `path` of `w`, the word before it."""
-    for i in path[:-1]:
-        w = w.factors[i].content
-    redex = w.factors[path[-1] : path[-1] + _width(rule)]
+    redex = _redex(w, rule, path)
     after = Word(_replacement(redex, rule))
     return RewriteStep(rule, path, render(Word(redex)), render(after))
 
@@ -261,7 +286,11 @@ def oracle_normalize(w: Word, strategy: str = "innermost-leftmost",
 
 
 def replay_trace(w: Word, steps) -> Word:
-    """Re-apply a recorded trace, checking each local redex; returns the result."""
+    """Re-apply a recorded trace, checking each step; returns the result.
+
+    A step must name a redex its rule licenses, and its recorded text must
+    match that redex and its replacement; otherwise ValueError.
+    """
     for step in steps:
         mine = _step(w, step.rule, step.path)
         if (mine.before, mine.after) != (step.before, step.after):

@@ -10,6 +10,7 @@ import pytest
 from avgroups.structures import TableError, cyclic_group, klein_four_group, sym3
 from avgroups.linearalg import (
     LieAlgebraSpec,
+    _samples,
     check_antipode_averaging,
     check_averaging_algebra,
     check_averaging_lie,
@@ -442,6 +443,50 @@ def test_group_algebra_arithmetic_matches_the_reference():
             assert all(type(v) is Fraction for v in {**P(a), **Q(a), **ga_mul(a, b, g)}.values())
 
 
+def test_int_coefficients_stay_ints_and_mix_exactly_with_fractions():
+    rng = random.Random(17)
+    for g in (cyclic_group(4), klein_four_group(), sym3()):
+        n = len(g)
+        for mixed in (False, True):
+            def coeff(lo, hi):
+                c = rng.randint(lo, hi)
+                return Fraction(c, rng.randint(1, 3)) if mixed and rng.random() < 0.5 else c
+
+            elements = [{rng.randrange(n): coeff(-3, 3) for _ in range(rng.randint(0, 4))}
+                         for _ in range(30)]
+            elements = [{k: v for k, v in a.items() if v} for a in elements]
+            op = [rng.randrange(n) for _ in range(n)]
+            spread = [{rng.randrange(n): coeff(-2, 2) for _ in range(2)} for _ in range(n)]
+            P, Q = linear_extend(g, op), linear_extend(g, spread)
+            P_ref = _ref_extend([{k: Fraction(1)} for k in op])
+            Q_ref = _ref_extend([{k: Fraction(v) for k, v in img.items() if v} for img in spread])
+            for a, b in zip(elements, reversed(elements)):
+                fa, fb = ({k: Fraction(v) for k, v in x.items()} for x in (a, b))
+                assert ga_mul(a, b, g) == _ref_ga_mul(fa, fb, g)
+                assert P(a) == P_ref(fa) and Q(a) == Q_ref(fa)
+                assert counit(a) == sum(fa.values(), Fraction(0))
+                if not mixed:
+                    outs = [ga_mul(a, b, g), P(a), Q(a), coproduct(a), ga_scale(2, a)]
+                    assert all(type(v) is int for out in outs for v in out.values())
+                    assert type(counit(a)) is int and type(counit(Q(a))) is int
+    assert type(ga_basis(3)[3]) is int
+
+
+def _fresh_draws(n, seed, count, per_sample):
+    """The samples of random.Random(seed), drawn here without the module's cache."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        sample = []
+        for _ in range(per_sample):
+            x = {}
+            for _ in range(rng.randint(1, 3)):
+                x[rng.randrange(n)] = Fraction(rng.randint(-3, 3))
+            sample.append({k: v for k, v in x.items() if v})
+        out.append(tuple(sample))
+    return tuple(out)
+
+
 def _ref_averaging_algebra(g, P, spot_checks=100, seed=0):
     n = len(g)
 
@@ -454,18 +499,8 @@ def _ref_averaging_algebra(g, P, spot_checks=100, seed=0):
     entries = [("averaging on basis pairs", bad is None,
                 "" if bad is None else f"fails at ({g.name(bad[0])}, {g.name(bad[1])})")]
     if bad is None:
-        rng = random.Random(seed)
-        spot_bad = None
-        for t in range(spot_checks):
-            a = {}
-            for _ in range(rng.randint(1, 3)):
-                a[rng.randrange(n)] = Fraction(rng.randint(-3, 3))
-            b = {}
-            for _ in range(rng.randint(1, 3)):
-                b[rng.randrange(n)] = Fraction(rng.randint(-3, 3))
-            if not holds({k: v for k, v in a.items() if v}, {k: v for k, v in b.items() if v}):
-                spot_bad = t
-                break
+        spot_bad = next((t for t, (a, b) in enumerate(_fresh_draws(n, seed, spot_checks, 2))
+                         if not holds(a, b)), None)
         entries.append(("averaging on random combinations", spot_bad is None,
                         f"{spot_checks} pairs, seed {seed}" if spot_bad is None
                         else f"fails at sample {spot_bad}, seed {seed}"))
@@ -475,7 +510,7 @@ def _ref_averaging_algebra(g, P, spot_checks=100, seed=0):
 def test_averaging_algebra_reports_match_the_reference():
     rng = random.Random(13)
     passing = {True: 0, False: 0}  # by whether the operator is a set map
-    for g in (cyclic_group(2), cyclic_group(3), klein_four_group()):
+    for g in (cyclic_group(2), cyclic_group(3), klein_four_group(), cyclic_group(4)):
         n = len(g)
         ops = [list(op) for op in itertools.product(range(n), repeat=n)]
         # explicit images: scaled and spread basis vectors
@@ -487,4 +522,28 @@ def test_averaging_algebra_reports_match_the_reference():
             rep = check_averaging_algebra(g, op)
             assert rep.entries == _ref_averaging_algebra(g, P_ref), op
             passing[isinstance(op[0], int)] += rep.ok
-    assert passing[True] == 3 + 4 + 17 and passing[False] > 0
+    assert passing[True] == 3 + 4 + 17 + 9 and passing[False] > 0
+
+
+def test_spot_check_samples_are_drawn_once_and_never_change():
+    _samples.cache_clear()
+    g = cyclic_group(4)
+    # the mean over the carrier: averaging on the algebra, but no coalgebra map
+    mean = [ga_scale("1/4", {h: 1 for h in range(4)})] * 4
+
+    def reports(op):
+        return check_averaging_algebra(g, op).entries, check_coalgebra_map(g, op).entries
+
+    first = reports(mean)
+    assert first == (
+        (("averaging on basis pairs", True, ""),
+         ("averaging on random combinations", True, "100 pairs, seed 0")),
+        (("coproduct compatibility on basis", False, "fails at 0"),
+         ("counit preservation on basis", True, "")))
+    passing = reports((0, 0, 0, 0))
+    assert all(ok for entries in passing for _, ok, _ in entries)
+    assert passing[1][-1] == ("compatibility on random combinations", True, "20 samples, seed 1")
+    assert reports(mean) == first
+    assert _samples(4, 0, 100, 2) == _fresh_draws(4, 0, 100, 2)
+    assert _samples(4, 1, 20, 1) == _fresh_draws(4, 1, 20, 1)
+    assert _samples.cache_info().misses == 2

@@ -115,6 +115,28 @@ def test_replay_rejects_tampered_trace():
             replay_trace(w, [broken])
 
 
+def test_replay_rejects_unlicensed_rewrites_and_bad_paths():
+    # the recorded text matches the replacement, but the rule does not fit
+    for text, step in (
+        ("x y", RewriteStep("R0", (0,), "x y", "1")),
+        ("[x]^-1 [y]^-1", RewriteStep("R1", (0,), "[x]^-1 [y]^-1", "[x [y]]")),
+    ):
+        with pytest.raises(ValueError, match="no R. redex"):
+            replay_trace(parse(text), [step])
+    # paths through a generator, to no level, and past the end
+    w = Word((Gen("x", 1), Gen("x", -1)))  # unreduced; parse() would cancel it
+    for path in ((0, 0), (), (7,)):
+        with pytest.raises(ValueError, match="no R0 redex"):
+            replay_trace(w, [RewriteStep("R0", path, "x x^-1", "1")])
+    assert replay_trace(w, [RewriteStep("R0", (0,), "x x^-1", "1")]) == ONE
+    # every real trace still replays, under both strategies
+    for seed in range(40):
+        w = random_raw_word(GenParams(4, 4, ("x", "y"), seed))
+        for strategy in STRATEGIES:
+            normal, steps = _traced(w, strategy)
+            assert replay_trace(w, steps) == normal
+
+
 def test_trace_renders_deep_intermediates():
     # x [x [x ... [x]]] [x], 300 deep: each R1 step moves the trailing [x] one
     # level in, so the traced steps render words about 300 deep.  Deep words
