@@ -225,13 +225,11 @@ def law_table(alphabet):
     ]
 
 
-def run_suite(name: str, cfg: SuiteConfig):
-    """Run one suite; returns (ok, report lines)."""
-    return _run_suite(name, cfg, law_table(cfg.alphabet), {})
-
-
 def _run_suite(name: str, cfg: SuiteConfig, table, drawn: dict):
-    """run_suite on a built `table`; `drawn` keeps each word by (trial, slot, corpus)."""
+    """Run one suite on a built `table`; returns (ok, report lines).
+
+    `drawn` keeps each word by (trial, slot, corpus), shared across suites.
+    """
     laws = [row[1:] for row in table if row[0] == name]
     if not laws:
         raise ValueError(f"unknown suite {name!r}")
@@ -255,6 +253,7 @@ def _run_suite(name: str, cfg: SuiteConfig, table, drawn: dict):
 
 
 def run_suites(cfg: SuiteConfig):
+    """Run cfg.suite, or every suite for "all"; returns (exit code, report lines)."""
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     code, lines = 0, []
     table, drawn = law_table(cfg.alphabet), {}

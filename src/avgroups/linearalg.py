@@ -68,6 +68,11 @@ def _combine(terms) -> dict:
     return _norm(out)
 
 
+def _apply(images, v: dict) -> dict:
+    """The linear map with images[j] as the image of basis vector j, on sparse v."""
+    return _combine((x, images[j]) for j, x in v.items())
+
+
 def ga_basis(i: int) -> dict:
     return {i: 1}
 
@@ -107,18 +112,18 @@ def linear_extend(g: FiniteGroupTable, A):
     """Linear operator on the group algebra from its basis images.
 
     Accepts an index table (a set map, extended linearly) or an explicit
-    list of group algebra elements, one per basis vector.
+    list of group algebra elements, one per basis vector, each supported
+    on carrier indices.
     """
-    seq = list(A)
+    seq, n = list(A), len(g)
     if seq and isinstance(seq[0], dict):
-        if len(seq) != len(g):
+        if len(seq) != n:
             raise TableError("one basis image per carrier element required")
-        images = [_norm({int(k): _coeff(v) for k, v in img.items()}) for img in seq]
-
-        def apply(a: dict) -> dict:
-            return _combine((c, images[i]) for i, c in a.items())
-
-        return apply
+        for k in (k for img in seq for k in img):
+            if type(k) is not int or not 0 <= k < n:
+                raise TableError(f"support index {k!r} outside the carrier")
+        images = [_norm({k: _coeff(v) for k, v in img.items()}) for img in seq]
+        return functools.partial(_apply, images)
     target = as_operator(g, seq)
 
     def move(a: dict) -> dict:
@@ -261,11 +266,6 @@ def check_antipode_averaging(g: FiniteGroupTable) -> CheckReport:
     return CheckReport(((law, True, ""),) + check_averaging_algebra(g, inv).entries)
 
 
-def _sparse(v) -> dict:
-    """Zero-free {index: coefficient} form of a coefficient sequence."""
-    return {i: x for i, x in enumerate(v) if x}
-
-
 def _units(d: int) -> list:
     """The basis vectors e_0 .. e_{d-1}, as sparse vectors."""
     return [{i: Fraction(1)} for i in range(d)]
@@ -277,57 +277,39 @@ def _bilinear(table, u: dict, v: dict) -> dict:
 
 
 class LieAlgebraSpec:
-    """Structure constants c[i][j][k] for [e_i, e_j] = sum_k c[i][j][k] e_k.
+    """Structure constants of [e_i, e_j] = sum_k c_ijk e_k, kept sparsely.
 
-    The nonzero constants are also kept sparsely, one zero-free
-    {k: c[i][j][k]} map per pair (i, j), for the exact checks below.
+    `brackets[i][j]` is the zero-free {k: c_ijk} map of the pair (i, j).
+    Specs are built by from_brackets alone.
     """
-
-    def __init__(self, dim: int, constants):
-        dim = int(dim)
-        if dim < 1:
-            raise TableError("Lie algebra dimension must be at least 1")
-        c = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                cell = tuple(_frac(v) for v in constants[i][j])
-                if len(cell) != dim:
-                    raise TableError("structure constant array must be dim^3")
-                row.append(cell)
-            c.append(tuple(row))
-        self.dim = dim
-        self.c = tuple(c)
-        self._sparse_c = tuple(tuple(_sparse(cell) for cell in row) for row in self.c)
-        self._report = None  # validate_lie's report, made on first use
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict):
         """Build from sparse {(i, j): {k: value}} data, zero-based.
 
         A pair whose mirror is absent gets the antisymmetric counterpart
-        filled in; explicitly given mirrors are kept as written.
+        filled in; explicitly given mirrors are kept as written.  Every
+        index must be an int in 0..dim-1.
         """
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        dim = int(dim)
+        if dim < 1:
+            raise TableError("Lie algebra dimension must be at least 1")
+
+        def index(v):
+            if type(v) is not int or not 0 <= v < dim:
+                raise TableError(f"basis index must be an int in 0..{dim - 1}, got {v!r}")
+            return v
+
+        table = [[{} for _ in range(dim)] for _ in range(dim)]
         for (i, j), coeffs in brackets.items():
-            for k, v in coeffs.items():
-                c[i][j][k] = _frac(v)
-        for (i, j), coeffs in brackets.items():
+            cell = _norm({index(k): _frac(v) for k, v in coeffs.items()})
+            table[index(i)][index(j)] = cell
             if (j, i) not in brackets:
-                for k, v in coeffs.items():
-                    c[j][i][k] = -_frac(v)
-        return cls(dim, c)
-
-    def bracket(self, x, y):
-        """[x, y] on coefficient tuples."""
-        v = _bilinear(self._sparse_c, _sparse(x), _sparse(y))
-        return tuple(v.get(i, Fraction(0)) for i in range(self.dim))
-
-    def basis(self, i: int):
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
-
-    def zero(self):
-        return (Fraction(0),) * self.dim
+                table[j][i] = {k: -v for k, v in cell.items()}
+        spec = object.__new__(cls)
+        spec.dim, spec.brackets = dim, tuple(map(tuple, table))
+        spec._report = None  # validate_lie's report, made on first use
+        return spec
 
 
 def validate_lie(L: LieAlgebraSpec) -> CheckReport:
@@ -337,7 +319,7 @@ def validate_lie(L: LieAlgebraSpec) -> CheckReport:
     """
     if L._report is not None:
         return L._report
-    d, sc = L.dim, L._sparse_c
+    d, sc = L.dim, L.brackets
     basis = _units(d)
 
     def jacobi_holds(i, j, k):
@@ -358,15 +340,9 @@ def _e(i: int) -> str:
     return f"e{i + 1}"
 
 
-def mat_apply(M, v):
-    """Row-major matrix action: result_i = sum_j M[i][j] v[j]."""
-    d = len(v)
-    return tuple(sum((M[i][j] * v[j] for j in range(d)), Fraction(0)) for i in range(d))
-
-
 def _columns(M):
     """The images M e_j, as sparse vectors."""
-    return [_sparse(col) for col in zip(*M)]
+    return [{i: x for i, x in enumerate(col) if x} for col in zip(*M)]
 
 
 def as_matrix(dim: int, M):
@@ -390,39 +366,30 @@ def check_averaging_lie(L: LieAlgebraSpec, M) -> CheckReport:
     validated first; an invalid spec is an error, not a report entry.
     """
     validate_lie(L).require()
-    M = as_matrix(L.dim, M)
-    sc, cols = L._sparse_c, _columns(M)
+    sc, cols = L.brackets, _columns(as_matrix(L.dim, M))
     basis = _units(L.dim)
-
-    def A(v):
-        return _combine((x, cols[j]) for j, x in v.items())
 
     def holds(i, j):
         lhs = _bilinear(sc, cols[i], cols[j])
-        return (lhs == A(_bilinear(sc, cols[i], basis[j]))
-                and lhs == A(_bilinear(sc, basis[i], cols[j])))
+        return (lhs == _apply(cols, _bilinear(sc, cols[i], basis[j]))
+                and lhs == _apply(cols, _bilinear(sc, basis[i], cols[j])))
 
     return CheckReport((_law("averaging on basis pairs", holds, L.dim, 2, _e),))
 
 
 def leibniz_bracket(L: LieAlgebraSpec, M):
-    """The derived bracket {x, y} = [A(x), y]."""
-    M = as_matrix(L.dim, M)
-
-    def br(x, y):
-        return L.bracket(mat_apply(M, x), y)
-
-    return br
+    """The derived bracket {x, y} = [A x, y], on sparse vectors."""
+    sc, cols = L.brackets, _columns(as_matrix(L.dim, M))
+    return lambda x, y: _bilinear(sc, _apply(cols, x), y)
 
 
 def check_leibniz(L: LieAlgebraSpec, M) -> CheckReport:
     """Left Leibniz law {x,{y,z}} = {{x,y},z} + {y,{x,z}} on basis triples."""
     validate_lie(L).require()
-    M = as_matrix(L.dim, M)
-    d, sc, cols = L.dim, L._sparse_c, _columns(M)
+    br, d = leibniz_bracket(L, M), L.dim
     basis = _units(d)
     # the derived bracket is bilinear: tabulate it on basis pairs once
-    D = [[_bilinear(sc, cols[a], basis[b]) for b in range(d)] for a in range(d)]
+    D = [[br(basis[a], basis[b]) for b in range(d)] for a in range(d)]
 
     def holds(i, j, k):
         return _bilinear(D, basis[i], D[j][k]) == _combine(

@@ -494,6 +494,8 @@ def load_group_file(source):
     data = _load_json(source)
     if not isinstance(data, dict) or "elements" not in data or "mul" not in data:
         raise TableError("group file needs 'elements' and 'mul'")
+    if not isinstance(data["elements"], (list, tuple)):
+        raise TableError("'elements' must be a list of element names")
     try:
         table = FiniteGroupTable(data["elements"], data["mul"])
     except TableError:

@@ -25,7 +25,7 @@ from avgroups.avgroup import (
     random_normal_word,
     random_raw_word,
 )
-from avgroups.cli import SuiteConfig, law_commutes, law_table, run_suite
+from avgroups.cli import SuiteConfig, law_commutes, law_table, run_suites
 from avgroups.structures import (
     AveragingGroupHandle,
     check_disemigroup,
@@ -134,8 +134,8 @@ def test_criterion_04_closure():
     assert _closure_outputs, "law suites must run first"
     for w in _closure_outputs:
         assert is_normal(w)
-    ok, lines = run_suite("closure", SuiteConfig(suite="closure", trials=1000, seed=4))
-    assert ok, lines
+    code, lines = run_suites(SuiteConfig(suite="closure", trials=1000, seed=4))
+    assert code == 0, lines
     _passed(4, f"all {len(_closure_outputs)} suite outputs normal, "
                "plus 1000 fresh closure trials")
 
@@ -299,16 +299,16 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
         _seam_merge_off_by_one(m)
         got = render(diamond(parse("[x [y]]@2"), parse("[z]@3")))
         assert got != "[x [y [z]]]@4"
-        ok, _ = run_suite("oracle", SuiteConfig(suite="oracle", trials=40, seed=7))
-        assert not ok
+        code, _ = run_suites(SuiteConfig(suite="oracle", trials=40, seed=7))
+        assert code != 0
 
     # mutant B: operator degenerates to a literal wrap
     with monkeypatch.context() as m:
         _operator_is_a_literal_wrap(m)
         got = render(_literal(parse("[x]@3 y [z]@2")))
         assert got != "[x [y [z]]]@4"
-        ok, _ = run_suite("oracle", SuiteConfig(suite="oracle", trials=40, seed=7))
-        assert not ok
+        code, _ = run_suites(SuiteConfig(suite="oracle", trials=40, seed=7))
+        assert code != 0
     _passed(10, "both recursion mutants break the exact examples and the "
                 "oracle-equivalence suite")
 

@@ -16,7 +16,6 @@ from avgroups.words import MAX_NESTING, op_degree, parse, render
 from avgroups.cli import (
     SuiteConfig,
     main,
-    run_suite,
     run_suites,
     shrink_counterexample,
 )
@@ -216,6 +215,10 @@ def test_eval_validation_failures(capsys, tmp_path):
     want = "error: 'mul' must be a row-major table of element indices: 1.7 is not an integer\n"
     assert run(capsys, "eval", "x", "--group", str(floats), "--map", "x=b") == (2, "", want)
     assert run(capsys, "search-ops", "--group", str(floats)) == (2, "", want)
+    numbered = tmp_path / "numbered.json"
+    numbered.write_text(json.dumps({"elements": 5, "mul": [[0]], "op": {}}))
+    want = "error: 'elements' must be a list of element names\n"
+    assert run(capsys, "eval", "x", "--group", str(numbered), "--map", "x=0") == (2, "", want)
     badlie = tmp_path / "badlie.json"
     badlie.write_text(json.dumps({"dim": 2, "brackets": {"[1,2]": {"2": "1"}}}))
     goodop = tmp_path / "goodop.json"
@@ -358,12 +361,10 @@ def test_run_suite_reports_minimal_counterexample(monkeypatch):
     monkeypatch.setattr(cli_mod, "diamond",
                         lambda u, v: real(u, v if not v.factors
                                           else type(v)(v.factors[:-1])))
-    ok, lines = run_suite("assoc", SuiteConfig(trials=30, seed=1))
-    assert not ok
-    assert lines[0].startswith("suite assoc: FAIL")
-    assert lines[1].startswith("counterexample:")
     code, lines = run_suites(SuiteConfig(suite="assoc", trials=30, seed=1))
     assert code == 1
+    assert lines[0].startswith("suite assoc: FAIL")
+    assert lines[1].startswith("counterexample:")
 
 
 # --- hostile files -----------------------------------------------------------
@@ -392,8 +393,8 @@ def _replaced(data, path, value):
 
 
 def test_hostile_files_keep_the_exit_contract(capsys, tmp_path):
-    # every dim and element count stays <= 8: a Lie spec allocates dim^3
-    # constants before any check
+    # every dim and element count stays <= 8: the Lie checks walk all dim^3
+    # basis triples
     files = {
         "group": {"elements": ["0", "1", "2"], "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
                   "op": {"0": "1", "1": "2", "2": "0"}},
@@ -424,6 +425,63 @@ def test_hostile_files_keep_the_exit_contract(capsys, tmp_path):
             assert code in (0, 1, 2) and "Traceback" not in err, (name, path, value, argv)
             seen.add(code)
     assert seen == {0, 1, 2}
+
+
+# --- hostile words -------------------------------------------------------------
+
+FUZZ_TOKENS = ("x", "y", "1", "[", "]", "]@", "^", "^-", "^0", "@0", "x^-1", " ", "\t",
+               "[]", "x@2", "é", "\x00", "[x", "x]", ";", "-", "^--1", "@", "]^", "]@-1",
+               "x^+1", "_", "a1", "1x", "[1]", "[x]@", "x^-0", "٣", "²", "３")
+# ASCII, Arabic-Indic, fullwidth, superscript and Devanagari digits
+FUZZ_DIGITS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "⁰¹²³⁴⁵⁶⁷⁸⁹",
+               "०१२३४५६७८९")
+
+
+def _hostile_word(rng):
+    """Malformed tokens, nesting at the bound, or ^k/@n spelled in any digits."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return "".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(1, 8)))
+    if kind < 3:
+        # "[[x]]" folds to "[x]@2"; "[y [y x]]" nests two deep
+        d = rng.choice((MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1))
+        inner = rng.choice(("x", "x y^-1", "1", "", "[x]@2"))
+        return (rng.choice(("[", "[y ", "[x^-1 ")) * d + inner + "]" * d
+                + rng.choice(("", "@2", "^-1", " x")))
+    digits = rng.choice(FUZZ_DIGITS)
+
+    def spell(v):
+        return "".join(digits[int(c)] for c in str(v))
+
+    k = rng.randint(0, 40)
+    n = int(10 ** rng.uniform(0, 4))  # n <= 10^4, most of them small
+    base = rng.choice(("[x y]", "[x [y]]", "[x]", "x", "[x^-1 y]", "1"))
+    return f"{base}@{spell(n)}^{rng.choice(('', '-'))}{spell(k)}"
+
+
+def test_hostile_words_keep_the_exit_contract(capsys, tmp_path):
+    group = tmp_path / "z2.json"
+    group.write_text(json.dumps(Z2))
+    rng = random.Random(12)
+    commands = [
+        lambda w: ["normalize", w],
+        lambda w: ["normalize", "--trace", w],
+        lambda w: ["normalize", "--via-ops", w],
+        lambda w: ["normalize", "--check-only", w],
+        lambda w: ["mul", w, _hostile_word(rng)],
+        lambda w: ["op", w, "--iter", rng.choice(("0", "-1", str(10 ** 9), "1", "3"))],
+        lambda w: ["inv", w],
+        lambda w: ["eval", w, "--group", str(group), "--map", "x=1,y=0"],
+    ]
+    seen, too_deep = set(), 0
+    for trial in range(240):
+        argv = commands[trial % len(commands)](_hostile_word(rng))
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        seen.add(code)
+        too_deep += "error: result nests brackets" in err
+    # results nested past the bound occur, and are refused with exit 2
+    assert seen == {0, 1, 2} and too_deep
 
 
 # --- README and package surface ------------------------------------------------

@@ -1,13 +1,23 @@
 """Group algebra and Lie structure-constant layer, all exact arithmetic."""
 
+import functools
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from avgroups.structures import TableError, cyclic_group, klein_four_group, sym3
+from avgroups.structures import (
+    CheckFailed,
+    TableError,
+    cyclic_group,
+    klein_four_group,
+    load_group_file,
+    sym3,
+)
 from avgroups.linearalg import (
     LieAlgebraSpec,
     _samples,
@@ -27,9 +37,13 @@ from avgroups.linearalg import (
     linear_extend,
     load_lie_file,
     load_operator_file,
-    mat_apply,
     validate_lie,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from avbench.workloads import _lie_inputs  # noqa: E402
 
 
 def test_group_algebra_arithmetic():
@@ -56,6 +70,12 @@ def test_linear_extend():
     assert Q(ga_basis(0)) == {0: Fraction(1), 1: Fraction(1)}
     with pytest.raises(TableError):
         linear_extend(z2, [ga_basis(0)])
+    # explicit images stay in the carrier, as ga_mul's arguments do
+    for stray in (5, -1):
+        images = [{stray: 1}, ga_basis(1)]
+        for check in (linear_extend, check_coalgebra_map, check_averaging_algebra):
+            with pytest.raises(TableError, match=f"support index {stray} outside the carrier"):
+                check(z2, images)
 
 
 def test_averaging_algebra_check():
@@ -149,11 +169,10 @@ PROJ_E2 = [[0, 0], [0, 1]]
 
 def test_lie_spec_and_validation():
     assert validate_lie(SOLVABLE).ok
-    assert SOLVABLE.bracket(SOLVABLE.basis(0), SOLVABLE.basis(1)) == SOLVABLE.basis(1)
-    assert SOLVABLE.bracket(SOLVABLE.basis(1), SOLVABLE.basis(0)) == \
-        tuple(-v for v in SOLVABLE.basis(1))
-    # antisymmetry violation
-    skew = LieAlgebraSpec(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])
+    # [e1, e2] = e2 as given, [e2, e1] = -e2 filled in, no zero constant kept
+    assert SOLVABLE.brackets == (({}, {1: 1}), ({1: -1}, {}))
+    # antisymmetry violation: the explicit empty mirror is kept as written
+    skew = LieAlgebraSpec.from_brackets(2, {(0, 1): {1: 1}, (1, 0): {}})
     rep = validate_lie(skew)
     assert not rep.ok and not rep.entry("antisymmetry")[0]
     # Jacobi violation: [e1,e2]=e1, [e1,e3]=e3, [e2,e3]=0
@@ -161,7 +180,15 @@ def test_lie_spec_and_validation():
     rep = validate_lie(nojac)
     assert rep.entry("antisymmetry")[0] and not rep.entry("Jacobi")[0]
     with pytest.raises(TableError):
-        LieAlgebraSpec(0, [])
+        LieAlgebraSpec.from_brackets(0, {})
+    # from_brackets is the one constructor: no dense cube is read
+    with pytest.raises(TypeError):
+        LieAlgebraSpec(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])
+    # every index is an int in 0..dim-1: -1 must not read as the last one
+    for bad in (-1, 2, 5, "1", 1.0, True, None):
+        for brackets in ({(0, 1): {bad: 1}}, {(bad, 1): {0: 1}}, {(0, bad): {0: 1}}):
+            with pytest.raises(TableError, match=r"basis index must be an int in 0\.\.1"):
+                LieAlgebraSpec.from_brackets(2, brackets)
 
 
 def test_averaging_lie_examples():
@@ -180,8 +207,8 @@ def test_averaging_lie_examples():
 
 def test_leibniz_bracket_and_check():
     br = leibniz_bracket(SOLVABLE, PROJ_E1)
-    assert br(SOLVABLE.basis(0), SOLVABLE.basis(1)) == SOLVABLE.basis(1)
-    assert br(SOLVABLE.basis(1), SOLVABLE.basis(0)) == SOLVABLE.zero()
+    assert br({0: 1}, {1: 1}) == {1: 1}
+    assert br({1: 1}, {0: 1}) == {}
     assert check_leibniz(SOLVABLE, PROJ_E1).ok
     # every pair that passes the averaging check passes Leibniz
     abelian = LieAlgebraSpec.from_brackets(2, {})
@@ -197,17 +224,12 @@ def test_leibniz_bracket_and_check():
         assert check_leibniz(L, M).ok
 
 
-def test_mat_apply_row_major():
-    M = ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1)))
-    assert mat_apply(M, (Fraction(1), Fraction(1))) == (Fraction(3), Fraction(1))
-
-
 def test_file_loaders(tmp_path):
     lie = tmp_path / "lie.json"
     lie.write_text(json.dumps(
         {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]}))
     L = load_lie_file(str(lie))
-    assert L.c == SOLVABLE.c
+    assert L.brackets == SOLVABLE.brackets
     op = tmp_path / "op.json"
     op.write_text(json.dumps({"dim": 2, "matrix": ["1", "0", "0", "0"]}))
     M = load_operator_file(str(op))
@@ -228,7 +250,7 @@ def test_file_loaders(tmp_path):
     both = load_lie_file({"dim": 2, "brackets": [
         {"i": 1, "j": 2, "coeffs": {"2": "1"}},
         {"i": 2, "j": 1, "coeffs": {"2": "-1"}}]})
-    assert both.c == SOLVABLE.c
+    assert both.brackets == SOLVABLE.brackets
 
 
 def test_loaders_reject_malformed_shapes():
@@ -264,13 +286,34 @@ def test_loaders_reject_malformed_shapes():
     for coeffs in (5, None, [], "x"):
         with pytest.raises(TableError):
             load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]})
+    # a group file's carrier that is no list is named as such, not blamed on 'mul'
+    for elements in (5, None, "01", {"0": 0}):
+        with pytest.raises(TableError, match="^'elements' must be a list of element names$"):
+            load_group_file({"elements": elements, "mul": [[0]]})
 
 
-# --- reference copies: dense Lie arithmetic, and the group algebra summed
-# --- from Fraction(0), as the checks were first written -------------------
+# --- reference copies: dense Lie arithmetic on a cube built here from the
+# --- bracket data, and the group algebra summed from Fraction(0), as the
+# --- checks were first written ---------------------------------------------
 
-def _ref_bracket(L, x, y):
-    d = L.dim
+def _ref_cube(d, brackets):
+    """c[i][j][k] of zero-based bracket data; an absent mirror is antisymmetric."""
+    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for (i, j), coeffs in brackets.items():
+        for k, v in coeffs.items():
+            c[i][j][k] = Fraction(v)
+            if (j, i) not in brackets:
+                c[j][i][k] = -Fraction(v)
+    return c
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_basis(d, i):
+    return tuple(Fraction(int(j == i)) for j in range(d))
+
+
+def _ref_bracket(c, x, y):
+    d = len(c)
     out = [Fraction(0)] * d
     for i in range(d):
         if x[i] == 0:
@@ -278,29 +321,31 @@ def _ref_bracket(L, x, y):
         for j in range(d):
             if y[j] == 0:
                 continue
+            xy, cij = x[i] * y[j], c[i][j]
             for k in range(d):
-                out[k] += x[i] * y[j] * L.c[i][j][k]
+                if cij[k]:
+                    out[k] += xy * cij[k]
     return tuple(out)
 
 
 def _ref_mat_apply(M, v):
-    return tuple(sum((M[i][j] * v[j] for j in range(len(v))), Fraction(0))
+    return tuple(sum((M[i][j] * v[j] for j in range(len(v)) if M[i][j] and v[j]), Fraction(0))
                  for i in range(len(v)))
 
 
-def _ref_validate_lie(L):
-    d = L.dim
+def _ref_validate_lie(c):
+    d = len(c)
     bad = next(((i, j) for i, j, k in itertools.product(range(d), repeat=3)
-                if L.c[i][j][k] != -L.c[j][i][k]), None)
+                if c[i][j][k] != -c[j][i][k]), None)
     entries = [("antisymmetry", bad is None,
                 "" if bad is None else f"fails at (e{bad[0]+1}, e{bad[1]+1})")]
     bad = None
     for i, j, k in itertools.product(range(d), repeat=3):
-        ei, ej, ek = L.basis(i), L.basis(j), L.basis(k)
-        total = [a + b + c for a, b, c in zip(
-            _ref_bracket(L, ei, _ref_bracket(L, ej, ek)),
-            _ref_bracket(L, ej, _ref_bracket(L, ek, ei)),
-            _ref_bracket(L, ek, _ref_bracket(L, ei, ej)))]
+        ei, ej, ek = _ref_basis(d, i), _ref_basis(d, j), _ref_basis(d, k)
+        total = [a + b + e for a, b, e in zip(
+            _ref_bracket(c, ei, _ref_bracket(c, ej, ek)),
+            _ref_bracket(c, ej, _ref_bracket(c, ek, ei)),
+            _ref_bracket(c, ek, _ref_bracket(c, ei, ej)))]
         if any(total):
             bad = (i, j, k)
             break
@@ -309,27 +354,30 @@ def _ref_validate_lie(L):
     return tuple(entries)
 
 
-def _ref_averaging_lie(L, M):
+def _ref_averaging_lie(c, M):
+    d = len(c)
     bad = None
-    for i, j in itertools.product(range(L.dim), repeat=2):
-        ei, ej = L.basis(i), L.basis(j)
+    for i, j in itertools.product(range(d), repeat=2):
+        ei, ej = _ref_basis(d, i), _ref_basis(d, j)
         Aei, Aej = _ref_mat_apply(M, ei), _ref_mat_apply(M, ej)
-        lhs = _ref_bracket(L, Aei, Aej)
-        if (lhs != _ref_mat_apply(M, _ref_bracket(L, Aei, ej))
-                or lhs != _ref_mat_apply(M, _ref_bracket(L, ei, Aej))):
+        lhs = _ref_bracket(c, Aei, Aej)
+        if (lhs != _ref_mat_apply(M, _ref_bracket(c, Aei, ej))
+                or lhs != _ref_mat_apply(M, _ref_bracket(c, ei, Aej))):
             bad = (i, j)
             break
     return (("averaging on basis pairs", bad is None,
              "" if bad is None else f"fails at (e{bad[0]+1}, e{bad[1]+1})"),)
 
 
-def _ref_leibniz(L, M):
+def _ref_leibniz(c, M):
+    d = len(c)
+
     def br(x, y):
-        return _ref_bracket(L, _ref_mat_apply(M, x), y)
+        return _ref_bracket(c, _ref_mat_apply(M, x), y)
 
     bad = None
-    for i, j, k in itertools.product(range(L.dim), repeat=3):
-        x, y, z = L.basis(i), L.basis(j), L.basis(k)
+    for i, j, k in itertools.product(range(d), repeat=3):
+        x, y, z = _ref_basis(d, i), _ref_basis(d, j), _ref_basis(d, k)
         rhs = tuple(a + b for a, b in zip(br(br(x, y), z), br(y, br(x, z))))
         if br(x, br(y, z)) != rhs:
             bad = (i, j, k)
@@ -339,6 +387,8 @@ def _ref_leibniz(L, M):
 
 
 def _lie_cases():
+    """(dim, brackets, matrices) triples: the benchmark's algebras, fixed
+    examples, and seeded random ones."""
     def eye(d):
         return [[int(i == j) for j in range(d)] for i in range(d)]
 
@@ -348,61 +398,88 @@ def _lie_cases():
     def shift(d):
         return [[int(j == i + 1) for j in range(d)] for i in range(d)]
 
+    def random_matrix(d):
+        return [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(d)] for _ in range(d)]
+
     rng = random.Random(11)
+    cases = [(dim, brackets, [M for _, M in mats]) for _, dim, brackets, mats in _lie_inputs()]
     specs = [
-        LieAlgebraSpec.from_brackets(3, {}),
-        LieAlgebraSpec.from_brackets(3, {(0, 1): {2: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}}),
-        LieAlgebraSpec.from_brackets(6, {(0, i): {i + 1: 1} for i in range(1, 5)}),
-        SOLVABLE,
-        LieAlgebraSpec(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]),
-        LieAlgebraSpec.from_brackets(3, {(0, 1): {0: 1}, (0, 2): {2: 1}}),
+        (3, {}),
+        (3, {(0, 1): {2: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}}),
+        (6, {(0, i): {i + 1: 1} for i in range(1, 5)}),
+        (2, {(0, 1): {1: 1}}),
+        (2, {(0, 1): {1: 1}, (1, 0): {}}),
+        (3, {(0, 1): {0: 1}, (0, 2): {2: 1}}),
     ]
     # random antisymmetric constants: a few satisfy Jacobi, most do not
     for _ in range(12):
         d = rng.randint(2, 4)
-        specs.append(LieAlgebraSpec.from_brackets(d, {
+        specs.append((d, {
             (i, j): {k: rng.choice((0, 0, 1, -1, 2, "1/2")) for k in range(d)}
             for i in range(d) for j in range(i + 1, d) if rng.random() < 0.5}))
-    cases = []
-    for L in specs:
-        d = L.dim
+    for d, brackets in specs:
         mats = [eye(d), proj(d), shift(d), [[0] * d for _ in range(d)]]
-        mats += [[[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(d)] for _ in range(d)]
-                 for _ in range(4)]
-        cases += [(L, M) for M in mats]
-    return specs, cases
+        cases.append((d, brackets, mats + [random_matrix(d) for _ in range(4)]))
+    # 200 more, five matrices each: half random constants, half e1 acting on
+    # the abelian ideal spanned by the rest by a random matrix, which always
+    # satisfies Jacobi, with a random mirror written out now and then
+    for n in range(200):
+        d = rng.randint(2, 4)
+        if n % 2:
+            brackets = {(i, j): {k: rng.choice((0, 0, 1, -1, "1/2")) for k in range(d)}
+                        for i in range(d) for j in range(i + 1, d) if rng.random() < 0.5}
+        else:
+            brackets = {(0, i): {k: rng.choice((0, 0, 1, -1, 2)) for k in range(1, d)}
+                        for i in range(1, d)}
+        if brackets and rng.random() < 0.2:
+            (i, j), coeffs = rng.choice(sorted(brackets.items()))
+            brackets[j, i] = {k: -Fraction(v) for k, v in coeffs.items()}
+        mats = [rng.choice((eye, proj, shift))(d)] + [random_matrix(d) for _ in range(4)]
+        cases.append((d, brackets, mats))
+    return cases
 
 
 def _outcome(fn, *args):
     try:
         return "report", fn(*args).entries
-    except TableError as exc:
-        return "error", str(exc)
+    except CheckFailed as exc:
+        return "failed", str(exc)
+
+
+def _lines(entries):
+    return [f"{law}: {'ok' if ok else 'FAIL'}" + (f" {detail}" if detail else "")
+            for law, ok, detail in entries]
 
 
 def test_sparse_lie_layer_matches_the_dense_reference():
-    specs, cases = _lie_cases()
     rng = random.Random(5)
-    for L in specs:
-        assert validate_lie(L).entries == _ref_validate_lie(L)
+    seen, checks = set(), 0
+    for d, brackets, mats in _lie_cases():
+        L, c = LieAlgebraSpec.from_brackets(d, brackets), _ref_cube(d, brackets)
+        want = _ref_validate_lie(c)
+        assert validate_lie(L).entries == want
         assert validate_lie(L) is validate_lie(L)  # made once per spec
-        for _ in range(10):
-            x = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(L.dim))
-            y = tuple(Fraction(rng.randint(-2, 2)) for _ in range(L.dim))
-            assert L.bracket(x, y) == _ref_bracket(L, x, y)
-            assert all(type(v) is Fraction for v in L.bracket(x, y))
-    seen = set()
-    for L, M in cases:
-        valid = validate_lie(L).ok
-        want_error = ("error", "; ".join(validate_lie(L).lines()))
-        matrix = tuple(tuple(Fraction(v) for v in row) for row in M)
-        for check, ref in ((check_averaging_lie, _ref_averaging_lie),
-                           (check_leibniz, _ref_leibniz)):
-            got = _outcome(check, L, M)
-            assert got == (("report", ref(L, matrix)) if valid else want_error)
-            seen.add((check.__name__, got[0], got[0] == "report" and got[1][0][1]))
+        valid = all(ok for _, ok, _ in want)
+        for M in mats:
+            matrix = tuple(tuple(Fraction(v) for v in row) for row in M)
+            for check, ref in ((check_averaging_lie, _ref_averaging_lie),
+                               (check_leibniz, _ref_leibniz)):
+                got = _outcome(check, L, M)
+                assert got == (("report", ref(c, matrix)) if valid
+                               else ("failed", "; ".join(_lines(want))))
+                seen.add((check.__name__, got[0], got[0] == "report" and got[1][0][1]))
+                checks += 1
+            # the derived bracket on sparse vectors, against [A x, y] on dense ones
+            br = leibniz_bracket(L, M)
+            x = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d))
+            y = tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
+            got = br({i: v for i, v in enumerate(x) if v}, {i: v for i, v in enumerate(y) if v})
+            want_br = _ref_bracket(c, _ref_mat_apply(matrix, x), y)
+            assert got == {k: v for k, v in enumerate(want_br) if v}
+            assert all(type(v) is Fraction for v in got.values())
     # every outcome kind occurs: invalid spec, passing and failing reports
     assert len(seen) == 6, seen
+    assert checks >= 2 * 200 * 5
 
 
 def _ref_ga_mul(a, b, g):
