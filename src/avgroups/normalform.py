@@ -24,6 +24,16 @@ unreduced or mergeable subword behind; later steps clean it up.  Bracket
 folding (a lone positive bracket content absorbed into the iteration count)
 is representational and is not a counted step.
 
+The redex conditions are written once, as one scan of a level
+(``_redexes``): it lists the level's redexes in leftmost order, taking the
+letters from the left and, at letter i, R2 at i, then R3 at i, then the pair
+rule on letters i and i+1.  innermost-leftmost searches the contents of a
+level before the level itself and takes the first redex of the first level
+with one.  outermost-rightmost searches a level before its contents and
+checks from the right (pair, R3, R2 at each letter), the mirror image of
+that order, so its choice is the *last* redex of the scan.  Replaying a
+trace asks the same scan whether a step's redex is on its level.
+
 Each search for the next redex skips every subword already found to hold
 none.  Words are immutable and a rewrite rebuilds only the path from the root
 to its redex, so a subword searched clean in one step is the same object, and
@@ -75,11 +85,8 @@ def is_normal(w: Word) -> bool:
                         return False
                 if c:
                     stack.append(c)
-                if type(prev) is Br and (
-                    prev.sign == f.sign  # N1
-                    or (prev.sign == -f.sign and prev.iter == f.iter
-                        and prev.content == f.content)  # N0
-                ):
+                if type(prev) is Br and (prev.sign == f.sign  # N1
+                                         or are_inverse(prev, f)):  # N0
                     return False
             elif type(prev) is Gen and prev.name == f.name and prev.sign == -f.sign:
                 return False  # N0
@@ -99,68 +106,62 @@ class OracleStepLimit(RuntimeError):
     pass
 
 
-# --- redex matching ----------------------------------------------------------
+# --- redex search ------------------------------------------------------------
 
 
-def _pair_rule(a, b):
-    if are_inverse(a, b):
-        return "R0"
-    if isinstance(a, Br) and isinstance(b, Br):
-        if a.sign > 0 and b.sign > 0:
-            return "R1"
-        if a.sign < 0 and b.sign < 0:
-            return "R1-"
-    return None
+def _redexes(fs: tuple) -> list:
+    """(index, rule) of every redex of the level `fs`, in leftmost order.
 
-
-def _matches_r2(f) -> bool:
-    if not isinstance(f, Br) or len(f.content.factors) < 2:
-        return False
-    head = f.content.factors[0]
-    return isinstance(head, Br) and head.sign > 0
-
-
-def _matches_r3(f) -> bool:
-    if not isinstance(f, Br) or len(f.content.factors) < 2:
-        return False
-    last = f.content.factors[-1]
-    return isinstance(last, Br) and last.sign > 0 and last.iter >= 2
+    A pair rule is found when its right letter is reached: after R2 and R3
+    at its left letter, as the order asks.
+    """
+    found = []
+    prev = None
+    for i, f in enumerate(fs):
+        if type(f) is Br:
+            if type(prev) is Br:
+                if prev.sign == f.sign:
+                    found.append((i - 1, "R1" if f.sign > 0 else "R1-"))
+                elif are_inverse(prev, f):
+                    found.append((i - 1, "R0"))
+            c = f.content.factors
+            if len(c) >= 2:
+                head, last = c[0], c[-1]
+                if type(head) is Br and head.sign > 0:
+                    found.append((i, "R2"))
+                if type(last) is Br and last.sign > 0 and last.iter >= 2:
+                    found.append((i, "R3"))
+        elif type(prev) is Gen and prev.name == f.name and prev.sign != f.sign:
+            found.append((i - 1, "R0"))
+        prev = f
+    return found
 
 
 def _find_innermost_leftmost(w: Word, path: tuple, clean: dict):
     fs = w.factors
     for i, f in enumerate(fs):
-        if isinstance(f, Br) and id(f.content) not in clean:
+        if type(f) is Br and id(f.content) not in clean:
             found = _find_innermost_leftmost(f.content, path + (i,), clean)
             if found is not None:
                 return found
-    for i, f in enumerate(fs):
-        if _matches_r2(f):
-            return path + (i,), "R2"
-        if _matches_r3(f):
-            return path + (i,), "R3"
-        if i + 1 < len(fs):
-            rule = _pair_rule(fs[i], fs[i + 1])
-            if rule is not None:
-                return path + (i,), rule
+    found = _redexes(fs)
+    if found:
+        i, rule = found[0]
+        return path + (i,), rule
     clean[id(w)] = w
     return None
 
 
 def _find_outermost_rightmost(w: Word, path: tuple, clean: dict):
+    # the rightmost check order mirrors the leftmost one: take the last redex
     fs = w.factors
-    for i in range(len(fs) - 1, -1, -1):
-        if i + 1 < len(fs):
-            rule = _pair_rule(fs[i], fs[i + 1])
-            if rule is not None:
-                return path + (i,), rule
-        if _matches_r3(fs[i]):
-            return path + (i,), "R3"
-        if _matches_r2(fs[i]):
-            return path + (i,), "R2"
+    found = _redexes(fs)
+    if found:
+        i, rule = found[-1]
+        return path + (i,), rule
     for i in range(len(fs) - 1, -1, -1):
         f = fs[i]
-        if isinstance(f, Br) and id(f.content) not in clean:
+        if type(f) is Br and id(f.content) not in clean:
             found = _find_outermost_rightmost(f.content, path + (i,), clean)
             if found is not None:
                 return found
@@ -245,15 +246,8 @@ def _redex(w: Word, rule: str, path: tuple) -> tuple:
         if type(i) is not int or not 0 <= i < len(fs):
             break
         if depth == len(path):
-            redex = fs[i : i + _width(rule)]
-            if rule == "R2":
-                ok = _matches_r2(redex[0])
-            elif rule == "R3":
-                ok = _matches_r3(redex[0])
-            else:
-                ok = len(redex) == 2 and _pair_rule(*redex) == rule
-            if ok:
-                return redex
+            if (i, rule) in _redexes(fs):
+                return fs[i : i + _width(rule)]
             break
         if type(fs[i]) is not Br:
             break

@@ -126,9 +126,38 @@ def inv_factor(f: Factor) -> Factor:
 def are_inverse(a: Factor, b: Factor) -> bool:
     if type(a) is not type(b) or a.sign != -b.sign:
         return False
-    if isinstance(a, Gen):
+    if type(a) is Gen:
         return a.name == b.name
-    return a.iter == b.iter and a.content == b.content
+    return a.iter == b.iter and _same_word(a.content, b.content)
+
+
+def _same_word(u: Word, v: Word) -> bool:
+    """Structural equality of two words, identity first, by an explicit stack.
+
+    Dataclass equality recurses once per nesting level through several
+    frames, so it overflows on equal words built apart about 150 deep.
+    """
+    stack = [(u, v)]
+    while stack:
+        u, v = stack.pop()
+        if u is v:
+            continue
+        a, b = u.factors, v.factors
+        if len(a) != len(b):
+            return False
+        for f, g in zip(a, b):
+            if f is g:
+                continue
+            if type(f) is not type(g) or f.sign != g.sign:
+                return False
+            if type(f) is Gen:
+                if f.name != g.name:
+                    return False
+            elif f.iter != g.iter:
+                return False
+            else:
+                stack.append((f.content, g.content))
+    return True
 
 
 def _levels(w: Word):
@@ -223,30 +252,85 @@ class WordSyntaxError(ValueError):
         self.pos = pos
 
 
-# One factor, after any whitespace (``\s`` is exactly ``str.isspace``):
-# group 1 "[", group 2 the end of the text, or a letter that may carry
-# suffixes: group 3 an identifier, group 4 "]", group 5 "1", then group 6 the
-# digits of "@n" and group 7 the signed digits of "^k".  The suffixes are
-# matched after any base so that a misplaced "@" is reported where it stands.
-_FACTOR_RE = re.compile(
-    rf"\s*(?:(\[)|(\Z)|(?:({_IDENT_RE.pattern})|(\])|(1))(?:@(\d*))?(?:\^(-?\d*))?)"
-)
-_WS_RE = re.compile(r"\s*")
+# One token, after any whitespace: "[", a letter with its suffixes (an
+# identifier, "]" or "1", then "@n" and "^k"), or any other character, which
+# no factor starts with.  ``\s`` is exactly ``str.isspace``.  The suffixes
+# are matched after any base so that a misplaced "@" is reported where it
+# stands.
+_TOKEN_RE = re.compile(rf"\s*(\[|(?:{_IDENT_RE.pattern}|\]|1)(?:@\d*)?(?:\^-?\d*)?|\S)")
+# A letter token: group 1 an identifier, group 2 "]" (neither for "1"), then
+# group 3 the digits of "@n" and group 4 the signed digits of "^k".
+_FACTOR_RE = re.compile(rf"(?:({_IDENT_RE.pattern})|(\])|1)(?:@(\d*))?(?:\^(-?\d*))?")
 
 # Deepest bracket nesting `parse` accepts; one level more is a WordSyntaxError.
-# The program recurses once per nesting level, and each level costs frames
-# under Python's default recursion limit of 1000: about seven to compare two
-# words (dataclass equality and the tuple comparisons inside it), two for
-# eval_operated, one each for the oracle's finders and _apply_at.  render,
-# is_normal and the level walker behind is_reduced, is_folded, op_degree,
-# metrics and nesting use an explicit stack.  A product of two words nests at
-# most as deep as both together, so the costliest call a command makes on
-# parsed input -- comparing two 100-deep letters that cancel -- stays near 800
-# frames; on CPython 3.11 every subcommand ran such words with at least 180
-# frames to spare.  The bound is on the text only: the oracle can nest
-# brackets written side by side deeper than the text does, and a word printed
-# more than MAX_NESTING deep is refused when read back.
+# Some of the program recurses once per nesting level, and each level costs
+# frames under Python's default recursion limit of 1000: about seven to
+# compare two words with ``==`` (dataclass equality and the tuple comparisons
+# inside it; only the law checks do, on generated words), two each for
+# eval_operated and for diamond's seam merges, one each for the oracle's
+# finders and _apply_at.  parse, render, is_normal, are_inverse (so every
+# cancellation test) and the level walker behind is_reduced, is_folded,
+# op_degree, metrics and nesting use an explicit stack.  A product of two
+# words nests at most as deep as both together, so the costliest command on
+# parsed input -- a product merging two 100-deep words at every level, or
+# evaluating one -- needs about 210 frames; on CPython 3.11 no subcommand
+# needed more, measured by lowering the recursion limit.  The bound is on the
+# text only: the oracle can nest brackets written side by side deeper than
+# the text does, and a word printed more than MAX_NESTING deep is refused
+# when read back.
 MAX_NESTING = 100
+
+
+def _read_token(tok: str, gens: dict) -> tuple:
+    """What a letter token spells: (kind, a, b, count).
+
+    kind "g": generator letter `a`, its inverse `b`, `count` copies;
+    kind "]": a closing bracket of iteration `a` and sign `b`, `count` copies;
+    kind "1": nothing; kind "!": a syntax error, message `a` at offset `b`.
+    """
+    m = _FACTOR_RE.fullmatch(tok)
+    if m is None:
+        return "!", "expected a factor: identifier, '[', or '1'", 0, 0
+    name, closed, it, k = m.groups()
+    n = 1
+    if closed:
+        if it is not None:
+            if not it:
+                return "!", "expected a positive integer after '@'", m.end(3), 0
+            n = int(it)
+            if n < 1:
+                return "!", "iteration must be >= 1", m.start(3), 0
+    elif it is not None:
+        return "!", "'@' is only valid after ']'", m.start(3) - 1, 0
+    count, sign = 1, 1
+    if k is not None:
+        if not k or k == "-":
+            return "!", "expected a nonzero integer after '^'", m.end(4), 0
+        count = int(k)
+        if count == 0:
+            return "!", "power 0 is not allowed", m.start(4), 0
+        if count < 0:
+            count, sign = -count, -1
+    if closed:
+        return "]", n, sign, count
+    if not name:
+        return "1", None, None, 0
+    for s in (sign, -sign):
+        if (name, s) not in gens:
+            gens[name, s] = Gen(name, s)
+    return "g", gens[name, sign], gens[name, -sign], count
+
+
+def _syntax_error(text: str, tokens: list, j: int, message: str, offset: int):
+    """The error `message` at `offset` into `tokens[j]`, the j-th token of `text`.
+
+    Only whitespace stands between tokens, and a token starts with none, so
+    each token starts where its text next occurs.
+    """
+    pos = 0
+    for tok in tokens[:j]:
+        pos = text.index(tok, pos) + len(tok)
+    return WordSyntaxError(message, text.index(tokens[j], pos) + offset)
 
 
 def parse(text: str) -> Word:
@@ -254,62 +338,56 @@ def parse(text: str) -> Word:
 
     Raises WordSyntaxError, with the position, on malformed text and on
     brackets nested deeper than MAX_NESTING.
+
+    The text is split into tokens in one pass of ``_TOKEN_RE.findall``, and
+    each distinct token is read once per call through ``_FACTOR_RE``: a memo
+    maps its text to what it spells.  Generator letters come from one table
+    per call, one object per (name, sign), so a generator cancels the letter
+    before it exactly when that is its inverse object, and is pushed with no
+    call.  Positions are worked out only for an error.  The memo lives for
+    one call: a module-level one would grow with every name ever parsed and
+    keep its letters alive.
     """
     out: list = []
     outer: list = []  # the factor lists of the enclosing brackets
-    gens: dict = {}  # one letter per (name, sign): letters are immutable
-    i = 0
-    match = _FACTOR_RE.match
-    while True:
-        m = match(text, i)
-        if m is None:
-            raise WordSyntaxError(
-                "expected a factor: identifier, '[', or '1'", _WS_RE.match(text, i).end()
-            )
-        i = m.end()
-        opened, end, name, closed, _, it, k = m.groups()
-        if opened:
+    memo: dict = {}  # token text -> _read_token's reading
+    gens: dict = {}  # (name, sign) -> the one letter of this call
+    tokens = _TOKEN_RE.findall(text)
+    for j, tok in enumerate(tokens):
+        if tok == "[":
             if len(outer) == MAX_NESTING:
-                raise WordSyntaxError(f"brackets nested deeper than {MAX_NESTING}", m.start(1))
+                message = f"brackets nested deeper than {MAX_NESTING}"
+                raise _syntax_error(text, tokens, j, message, 0)
             outer.append(out)
             out = []
             continue
-        if end is not None:
-            if outer:
-                raise WordSyntaxError("expected ']'", i)
-            return Word(tuple(out))
-        if closed:
+        read = memo.get(tok)
+        if read is None:
+            read = memo[tok] = _read_token(tok, gens)
+        kind, a, b, count = read
+        if kind == "g":
+            if count == 1 and not (out and out[-1] is b):
+                out.append(a)
+                continue
+            for _ in range(count):
+                if out and out[-1] is b:
+                    out.pop()
+                else:
+                    out.append(a)
+        elif kind == "]":
             if not outer:
-                raise WordSyntaxError("unexpected ']'", m.start(4))
-            n = 1
-            if it is not None:
-                if not it:
-                    raise WordSyntaxError("expected a positive integer after '@'", m.end(6))
-                n = int(it)
-                if n < 1:
-                    raise WordSyntaxError("iteration must be >= 1", m.start(6))
-        elif it is not None:
-            raise WordSyntaxError("'@' is only valid after ']'", m.start(6) - 1)
-        count, sign = 1, 1
-        if k is not None:
-            if not k or k == "-":
-                raise WordSyntaxError("expected a nonzero integer after '^'", m.end(7))
-            count = int(k)
-            if count == 0:
-                raise WordSyntaxError("power 0 is not allowed", m.start(7))
-            if count < 0:
-                count, sign = -count, -1
-        if closed:
-            letter = make_br(Word(tuple(out)), n, sign)
+                raise _syntax_error(text, tokens, j, "unexpected ']'", 0)
+            letter = make_br(Word(tuple(out)), a, b)
             out = outer.pop()
-        elif name:
-            letter = gens.get((name, sign))
-            if letter is None:
-                letter = gens[name, sign] = Gen(name, sign)
-        else:
-            continue  # "1", the identity, spells no letter
-        for _ in range(count):
-            _push_reduced(out, letter)
+            for _ in range(count):
+                _push_reduced(out, letter)
+        elif kind == "!":
+            if tok[0] == "]" and not outer:
+                raise _syntax_error(text, tokens, j, "unexpected ']'", 0)
+            raise _syntax_error(text, tokens, j, a, b)
+    if outer:
+        raise WordSyntaxError("expected ']'", len(text))
+    return Word(tuple(out))
 
 
 # --- rendering -------------------------------------------------------------

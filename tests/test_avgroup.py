@@ -349,3 +349,26 @@ def test_is_normal_answers_on_deep_words(depth):
     for _ in range(depth):
         bad = Word((Gen("x", 1), Br(bad, 1, 1)))
     assert not is_normal(bad)
+
+
+@pytest.mark.parametrize("depth", [150, 5000])
+def test_equal_contents_built_apart_cancel_at_any_depth(depth):
+    # D and D2 are equal words but distinct objects at every level, so only a
+    # structural comparison, not identity, finds [D] [D2]^-1 unreduced
+    def nested():
+        w = Word((Gen("y", 1),))
+        for _ in range(depth):
+            w = Word((Gen("x", 1), Br(w, 1, 1)))
+        return w
+
+    d, d2 = nested(), nested()
+    w = Word((Br(d, 1, 1), Br(d2, 1, -1)))
+    assert not is_normal(w)
+    assert diamond(single(Br(d, 1, 1)), single(Br(d2, 1, -1))) == ONE
+    # one letter apart at the bottom: no cancellation, and a merge-free seam
+    d3 = Word((Gen("z", 1),))
+    for _ in range(depth):
+        d3 = Word((Gen("x", 1), Br(d3, 1, 1)))
+    assert is_normal(Word((Br(d, 1, 1), Br(d3, 1, -1))))
+    assert len(diamond(single(Br(d, 1, 1)), single(Br(d3, 1, -1))).factors) == 2
+

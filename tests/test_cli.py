@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import avgroups
+from avgroups.linearalg import MAX_LIE_DIM
 from avgroups.words import MAX_NESTING, op_degree, parse, render
 from avgroups.cli import (
     SuiteConfig,
@@ -340,6 +341,11 @@ def test_lie_check(capsys, tmp_path):
                                 "left Leibniz on basis triples: ok"]
     code, out, _ = run(capsys, "lie-check", "--structure", str(lie), "--operator", str(p2))
     assert code == 1 and "fails at (e1, e2)" in out
+    # a dimension past the cap is refused before any dim^2 table is built
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": MAX_LIE_DIM + 1, "brackets": []}))
+    code, out, err = run(capsys, "lie-check", "--structure", str(big), "--operator", str(p1))
+    assert (code, out) == (2, "") and f"exceeds the limit of {MAX_LIE_DIM}" in err
 
 
 def test_shrinker_minimizes_while_preserving_failure():

@@ -19,6 +19,7 @@ from avgroups.structures import (
     sym3,
 )
 from avgroups.linearalg import (
+    MAX_LIE_DIM,
     LieAlgebraSpec,
     _samples,
     check_antipode_averaging,
@@ -189,6 +190,14 @@ def test_lie_spec_and_validation():
         for brackets in ({(0, 1): {bad: 1}}, {(bad, 1): {0: 1}}, {(0, bad): {0: 1}}):
             with pytest.raises(TableError, match=r"basis index must be an int in 0\.\.1"):
                 LieAlgebraSpec.from_brackets(2, brackets)
+    # malformed shapes and oversized dimensions are typed errors too
+    for brackets in ({(0, 1): 5}, {0: {1: 1}}, {(0, 1, 2): {1: 1}}, {(0,): {1: 1}},
+                     [((0, 1), {1: 1})]):
+        with pytest.raises(TableError):
+            LieAlgebraSpec.from_brackets(2, brackets)
+    assert LieAlgebraSpec.from_brackets(MAX_LIE_DIM, {}).dim == MAX_LIE_DIM
+    with pytest.raises(TableError, match="exceeds the limit"):
+        LieAlgebraSpec.from_brackets(MAX_LIE_DIM + 1, {})
 
 
 def test_averaging_lie_examples():

@@ -21,9 +21,6 @@ from avgroups.normalform import (
     RewriteStep,
     STRATEGIES,
     _FINDERS,
-    _matches_r2,
-    _matches_r3,
-    _pair_rule,
     is_normal,
     oracle_normalize,
     oracle_steps,
@@ -213,8 +210,40 @@ def test_oracle_output_is_always_normal(seed):
     assert oracle_normalize(bracket_literal(n)) == oracle_normalize(bracket_literal(r))
 
 
-# --- reference: the search from the root at every step, with no memo, and a
-# rule application written out rule by rule --------------------------------
+# --- reference: the search from the root at every step, with no memo, its
+# own redex predicates, and a rule application written out rule by rule -----
+
+
+def _reference_inverse(a, b):
+    if type(a) is not type(b) or a.sign != -b.sign:
+        return False
+    if isinstance(a, Gen):
+        return a.name == b.name
+    return a.iter == b.iter and a.content == b.content
+
+
+def _reference_pair_rule(a, b):
+    if _reference_inverse(a, b):
+        return "R0"
+    if isinstance(a, Br) and isinstance(b, Br) and a.sign == b.sign:
+        return "R1" if a.sign > 0 else "R1-"
+    return None
+
+
+def _reference_r2(f):
+    """[[a]@t rest]@n: a content of breadth >= 2 opening with a positive bracket."""
+    if not isinstance(f, Br) or len(f.content.factors) < 2:
+        return False
+    head = f.content.factors[0]
+    return isinstance(head, Br) and head.sign > 0
+
+
+def _reference_r3(f):
+    """[u [v]@m]@n, m >= 2: a content of breadth >= 2 closing with such a bracket."""
+    if not isinstance(f, Br) or len(f.content.factors) < 2:
+        return False
+    last = f.content.factors[-1]
+    return isinstance(last, Br) and last.sign > 0 and last.iter >= 2
 
 
 def _reference_apply_local(fs, i, rule):
@@ -278,12 +307,12 @@ def _reference_innermost_leftmost(w, path):
             if found is not None:
                 return found
     for i, f in enumerate(fs):
-        if _matches_r2(f):
+        if _reference_r2(f):
             return path + (i,), "R2"
-        if _matches_r3(f):
+        if _reference_r3(f):
             return path + (i,), "R3"
         if i + 1 < len(fs):
-            rule = _pair_rule(fs[i], fs[i + 1])
+            rule = _reference_pair_rule(fs[i], fs[i + 1])
             if rule is not None:
                 return path + (i,), rule
     return None
@@ -293,12 +322,12 @@ def _reference_outermost_rightmost(w, path):
     fs = w.factors
     for i in range(len(fs) - 1, -1, -1):
         if i + 1 < len(fs):
-            rule = _pair_rule(fs[i], fs[i + 1])
+            rule = _reference_pair_rule(fs[i], fs[i + 1])
             if rule is not None:
                 return path + (i,), rule
-        if _matches_r3(fs[i]):
+        if _reference_r3(fs[i]):
             return path + (i,), "R3"
-        if _matches_r2(fs[i]):
+        if _reference_r2(fs[i]):
             return path + (i,), "R2"
     for i in range(len(fs) - 1, -1, -1):
         f = fs[i]

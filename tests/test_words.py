@@ -2,6 +2,8 @@
 
 import gc
 import importlib
+import random
+import re
 import sys
 import weakref
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avgroups.words import (
+    MAX_NESTING,
     Br,
     Gen,
     ONE,
@@ -88,31 +91,38 @@ def test_bracket_letter_equality_is_structural():
     assert reduce_concat(parse("[c]@3"), parse("[c]@2^-1")) == parse("[c]@3 [c]@2^-1")
 
 
+# (text, message fragment, position) of every malformed input pinned here
+PARSE_ERRORS = [
+    ("[x", "expected ']'", 2),
+    ("x]", "unexpected ']'", 1),
+    ("x^0", "power 0", 2),
+    ("x^", "nonzero integer", 2),
+    ("x@2", "only valid after ']'", 1),
+    ("1@2", "only valid after ']'", 1),
+    ("[x]@0", "iteration must be >= 1", 4),
+    ("[x]@", "positive integer", 4),
+    ("X", "expected a factor", 0),
+    ("x^-", "nonzero integer", 3),
+    ("  [ x  ", "expected ']'", 7),
+    ("x ^2", "expected a factor", 2),
+    ("[x] @2", "expected a factor", 4),
+    ("x\t]", "unexpected ']'", 2),
+    ("[[x]@2 y^0]", "power 0", 9),
+    ("12", "expected a factor", 1),
+    ("x^-0", "power 0", 2),
+    ("[x]@2^", "nonzero integer", 6),
+    ("[x]@^2", "positive integer", 4),
+    ("1^0", "power 0", 2),
+    ("[x]@00", "iteration must be >= 1", 4),
+    ("[x]@007^-02 y]", "unexpected ']'", 13),
+    # superscripts are digits to str.isdigit but no int() can read them
+    ("x^\u00b2", "nonzero integer", 2),
+    ("[x]@\u00b2", "positive integer", 4),
+]
+
+
 def test_parse_errors():
-    for text, fragment, pos in [
-        ("[x", "expected ']'", 2),
-        ("x]", "unexpected ']'", 1),
-        ("x^0", "power 0", 2),
-        ("x^", "nonzero integer", 2),
-        ("x@2", "only valid after ']'", 1),
-        ("1@2", "only valid after ']'", 1),
-        ("[x]@0", "iteration must be >= 1", 4),
-        ("[x]@", "positive integer", 4),
-        ("X", "expected a factor", 0),
-        ("x^-", "nonzero integer", 3),
-        ("  [ x  ", "expected ']'", 7),
-        ("x ^2", "expected a factor", 2),
-        ("[x] @2", "expected a factor", 4),
-        ("x\t]", "unexpected ']'", 2),
-        ("[[x]@2 y^0]", "power 0", 9),
-        ("12", "expected a factor", 1),
-        ("x^-0", "power 0", 2),
-        ("[x]@2^", "nonzero integer", 6),
-        ("[x]@^2", "positive integer", 4),
-        ("1^0", "power 0", 2),
-        ("[x]@00", "iteration must be >= 1", 4),
-        ("[x]@007^-02 y]", "unexpected ']'", 13),
-    ]:
+    for text, fragment, pos in PARSE_ERRORS:
         with pytest.raises(WordSyntaxError) as exc:
             parse(text)
         assert fragment in str(exc.value), text
@@ -120,16 +130,132 @@ def test_parse_errors():
         assert str(exc.value).endswith(f"(at position {pos})")
 
 
+# --- reference: the per-factor scanner parse used before the one-pass
+# tokenizer, one regex match per factor and a call per pushed letter ---------
+
+# group 1 "[", group 2 the end of the text, or a letter: group 3 an
+# identifier, group 4 "]", group 5 "1", then group 6 the digits of "@n" and
+# group 7 the signed digits of "^k"
+_REF_FACTOR_RE = re.compile(
+    r"\s*(?:(\[)|(\Z)|(?:([a-z][a-zA-Z0-9_]*)|(\])|(1))(?:@(\d*))?(?:\^(-?\d*))?)"
+)
+_REF_WS_RE = re.compile(r"\s*")
+
+
+def _reference_push(out, f):
+    g = out[-1] if out else None
+    if (type(g) is type(f) and g.sign == -f.sign
+            and (g.name == f.name if type(f) is Gen
+                 else (g.iter, g.content) == (f.iter, f.content))):
+        out.pop()
+    else:
+        out.append(f)
+
+
+def _reference_parse(text):
+    out, outer, i = [], [], 0
+    while True:
+        m = _REF_FACTOR_RE.match(text, i)
+        if m is None:
+            raise WordSyntaxError("expected a factor: identifier, '[', or '1'",
+                                  _REF_WS_RE.match(text, i).end())
+        i = m.end()
+        opened, end, name, closed, _, it, k = m.groups()
+        if opened:
+            if len(outer) == MAX_NESTING:
+                raise WordSyntaxError(f"brackets nested deeper than {MAX_NESTING}", m.start(1))
+            outer.append(out)
+            out = []
+            continue
+        if end is not None:
+            if outer:
+                raise WordSyntaxError("expected ']'", i)
+            return Word(tuple(out))
+        if closed:
+            if not outer:
+                raise WordSyntaxError("unexpected ']'", m.start(4))
+            n = 1
+            if it is not None:
+                if not it:
+                    raise WordSyntaxError("expected a positive integer after '@'", m.end(6))
+                n = int(it)
+                if n < 1:
+                    raise WordSyntaxError("iteration must be >= 1", m.start(6))
+        elif it is not None:
+            raise WordSyntaxError("'@' is only valid after ']'", m.start(6) - 1)
+        count, sign = 1, 1
+        if k is not None:
+            if not k or k == "-":
+                raise WordSyntaxError("expected a nonzero integer after '^'", m.end(7))
+            count = int(k)
+            if count == 0:
+                raise WordSyntaxError("power 0 is not allowed", m.start(7))
+            if count < 0:
+                count, sign = -count, -1
+        if closed:
+            letter = make_br(Word(tuple(out)), n, sign)
+            out = outer.pop()
+        elif name:
+            letter = Gen(name, sign)
+        else:
+            continue
+        for _ in range(count):
+            _reference_push(out, letter)
+
+
+def _outcome(parser, text):
+    """The word `parser` reads from `text`, or its error's text and position."""
+    try:
+        return parser(text)
+    except WordSyntaxError as exc:
+        return str(exc), exc.pos
+
+
+_WHITESPACE = (" ", "  ", "\t", "\n", " ", "　")
+
+
+def _respaced(rng, text):
+    """`text` with each gap between characters dropped, kept, or widened at random."""
+    out = []
+    for ch in text:
+        if ch == " " and rng.random() < 0.5:
+            continue  # a dropped separator may join or split tokens
+        out.append(ch)
+        if rng.random() < 0.15:
+            out.append(rng.choice(_WHITESPACE))
+    return "".join(out)
+
+
+def test_parse_matches_the_per_factor_reference():
+    texts = ["x^2y", "[x]@2[y]", "[[x]@2y]", "1x", "x1", "[ ]", "", " ", "1",
+             "x^3 x^-2 [y]^2 [y]^-3", "[x]@2^-1[x]@2", "[" * MAX_NESTING + "]" * MAX_NESTING,
+             "[" * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1), "[x]@٣^٢",
+             "x]@", "]^0", "[x]]@", "x^0]"]
+    texts += [text for text, _, _ in PARSE_ERRORS]
+    rng = random.Random(12)
+    # unreduced spellings: letters and their inverses side by side, so that
+    # cancellation, cascading through the letters before, decides the word
+    pieces = ("x", "x^-1", "y", "y^-1", "x^2", "x^-2", "1", "[x]", "[x]^-1", "[y]@2",
+              "[y]@2^-1", "[x x^-1]")
+    for _ in range(300):
+        text = rng.choice(("", " ")).join(rng.choices(pieces, k=rng.randint(1, 10)))
+        texts.append(f"[{text}]^-1 {text}" if rng.random() < 0.3 else text)
+    for seed in range(300):
+        p = GenParams(seed=seed, max_depth=5, max_breadth=6)
+        for w in (random_raw_word(p), random_normal_word(p)):
+            text = render(w)
+            texts += [text, _respaced(rng, text)]
+    for text in texts:
+        want = _outcome(_reference_parse, text)
+        assert _outcome(parse, text) == want, text
+    errors = sum(type(_outcome(parse, t)) is tuple for t in texts)
+    # both kinds of outcome occur, so neither side of the check is vacuous
+    assert errors >= 100 and len(texts) - errors >= 900, errors
+
+
 def test_digits_are_decimal_digits_of_any_script():
     assert parse("[x]@\u0663") == parse("[x]@3")
-    # superscripts are digits to str.isdigit but no int() can read them
-    for text, fragment, pos in [
-        ("x^\u00b2", "nonzero integer", 2),
-        ("[x]@\u00b2", "positive integer", 4),
-    ]:
-        with pytest.raises(WordSyntaxError) as exc:
-            parse(text)
-        assert fragment in str(exc.value) and exc.value.pos == pos
+    # superscript digits are refused: PARSE_ERRORS pins where
 
 
 def test_parse_separators_are_any_unicode_whitespace():
