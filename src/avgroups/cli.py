@@ -12,24 +12,17 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .words import (
-    Br,
     MAX_NESTING,
-    ONE,
     UnassignedGenerator,
     Word,
     WordSyntaxError,
-    bracket_literal,
     eval_operated,
-    is_reduced,
-    make_br,
     make_gen,
     metrics,
     nesting,
     parse,
-    reduce_concat,
     render,
 )
 from .normalform import (
@@ -39,29 +32,15 @@ from .normalform import (
     oracle_normalize,
     oracle_steps,
 )
-from .avgroup import (
-    GenParams,
-    diamond,
-    free_target,
-    inverse,
-    op_apply,
-    op_iter,
-    random_normal_word,
-    random_raw_word,
-)
+from .avgroup import GenParams, diamond, free_target, inverse, op_iter
 from .structures import (
     AveragingGroupHandle,
     CheckFailed,
-    IntShiftGroup,
     TableError,
     _load_json,
-    cyclic_group,
-    idempotent_endo_operator,
     load_group_file,
     op_from_names,
     search_averaging_ops,
-    sym3,
-    sym3_sign_retraction,
     validate_averaging,
     validate_group,
 )
@@ -73,196 +52,7 @@ from .linearalg import (
     load_operator_file,
     validate_lie,
 )
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    suite: str = "all"
-    trials: int = 100
-    seed: int = 0
-    max_depth: int = 3
-    max_breadth: int = 4
-    alphabet: tuple = ("x", "y", "z")
-
-
-SUITE_NAMES = ("assoc", "averaging", "derived", "closure", "oracle", "hom")
-
-
-# --- word corpus and shrinking ------------------------------------------------
-
-def _sample(cfg: SuiteConfig, trial: int, slot: int, raw: bool = False) -> Word:
-    p = GenParams(max_depth=cfg.max_depth, max_breadth=cfg.max_breadth,
-                  alphabet=tuple(cfg.alphabet),
-                  seed=cfg.seed * 1_000_003 + trial * 17 + slot)
-    return random_raw_word(p) if raw else random_normal_word(p)
-
-
-def _shrink_word(w: Word):
-    """Strictly smaller variants: factor deletion, then depth truncation."""
-    out = []
-    fs = w.factors
-    for i in range(len(fs)):
-        out.append(reduce_concat(Word(fs[:i]), Word(fs[i + 1:])))
-    for i, f in enumerate(fs):
-        if isinstance(f, Br):
-            if f.sign == 1:
-                spliced = reduce_concat(Word(fs[:i]), f.content)
-                out.append(reduce_concat(spliced, Word(fs[i + 1:])))
-            if f.iter > 1:
-                out.append(Word(fs[:i] + (make_br(f.content, 1, f.sign),) + fs[i + 1:]))
-    seen, final, size = set(), [], metrics(w).size
-    for c in out:
-        if c != w and metrics(c).size < size and c not in seen:
-            seen.add(c)
-            final.append(c)
-    return final
-
-
-def shrink_counterexample(words, fails, valid=is_normal):
-    """Greedy minimization in at most 200 rounds; each kept candidate still fails the law."""
-    cur = tuple(words)
-    for _ in range(200):
-        better = None
-        for idx in range(len(cur)):
-            for cand in _shrink_word(cur[idx]):
-                if not valid(cand):
-                    continue
-                trial = cur[:idx] + (cand,) + cur[idx + 1:]
-                if fails(trial):
-                    better = trial
-                    break
-            if better is not None:
-                break
-        if better is None:
-            return cur
-        cur = better
-    return cur
-
-
-# --- the law table -------------------------------------------------------------
-
-def _law_assoc(u, v, w):
-    return diamond(diamond(u, v), w) == diamond(u, diamond(v, w))
-
-
-def _law_identity(u, v, w):
-    return diamond(u, ONE) == u and diamond(ONE, u) == u
-
-
-def _law_inverse(u, v, w):
-    return diamond(u, inverse(u)) == ONE and diamond(inverse(u), u) == ONE
-
-
-def _law_averaging(u, v):
-    lhs = diamond(op_apply(u), op_apply(v))
-    return (lhs == op_apply(diamond(op_apply(u), v))
-            and lhs == op_apply(diamond(u, op_apply(v))))
-
-
-def _law_derived(u, v):
-    for n in (2, 3, 4):
-        if op_apply(diamond(u, op_iter(v, n))) != op_iter(diamond(u, op_apply(v)), n):
-            return False
-    return True
-
-
-def _law_closure(u, v):
-    return (is_normal(diamond(u, v)) and is_normal(op_apply(u))
-            and is_normal(inverse(u)))
-
-
-def _law_oracle_agreement(u, v):
-    return (diamond(u, v) == oracle_normalize(reduce_concat(u, v))
-            and op_apply(u) == oracle_normalize(bracket_literal(u)))
-
-
-def _law_oracle_raw(r):
-    n1 = oracle_normalize(r, STRATEGIES[0])
-    n2 = oracle_normalize(r, STRATEGIES[1])
-    return n1 == n2 and oracle_normalize(n1) == n1 and is_normal(n1)
-
-
-def law_commutes(targets):
-    """Predicate on (u, v): evaluation into each (target, assignment) pair
-    commutes with the product, the operator and the inverse."""
-    def law(u, v):
-        for target, asg in targets:
-            hu = eval_operated(u, target, asg)
-            if (eval_operated(diamond(u, v), target, asg)
-                    != target.mul(hu, eval_operated(v, target, asg))
-                    or eval_operated(op_apply(u), target, asg) != target.op(hu)
-                    or eval_operated(inverse(u), target, asg) != target.inv(hu)):
-                return False
-        return True
-
-    return law
-
-
-def law_table(alphabet):
-    """(suite, label, slots, corpus, predicate) for every law the suites check.
-
-    A predicate takes `slots` words drawn from the corpus ("normal" words, or
-    reduced "raw" ones) and returns whether the law holds on them.
-    """
-    z4 = AveragingGroupHandle(cyclic_group(4), (1, 2, 3, 0))
-    s3 = idempotent_endo_operator(sym3(), sym3_sign_retraction())
-    targets = [(IntShiftGroup(5), {a: i + 2 for i, a in enumerate(alphabet)}),
-               (z4, {a: (i + 1) % 4 for i, a in enumerate(alphabet)}),
-               (s3, {a: (2 * i + 1) % 6 for i, a in enumerate(alphabet)})]
-    free, itself = free_target(), {a: parse(a) for a in alphabet}
-    return [
-        ("assoc", "associativity", 3, "normal", _law_assoc),
-        ("assoc", "identity", 3, "normal", _law_identity),
-        ("assoc", "inverses", 3, "normal", _law_inverse),
-        ("averaging", "averaging law", 2, "normal", _law_averaging),
-        ("derived", "iterated averaging laws", 2, "normal", _law_derived),
-        ("closure", "closure of outputs", 2, "normal", _law_closure),
-        ("oracle", "oracle agreement", 2, "normal", _law_oracle_agreement),
-        ("oracle", "oracle idempotence and confluence", 1, "raw", _law_oracle_raw),
-        ("hom", "evaluation homomorphisms", 2, "normal", law_commutes(targets)),
-        ("hom", "self-target evaluation", 1, "normal",
-         lambda u: eval_operated(u, free, itself) == u),
-    ]
-
-
-def _run_suite(name: str, cfg: SuiteConfig, table, drawn: dict):
-    """Run one suite on a built `table`; returns (ok, report lines).
-
-    `drawn` keeps each word by (trial, slot, corpus), shared across suites.
-    """
-    laws = [row[1:] for row in table if row[0] == name]
-    if not laws:
-        raise ValueError(f"unknown suite {name!r}")
-    for trial in range(cfg.trials):
-        for label, slots, corpus, law in laws:
-            raw = corpus == "raw"
-            for s in range(slots):
-                if (trial, s, corpus) not in drawn:
-                    drawn[trial, s, corpus] = _sample(cfg, trial, s, raw=raw)
-            words = tuple(drawn[trial, s, corpus] for s in range(slots))
-            if law(*words):
-                continue
-            small = shrink_counterexample(
-                words, lambda ws: not law(*ws),
-                valid=is_reduced if raw else is_normal)
-            shown = ", ".join(f"{n} = {render(w)}"
-                              for n, w in zip("uvw", small))
-            return False, [f"suite {name}: FAIL ({label}) at trial {trial}",
-                           f"counterexample: {shown}"]
-    return True, [f"suite {name}: {cfg.trials} trials, pass"]
-
-
-def run_suites(cfg: SuiteConfig):
-    """Run cfg.suite, or every suite for "all"; returns (exit code, report lines)."""
-    names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
-    code, lines = 0, []
-    table, drawn = law_table(cfg.alphabet), {}
-    for name in names:
-        ok, out = _run_suite(name, cfg, table, drawn)
-        lines.extend(out)
-        if not ok:
-            code = 1
-    return code, lines
+from .laws import SUITE_NAMES, run_suites
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -337,20 +127,19 @@ def _cmd_inv(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = SuiteConfig(suite=args.suite, trials=args.trials, seed=args.seed,
-                      max_depth=args.max_depth, max_breadth=args.max_breadth,
-                      alphabet=tuple(args.alphabet.split(",")))
+    params = GenParams(max_depth=args.max_depth, max_breadth=args.max_breadth,
+                       alphabet=tuple(args.alphabet.split(",")), seed=args.seed)
     try:
-        for name in cfg.alphabet:
+        for name in params.alphabet:
             make_gen(name)
     except ValueError as exc:
         print(f"error: --alphabet: {exc}", file=sys.stderr)
         return 2
-    if cfg.trials < 1:
+    if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    code, lines = run_suites(cfg)
+    code, lines = run_suites(args.suite, args.trials, params)
     for line in lines:
         print(line)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s")
@@ -463,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run randomized law suites")
     c.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     c.add_argument("--trials", type=int, default=100)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--max-depth", type=int, default=3)
-    c.add_argument("--max-breadth", type=int, default=4)
-    c.add_argument("--alphabet", default="x,y,z",
+    c.add_argument("--seed", type=int, default=GenParams.seed)
+    c.add_argument("--max-depth", type=int, default=GenParams.max_depth)
+    c.add_argument("--max-breadth", type=int, default=GenParams.max_breadth)
+    c.add_argument("--alphabet", default=",".join(GenParams.alphabet),
                    help="comma-separated generator names")
     c.set_defaults(func=_cmd_check)
 

@@ -297,7 +297,7 @@ class LieAlgebraSpec:
         filled in; explicitly given mirrors are kept as written.  Every
         index must be an int in 0..dim-1, and dim at most MAX_LIE_DIM.
         """
-        dim = int(dim)
+        dim = _as_int(dim, "Lie algebra dimension")
         if dim < 1:
             raise TableError("Lie algebra dimension must be at least 1")
         if dim > MAX_LIE_DIM:

@@ -487,9 +487,9 @@ def sym3_sign_retraction() -> tuple:
 def load_group_file(source):
     """Read {"elements": [...], "mul": [[...]], "op": {...}} data.
 
-    Accepts a path, a file object, or an already-parsed dict.  The optional
-    "op" block maps element names to element names.  Returns (table, op or
-    None); the identity and inverses are inferred by the table itself.
+    Accepts a path or an already-parsed dict.  The optional "op" block maps
+    element names to element names.  Returns (table, op or None); the
+    identity and inverses are inferred by the table itself.
     """
     data = _load_json(source)
     if not isinstance(data, dict) or "elements" not in data or "mul" not in data:
@@ -509,11 +509,9 @@ def load_group_file(source):
 
 
 def _load_json(source):
-    """JSON data from a path or a file object; a dict is already data."""
+    """JSON data from a path; a dict is already data."""
     if isinstance(source, dict):
         return source
-    if hasattr(source, "read"):
-        return json.load(source)
     with open(source, "r", encoding="utf-8") as fh:
         return json.load(fh)
 

@@ -231,10 +231,6 @@ def metrics(w: Word) -> WordMetrics:
     return WordMetrics(len(w.factors), depth, degree, size + degree, frozenset(names))
 
 
-def op_degree(w: Word) -> int:
-    return metrics(w).op_degree
-
-
 def nesting(w: Word) -> int:
     """Deepest bracket nesting of `w` as rendered.
 
@@ -270,8 +266,8 @@ _FACTOR_RE = re.compile(rf"(?:({_IDENT_RE.pattern})|(\])|1)(?:@(\d*))?(?:\^(-?\d
 # eval_operated and for diamond's seam merges, one each for the oracle's
 # finders and _apply_at.  parse, render, is_normal, are_inverse (so every
 # cancellation test) and the level walker behind is_reduced, is_folded,
-# op_degree, metrics and nesting use an explicit stack.  A product of two
-# words nests at most as deep as both together, so the costliest command on
+# metrics and nesting use an explicit stack.  A product of two words nests
+# at most as deep as both together, so the costliest command on
 # parsed input -- a product merging two 100-deep words at every level, or
 # evaluating one -- needs about 210 frames; on CPython 3.11 no subcommand
 # needed more, measured by lowering the recursion limit.  The bound is on the

@@ -2,7 +2,7 @@
 
 Run with -s (or read the -v test ids) to see the per-criterion lines.
 Randomized suites are seeded, so every run checks the same corpus.  The law
-criteria evaluate the rows of ``cli.law_table``, the table ``avgroups check``
+criteria evaluate the rows of ``laws.law_table``, the table ``avgroups check``
 runs.
 """
 
@@ -12,7 +12,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import avgroups.avgroup as avgroup_mod
-import avgroups.cli as cli_mod
+import avgroups.laws as laws_mod
 import avgroups.normalform as normalform_mod
 from avgroups.words import Br, parse, render, single
 from avgroups.normalform import is_normal
@@ -25,7 +25,7 @@ from avgroups.avgroup import (
     random_normal_word,
     random_raw_word,
 )
-from avgroups.cli import SuiteConfig, law_commutes, law_table, run_suites
+from avgroups.laws import law_commutes, law_table, run_suites
 from avgroups.structures import (
     AveragingGroupHandle,
     check_disemigroup,
@@ -134,7 +134,7 @@ def test_criterion_04_closure():
     assert _closure_outputs, "law suites must run first"
     for w in _closure_outputs:
         assert is_normal(w)
-    code, lines = run_suites(SuiteConfig(suite="closure", trials=1000, seed=4))
+    code, lines = run_suites("closure", 1000, GenParams(seed=4))
     assert code == 0, lines
     _passed(4, f"all {len(_closure_outputs)} suite outputs normal, "
                "plus 1000 fresh closure trials")
@@ -268,13 +268,13 @@ def _literal_iter(w, n):
 
 def _operator_is_a_literal_wrap(m):
     m.setattr(avgroup_mod, "op_apply", _literal)
-    m.setattr(cli_mod, "op_apply", _literal)
-    m.setattr(cli_mod, "op_iter", _literal_iter)
+    m.setattr(laws_mod, "op_apply", _literal)
+    m.setattr(laws_mod, "op_iter", _literal_iter)
 
 
 def _product_drops_the_last_letter(m):
-    real = cli_mod.diamond
-    m.setattr(cli_mod, "diamond",
+    real = laws_mod.diamond
+    m.setattr(laws_mod, "diamond",
               lambda u, v: real(u, v if not v.factors else type(v)(v.factors[:-1])))
 
 
@@ -285,8 +285,8 @@ def _oracle_without_r2(m):
 
 
 def _evaluation_ignores_the_operator(m):
-    real = cli_mod.eval_operated
-    m.setattr(cli_mod, "eval_operated", lambda w, t, asg: real(
+    real = laws_mod.eval_operated
+    m.setattr(laws_mod, "eval_operated", lambda w, t, asg: real(
         w, SimpleNamespace(identity=t.identity, mul=t.mul, inv=t.inv, op=lambda a: a), asg))
 
 
@@ -301,7 +301,7 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
         _seam_merge_off_by_one(m)
         got = render(diamond(parse("[x [y]]@2"), parse("[z]@3")))
         assert got != "[x [y [z]]]@4"
-        code, _ = run_suites(SuiteConfig(suite="oracle", trials=40, seed=7))
+        code, _ = run_suites("oracle", 40, GenParams(seed=7))
         assert code != 0
 
     # mutant B: operator degenerates to a literal wrap
@@ -309,7 +309,7 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
         _operator_is_a_literal_wrap(m)
         got = render(_literal(parse("[x]@3 y [z]@2")))
         assert got != "[x [y [z]]]@4"
-        code, _ = run_suites(SuiteConfig(suite="oracle", trials=40, seed=7))
+        code, _ = run_suites("oracle", 40, GenParams(seed=7))
         assert code != 0
     _passed(10, "both recursion mutants break the exact examples and the "
                 "oracle-equivalence suite")
@@ -317,16 +317,16 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
 
 def test_no_law_row_is_vacuous(monkeypatch):
     """Every row of the law table fails on a seeded tuple under some mutant."""
-    cfg = SuiteConfig(trials=40, seed=7)
-    rows = law_table(cfg.alphabet)
+    params = GenParams(seed=7)
+    rows = law_table(params.alphabet)
     killed = set()
     for mutate in MUTANTS:
         with monkeypatch.context() as m:
             mutate(m)
             for _, label, slots, corpus, law in rows:
                 if label not in killed and any(
-                        not law(*(cli_mod._sample(cfg, t, s, raw=corpus == "raw")
+                        not law(*(laws_mod._sample(params, t, s, raw=corpus == "raw")
                                   for s in range(slots)))
-                        for t in range(cfg.trials)):
+                        for t in range(40)):
                     killed.add(label)
     assert killed == {row[1] for row in rows}

@@ -1,6 +1,6 @@
 """Recursive product, operator, evaluation, and random words.
 
-The law tests evaluate the rows of ``cli.law_table`` on their own corpora.
+The law tests evaluate the rows of ``laws.law_table`` on their own corpora.
 """
 
 from collections import deque
@@ -17,7 +17,7 @@ from avgroups.words import (
     eval_operated,
     is_reduced,
     make_br,
-    op_degree,
+    metrics,
     parse,
     render,
     single,
@@ -32,7 +32,7 @@ from avgroups.avgroup import (
     random_normal_word,
     random_raw_word,
 )
-from avgroups.cli import law_commutes, law_table
+from avgroups.laws import law_commutes, law_table
 from avgroups.structures import AveragingGroupHandle, IntShiftGroup, cyclic_group
 
 LAWS = law_table(("x", "y", "z"))
@@ -128,7 +128,7 @@ def test_oracle_and_recursions_agree_everywhere():
 
 def test_operator_degree_grows_by_one_on_positive_words():
     for w in _corpus(150, base_seed=1700):
-        assert op_degree(op_apply(w)) == op_degree(w) + 1
+        assert metrics(op_apply(w)).op_degree == metrics(w).op_degree + 1
 
 
 def test_operator_degree_can_collapse_on_mixed_words():
@@ -136,7 +136,7 @@ def test_operator_degree_can_collapse_on_mixed_words():
     w = parse("x [c]^-1 [c]@2")
     assert is_normal(w)
     assert op_apply(w) == parse("[x]@2")
-    assert op_degree(op_apply(w)) == op_degree(w) - 1
+    assert metrics(op_apply(w)).op_degree == metrics(w).op_degree - 1
 
 
 def test_evaluation_commutes_with_operations():
@@ -164,7 +164,6 @@ def test_generator_determinism_and_bounds():
         q = GenParams(max_depth=2, max_breadth=3, alphabet=("a", "b"), seed=seed)
         w = random_normal_word(q)
         assert is_normal(w)
-        from avgroups.words import metrics
         m = metrics(w)
         assert m.depth <= 2 and m.breadth <= 3
     r = random_raw_word(p)

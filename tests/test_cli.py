@@ -4,22 +4,22 @@ shrinking, the README's examples and the top-level names."""
 import ast
 import inspect
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import avgroups
 from avgroups.linearalg import MAX_LIE_DIM
-from avgroups.words import MAX_NESTING, op_degree, parse, render
-from avgroups.cli import (
-    SuiteConfig,
-    main,
-    run_suites,
-    shrink_counterexample,
-)
+from avgroups.words import MAX_NESTING, metrics, parse, render
+from avgroups.avgroup import GenParams
+from avgroups.cli import main
+from avgroups.laws import run_suites, shrink_counterexample
 
 
 def run(capsys, *argv):
@@ -140,10 +140,10 @@ def test_bad_usage_exits_2(capsys):
 
 
 def test_check_all_passes_and_is_deterministic(capsys, monkeypatch):
-    import avgroups.cli as cli_mod
+    import avgroups.laws as laws_mod
     drawn = []
-    real = cli_mod._sample
-    monkeypatch.setattr(cli_mod, "_sample", lambda *a, **k: drawn.append(a) or real(*a, **k))
+    real = laws_mod._sample
+    monkeypatch.setattr(laws_mod, "_sample", lambda *a, **k: drawn.append(a) or real(*a, **k))
     code, out, _ = run(capsys, "check", "--trials", "40", "--seed", "9")
     assert code == 0
     # each word is drawn once: three normal slots and one raw slot per trial
@@ -281,7 +281,14 @@ def test_eval_validates_the_table_and_operator_once(capsys, monkeypatch, z2_file
     assert sorted(calls) == ["validate_averaging", "validate_group"]
 
 
-def test_search_ops(capsys, z2_file):
+def cyclic_file(tmp_path, n):
+    p = tmp_path / f"z{n}.json"
+    p.write_text(json.dumps({"elements": [str(i) for i in range(n)],
+                             "mul": [[(i + j) % n for j in range(n)] for i in range(n)]}))
+    return str(p)
+
+
+def test_search_ops(capsys, z2_file, tmp_path):
     code, out, _ = run(capsys, "search-ops", "--group", z2_file)
     assert code == 0
     assert out.splitlines() == [
@@ -292,6 +299,11 @@ def test_search_ops(capsys, z2_file):
     ]
     code, out, _ = run(capsys, "search-ops", "--group", z2_file, "--pointed")
     assert code == 0 and out.splitlines()[0].startswith("found 2 pointed")
+    z7 = cyclic_file(tmp_path, 7)
+    assert run(capsys, "search-ops", "--group", z7) == \
+        (2, "", "error: carrier size 7 exceeds the search cap 6\n")
+    code, out, _ = run(capsys, "search-ops", "--group", z7, "--max-size", "7")
+    assert code == 0 and out.splitlines()[0] == "found 8 averaging operator(s) on 7 elements"
 
 
 def test_hopf_check(capsys, z2_file, tmp_path):
@@ -306,6 +318,22 @@ def test_hopf_check(capsys, z2_file, tmp_path):
     noop.write_text(json.dumps({"elements": ["0", "1"], "mul": [[0, 1], [1, 0]]}))
     code, out, _ = run(capsys, "hopf-check", "--group", str(noop))
     assert code == 0 and out == "verdicts agree on all 4 operator maps\n"
+    z3 = cyclic_file(tmp_path, 3)
+    assert run(capsys, "hopf-check", "--group", z3, "--max-size", "2") == \
+        (2, "", "error: carrier size 3 exceeds the exhaustive cap 2\n")
+    assert run(capsys, "hopf-check", "--group", z3) == \
+        (0, "verdicts agree on all 27 operator maps\n", "")
+
+
+def test_module_entry_point_keeps_the_exit_contract():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv, want in ((["normalize", "x"], 0),
+                       (["normalize", "--check-only", "[x] [y]"], 1),
+                       (["normalize", "[x"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "avgroups.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == want, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
 
 
 def test_hopf_check_rejects_malformed_operator_files(capsys, z2_file, tmp_path):
@@ -355,19 +383,19 @@ def test_shrinker_minimizes_while_preserving_failure():
     small = shrink_counterexample(start, fails)
     assert small == (parse("[z]"),)
     # two-slot shrink: both words shrink independently
-    fails2 = lambda ws: op_degree(ws[0]) + op_degree(ws[1]) >= 2
+    fails2 = lambda ws: metrics(ws[0]).op_degree + metrics(ws[1]).op_degree >= 2
     small2 = shrink_counterexample((parse("x [y]@2"), parse("[z [w]]")), fails2)
-    assert sum(op_degree(w) for w in small2) == 2
+    assert sum(metrics(w).op_degree for w in small2) == 2
 
 
 def test_run_suite_reports_minimal_counterexample(monkeypatch):
-    import avgroups.cli as cli_mod
+    import avgroups.laws as laws_mod
     # deliberately broken product: drops the last letter of the right factor
-    real = cli_mod.diamond
-    monkeypatch.setattr(cli_mod, "diamond",
+    real = laws_mod.diamond
+    monkeypatch.setattr(laws_mod, "diamond",
                         lambda u, v: real(u, v if not v.factors
                                           else type(v)(v.factors[:-1])))
-    code, lines = run_suites(SuiteConfig(suite="assoc", trials=30, seed=1))
+    code, lines = run_suites("assoc", 30, GenParams(seed=1))
     assert code == 1
     assert lines[0].startswith("suite assoc: FAIL")
     assert lines[1].startswith("counterexample:")

@@ -198,6 +198,10 @@ def test_lie_spec_and_validation():
     assert LieAlgebraSpec.from_brackets(MAX_LIE_DIM, {}).dim == MAX_LIE_DIM
     with pytest.raises(TableError, match="exceeds the limit"):
         LieAlgebraSpec.from_brackets(MAX_LIE_DIM + 1, {})
+    # a dimension is an integer: no float truncation, no bool, no raw ValueError
+    for dim in (2.7, True, "x"):
+        with pytest.raises(TableError, match="dimension must be an integer"):
+            LieAlgebraSpec.from_brackets(dim, {})
 
 
 def test_averaging_lie_examples():

@@ -27,7 +27,7 @@ from avgroups.normalform import (
     replay_trace,
 )
 from avgroups.avgroup import GenParams, random_normal_word, random_raw_word
-from avgroups.cli import law_table
+from avgroups.laws import law_table
 from avgroups.structures import IntShiftGroup
 
 # the table's row on raw words: both strategies agree, and the result is

@@ -29,7 +29,6 @@ from avgroups.words import (
     make_gen,
     metrics,
     nesting,
-    op_degree,
     parse,
     reduce_concat,
     render,
@@ -328,7 +327,7 @@ def test_metrics():
     assert (m.breadth, m.depth, m.op_degree) == (2, 0, 0)
     m = metrics(parse("[x] [y [z]^-1]@3"))
     assert (m.breadth, m.depth, m.op_degree) == (2, 4, 5)
-    assert op_degree(parse("[x]@3 y [z]@2")) == 5
+    assert metrics(parse("[x]@3 y [z]@2")).op_degree == 5
 
 
 # --- reference copies: the recursive metrics the level walker replaced -------
@@ -384,7 +383,7 @@ def test_the_level_walker_answers_on_deep_words():
 
     w = nest(ONE)
     assert is_reduced(w) and is_folded(w)
-    assert op_degree(w) == depth and nesting(w) == depth
+    assert metrics(w).op_degree == depth and nesting(w) == depth
     assert metrics(w) == WordMetrics(2, depth, depth, 3 * depth, frozenset({"x"}))
     assert not is_reduced(nest(Word((x, Gen("x", -1)))))
     assert not is_folded(nest(single(Br(ONE, 1, 1))))
