@@ -59,6 +59,8 @@ __all__ = [
     "random_raw_word",
 ]
 
+_new = tuple.__new__  # the C constructor of letters (see avgroups.words)
+
 
 def _seam_merge(a: Br, b: Br) -> Br:
     """Merge two same-sign bracket letters into one letter."""
@@ -70,13 +72,12 @@ def _seam_merge(a: Br, b: Br) -> Br:
 
 
 def diamond(u: Word, v: Word) -> Word:
-    vs = v.factors
-    if not vs:
+    if not v:
         return u
-    if not u.factors:
+    if not u:
         return v
-    out = list(u.factors)
-    for i, b in enumerate(vs):
+    out = list(u)
+    for i, b in enumerate(v):
         untouched = True
         while out:
             a = out[-1]
@@ -93,40 +94,38 @@ def diamond(u: Word, v: Word) -> Word:
             continue
         if untouched:
             # the seam is quiet: v's later letters cannot interact
-            out.extend(vs[i:])
+            out.extend(v[i:])
             break
         out.append(b)
-    return Word(tuple(out))
+    return Word(out)
 
 
 def op_apply(w: Word) -> Word:
-    fs = w.factors
-    if len(fs) == 1:
-        f = fs[0]
+    if len(w) == 1:
+        f = w[0]
         if type(f) is Br and f.sign > 0:
-            return Word((Br(f.content, f.iter + 1, 1),))
-    elif fs:
-        first, last = fs[0], fs[-1]
+            return Word((_new(Br, (f.content, f.iter + 1, 1)),))
+    elif w:
+        first, last = w[0], w[-1]
         if type(first) is Br and first.sign > 0:
-            return _fold(diamond(first.content, op_apply(Word(fs[1:]))), first.iter)
+            return _fold(diamond(first.content, op_apply(Word(w[1:]))), first.iter)
         if type(last) is Br and last.sign > 0 and last.iter >= 2:
-            return _fold(diamond(Word(fs[:-1]), op_apply(last.content)), last.iter)
+            return _fold(diamond(Word(w[:-1]), op_apply(last.content)), last.iter)
     # neither end forces a merge, and w is not a lone positive bracket, so one
     # literal bracket is already normal and folded
-    return Word((Br(w, 1, 1),))
+    return Word((_new(Br, (w, 1, 1)),))
 
 
 def _fold(w: Word, n: int) -> Word:
     """A^n(w) for n >= 1: one application, then n - 1 folded into the count."""
-    fs = w.factors
-    if len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0:
-        c = fs[0]
-        return Word((Br(c.content, c.iter + n, 1),))
+    if len(w) == 1 and type(w[0]) is Br and w[0].sign > 0:
+        content, it, _ = w[0]
+        return Word((_new(Br, (content, it + n, 1)),))
     a = op_apply(w)
     if n == 1:
         return a
-    (c,) = a.factors
-    return Word((Br(c.content, c.iter + n - 1, 1),))
+    ((content, it, _),) = a
+    return Word((_new(Br, (content, it + n - 1, 1)),))
 
 
 def op_iter(w: Word, n: int) -> Word:
@@ -232,7 +231,7 @@ def _grow_positive(rng, p: GenParams, depth: int, inside: bool) -> Word:
         if isinstance(prev, Gen) and prev.name == name and prev.sign == -sign:
             sign = -sign
         out.append(Gen(name, sign))
-    return Word(tuple(out))
+    return Word(out)
 
 
 def _grow_raw(rng, p: GenParams, depth: int) -> Word:
@@ -250,4 +249,4 @@ def _grow_raw(rng, p: GenParams, depth: int) -> Word:
                 continue
             out.append(f)
             break
-    return Word(tuple(out))
+    return Word(out)

@@ -135,9 +135,11 @@ def _cmd_check(args) -> int:
     except ValueError as exc:
         print(f"error: --alphabet: {exc}", file=sys.stderr)
         return 2
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
+    for flag, value, least in (("--trials", args.trials, 1), ("--max-depth", args.max_depth, 0),
+                               ("--max-breadth", args.max_breadth, 0)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}", file=sys.stderr)
+            return 2
     t0 = time.perf_counter()
     code, lines = run_suites(args.suite, args.trials, params)
     for line in lines:

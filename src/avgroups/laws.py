@@ -58,16 +58,15 @@ def _sample(params: GenParams, trial: int, slot: int, raw: bool) -> Word:
 def _shrink_word(w: Word):
     """Strictly smaller variants: factor deletion, then depth truncation."""
     out = []
-    fs = w.factors
-    for i in range(len(fs)):
-        out.append(reduce_concat(Word(fs[:i]), Word(fs[i + 1:])))
-    for i, f in enumerate(fs):
+    for i in range(len(w)):
+        out.append(reduce_concat(Word(w[:i]), Word(w[i + 1:])))
+    for i, f in enumerate(w):
         if isinstance(f, Br):
             if f.sign == 1:
-                spliced = reduce_concat(Word(fs[:i]), f.content)
-                out.append(reduce_concat(spliced, Word(fs[i + 1:])))
+                spliced = reduce_concat(Word(w[:i]), f.content)
+                out.append(reduce_concat(spliced, Word(w[i + 1:])))
             if f.iter > 1:
-                out.append(Word(fs[:i] + (make_br(f.content, 1, f.sign),) + fs[i + 1:]))
+                out.append(Word(w[:i] + (make_br(f.content, 1, f.sign),) + w[i + 1:]))
     seen, final, size = set(), [], metrics(w).size
     for c in out:
         if metrics(c).size < size and c not in seen:

@@ -70,27 +70,31 @@ DEFAULT_STEP_LIMIT = 10**6
 
 
 def is_normal(w: Word) -> bool:
-    """Whether `w` satisfies N0-N3, checked level by level on an explicit stack."""
-    stack = [w.factors]
+    """Whether `w` satisfies N0-N3, checked level by level on an explicit stack.
+
+    N2 is read off each bracket content's own scan, from its first and its
+    last letter, whose fields the scan reads anyway; the top level ``w`` is
+    no bracket content, so N2 skips it.
+    """
+    stack = [w]
     while stack:
+        fs = stack.pop()
         prev = None
-        for f in stack.pop():
+        for f in fs:
             if type(f) is Br:
-                c = f.content.factors
-                if len(c) >= 2:
-                    first, last = c[0], c[-1]
-                    if type(first) is Br and first.sign > 0:
-                        return False
-                    if type(last) is Br and last.sign > 0 and last.iter >= 2:
-                        return False
+                c = f.content
                 if c:
                     stack.append(c)
-                if type(prev) is Br and (prev.sign == f.sign  # N1
-                                         or are_inverse(prev, f)):  # N0
-                    return False
-            elif type(prev) is Gen and prev.name == f.name and prev.sign == -f.sign:
+                if type(prev) is Br:
+                    if prev.sign == f.sign or are_inverse(prev, f):  # N1, N0
+                        return False
+                elif prev is None and f.sign > 0 and fs is not w and len(fs) >= 2:
+                    return False  # N2, first letter
+            elif type(prev) is Gen and prev.name == f.name and prev.sign != f.sign:
                 return False  # N0
             prev = f
+        if type(prev) is Br and prev.sign > 0 and prev.iter >= 2 and fs is not w and len(fs) >= 2:
+            return False  # N2, last letter
     return True
 
 
@@ -124,7 +128,7 @@ def _redexes(fs: tuple) -> list:
                     found.append((i - 1, "R1" if f.sign > 0 else "R1-"))
                 elif are_inverse(prev, f):
                     found.append((i - 1, "R0"))
-            c = f.content.factors
+            c = f.content
             if len(c) >= 2:
                 head, last = c[0], c[-1]
                 if type(head) is Br and head.sign > 0:
@@ -138,13 +142,12 @@ def _redexes(fs: tuple) -> list:
 
 
 def _find_innermost_leftmost(w: Word, path: tuple, clean: dict):
-    fs = w.factors
-    for i, f in enumerate(fs):
+    for i, f in enumerate(w):
         if type(f) is Br and id(f.content) not in clean:
             found = _find_innermost_leftmost(f.content, path + (i,), clean)
             if found is not None:
                 return found
-    found = _redexes(fs)
+    found = _redexes(w)
     if found:
         i, rule = found[0]
         return path + (i,), rule
@@ -154,13 +157,12 @@ def _find_innermost_leftmost(w: Word, path: tuple, clean: dict):
 
 def _find_outermost_rightmost(w: Word, path: tuple, clean: dict):
     # the rightmost check order mirrors the leftmost one: take the last redex
-    fs = w.factors
-    found = _redexes(fs)
+    found = _redexes(w)
     if found:
         i, rule = found[-1]
         return path + (i,), rule
-    for i in range(len(fs) - 1, -1, -1):
-        f = fs[i]
+    for i in range(len(w) - 1, -1, -1):
+        f = w[i]
         if type(f) is Br and id(f.content) not in clean:
             found = _find_outermost_rightmost(f.content, path + (i,), clean)
             if found is not None:
@@ -190,16 +192,16 @@ def _replacement(redex: tuple, rule: str) -> tuple:
         head, tail, sign = inner.content, outer.content, -1
     elif rule == "R2":
         (outer,) = redex
-        inner = outer.content.factors[0]
-        head, tail, sign = inner.content, Word(outer.content.factors[1:]), outer.sign
+        inner = outer.content[0]
+        head, tail, sign = inner.content, Word(outer.content[1:]), outer.sign
     elif rule == "R3":
         (outer,) = redex
-        inner = outer.content.factors[-1]
-        head, tail, sign = Word(outer.content.factors[:-1]), inner.content, outer.sign
+        inner = outer.content[-1]
+        head, tail, sign = outer.content[:-1], inner.content, outer.sign
     else:
         raise ValueError(f"unknown rule {rule}")
     it = outer.iter + inner.iter - 1
-    return (make_br(Word(head.factors + (make_br(tail, 1, 1),)), it, sign),)
+    return (make_br(Word(head + (make_br(tail, 1, 1),)), it, sign),)
 
 
 def _width(rule: str) -> int:
@@ -209,13 +211,13 @@ def _width(rule: str) -> int:
 
 def _apply_at(w: Word, path: tuple, rule: str) -> Word:
     """`w` with `rule` applied at `path`; only the letters along the path are rebuilt."""
-    fs, i = w.factors, path[0]
+    i = path[0]
     if len(path) == 1:
         n = _width(rule)
-        return Word(fs[:i] + _replacement(fs[i : i + n], rule) + fs[i + n :])
-    f = fs[i]
+        return Word(w[:i] + _replacement(w[i : i + n], rule) + w[i + n :])
+    f = w[i]
     nf = make_br(_apply_at(f.content, path[1:], rule), f.iter, f.sign)
-    return Word(fs[:i] + (nf,) + fs[i + 1 :])
+    return Word(w[:i] + (nf,) + w[i + 1 :])
 
 
 def _rewrites(w: Word, strategy: str, step_limit: int):
@@ -241,7 +243,7 @@ def _redex(w: Word, rule: str, path: tuple) -> tuple:
     Raises ValueError unless the path runs through brackets to a level of
     `w` and `rule` licenses the letters it names there.
     """
-    fs = w.factors
+    fs = w
     for depth, i in enumerate(path, 1):
         if type(i) is not int or not 0 <= i < len(fs):
             break
@@ -251,7 +253,7 @@ def _redex(w: Word, rule: str, path: tuple) -> tuple:
             break
         if type(fs[i]) is not Br:
             break
-        fs = fs[i].content.factors
+        fs = fs[i].content
     raise ValueError(f"no {rule} redex at path {path}")
 
 

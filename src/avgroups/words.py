@@ -9,6 +9,18 @@ is structural equality of (content, iter, sign); ``[c]@3`` standing next to
 ``([c]@2)^-1`` does not cancel, because they are different letters of the
 alphabet.
 
+A word is a :class:`Word`, the tuple of its letters.  A letter is a
+``Gen(name, sign)`` or a ``Br(content, iter, sign)``, tuples with named
+fields.  All three are immutable: no field can be set, not even through
+``object.__setattr__``.  Equality and hashing are those of tuples, structural
+and done in C, so the empty word :data:`ONE` is falsy and a word equals the
+plain tuple of its letters.  No two node types compare equal: a ``Gen`` has
+two items, a ``Br`` three with a word first, and a word's items are letters.
+Tuple comparison counts two levels of the recursion limit per bracket, so
+``==`` on equal words built apart answers up to 498 deep under the default
+limit and raises RecursionError deeper; :func:`are_inverse` answers at any
+depth.  Hashing is unguarded: a word nested 100,000 deep overflows the C stack.
+
 Grammar accepted by :func:`parse`::
 
     word   := factor*
@@ -27,6 +39,7 @@ numbers are decimal digits of any script.  Brackets may nest at most
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -59,21 +72,19 @@ __all__ = [
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
-# Letters and words are slotted: without a per-instance __dict__ a parsed word
-# takes about 40% less memory, and words are built by the thousand.
+# Letters and words are tuples with no per-instance __dict__: words are built
+# by the thousand.  The hot paths build them with the C tuple constructor,
+# _new(Br, (content, iter, sign)), instead of the namedtuple's Python-level
+# __new__, and Word(letters) is that constructor already.
+_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Gen:
-    name: str
-    sign: int
+class Gen(namedtuple("Gen", "name sign")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Br:
-    content: "Word"
-    iter: int
-    sign: int
+class Br(namedtuple("Br", "content iter sign")):
+    __slots__ = ()
 
 
 # A PEP 604 union, not typing.Union: typing caches each Union[...] it builds
@@ -82,12 +93,13 @@ class Br:
 Factor = Gen | Br
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
-    factors: tuple
+class Word(tuple):
+    """A word: the tuple of its letters."""
+
+    __slots__ = ()
 
 
-ONE = Word(())
+ONE = Word()
 
 
 def make_gen(name: str, sign: int = 1) -> Gen:
@@ -95,7 +107,7 @@ def make_gen(name: str, sign: int = 1) -> Gen:
         raise ValueError(f"bad generator name {name!r}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return Gen(name, sign)
+    return _new(Gen, (name, sign))
 
 
 def make_br(content: Word, it: int = 1, sign: int = 1) -> Br:
@@ -104,13 +116,13 @@ def make_br(content: Word, it: int = 1, sign: int = 1) -> Br:
         raise ValueError("iteration must be >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    while len(content.factors) == 1:
-        f = content.factors[0]
-        if not isinstance(f, Br) or f.sign < 0:
+    while len(content) == 1:
+        f = content[0]
+        if type(f) is not Br or f.sign < 0:
             break
         it += f.iter
         content = f.content
-    return Br(content, it, sign)
+    return _new(Br, (content, it, sign))
 
 
 def single(f: Factor) -> Word:
@@ -118,9 +130,9 @@ def single(f: Factor) -> Word:
 
 
 def inv_factor(f: Factor) -> Factor:
-    if isinstance(f, Gen):
-        return Gen(f.name, -f.sign)
-    return Br(f.content, f.iter, -f.sign)
+    if type(f) is Gen:
+        return _new(Gen, (f.name, -f.sign))
+    return _new(Br, (f.content, f.iter, -f.sign))
 
 
 def are_inverse(a: Factor, b: Factor) -> bool:
@@ -134,26 +146,25 @@ def are_inverse(a: Factor, b: Factor) -> bool:
 def _same_word(u: Word, v: Word) -> bool:
     """Structural equality of two words, identity first, by an explicit stack.
 
-    Dataclass equality recurses once per nesting level through several
-    frames, so it overflows on equal words built apart about 150 deep.
+    Tuple equality recurses in C, two levels of the recursion limit per
+    nesting level, so it overflows on equal words built apart about 500 deep.
     """
     stack = [(u, v)]
     while stack:
         u, v = stack.pop()
         if u is v:
             continue
-        a, b = u.factors, v.factors
-        if len(a) != len(b):
+        if len(u) != len(v):
             return False
-        for f, g in zip(a, b):
+        for f, g in zip(u, v):
             if f is g:
                 continue
-            if type(f) is not type(g) or f.sign != g.sign:
+            if type(f) is not type(g):
                 return False
             if type(f) is Gen:
-                if f.name != g.name:
+                if f != g:
                     return False
-            elif f.iter != g.iter:
+            elif f.iter != g.iter or f.sign != g.sign:
                 return False
             else:
                 stack.append((f.content, g.content))
@@ -161,18 +172,18 @@ def _same_word(u: Word, v: Word) -> bool:
 
 
 def _levels(w: Word):
-    """(factors, nesting, operator depth) of `w` and of every bracket content in it.
+    """(letters, nesting, operator depth) of `w` and of every bracket content in it.
 
     Nesting counts the enclosing brackets as rendered; operator depth sums
     their iteration counts.  An explicit stack: words of any depth are walked.
     """
-    stack = [(w.factors, 0, 0)]
+    stack = [(w, 0, 0)]
     while stack:
         level = fs, nest, depth = stack.pop()
         yield level
         for f in fs:
             if type(f) is Br:
-                stack.append((f.content.factors, nest + 1, depth + f.iter))
+                stack.append((f.content, nest + 1, depth + f.iter))
 
 
 def is_reduced(w: Word) -> bool:
@@ -194,14 +205,14 @@ def _push_reduced(stack: list, f: Factor) -> None:
 
 def reduce_concat(u: Word, v: Word) -> Word:
     """Free-group product: concatenate and cancel at the seam, cascading."""
-    out = list(u.factors)
-    for f in v.factors:
+    out = list(u)
+    for f in v:
         _push_reduced(out, f)
-    return Word(tuple(out))
+    return Word(out)
 
 
 def invert(w: Word) -> Word:
-    return Word(tuple(inv_factor(f) for f in reversed(w.factors)))
+    return Word([inv_factor(f) for f in reversed(w)])
 
 
 def bracket_literal(w: Word) -> Word:
@@ -228,7 +239,7 @@ def metrics(w: Word) -> WordMetrics:
                 degree += f.iter
             else:
                 names.add(f.name)
-    return WordMetrics(len(w.factors), depth, degree, size + degree, frozenset(names))
+    return WordMetrics(len(w), depth, degree, size + degree, frozenset(names))
 
 
 def nesting(w: Word) -> int:
@@ -260,12 +271,12 @@ _FACTOR_RE = re.compile(rf"(?:({_IDENT_RE.pattern})|(\])|1)(?:@(\d*))?(?:\^(-?\d
 
 # Deepest bracket nesting `parse` accepts; one level more is a WordSyntaxError.
 # Some of the program recurses once per nesting level, and each level costs
-# frames under Python's default recursion limit of 1000: about seven to
-# compare two words with ``==`` (dataclass equality and the tuple comparisons
-# inside it; only the law checks do, on generated words), two each for
-# eval_operated and for diamond's seam merges, one each for the oracle's
-# finders and _apply_at.  parse, render, is_normal, are_inverse (so every
-# cancellation test) and the level walker behind is_reduced, is_folded,
+# frames under Python's default recursion limit of 1000: two to compare two
+# words with ``==`` (C tuple comparison counts one level for the word and one
+# for the bracket letter; only the law checks do, on generated words), two
+# each for eval_operated and for diamond's seam merges, one each for the
+# oracle's finders and _apply_at.  parse, render, is_normal, are_inverse (so
+# every cancellation test) and the level walker behind is_reduced, is_folded,
 # metrics and nesting use an explicit stack.  A product of two words nests
 # at most as deep as both together, so the costliest command on
 # parsed input -- a product merging two 100-deep words at every level, or
@@ -313,7 +324,7 @@ def _read_token(tok: str, gens: dict) -> tuple:
         return "1", None, None, 0
     for s in (sign, -sign):
         if (name, s) not in gens:
-            gens[name, s] = Gen(name, s)
+            gens[name, s] = _new(Gen, (name, s))
     return "g", gens[name, sign], gens[name, -sign], count
 
 
@@ -373,7 +384,7 @@ def parse(text: str) -> Word:
         elif kind == "]":
             if not outer:
                 raise _syntax_error(text, tokens, j, "unexpected ']'", 0)
-            letter = make_br(Word(tuple(out)), a, b)
+            letter = make_br(Word(out), a, b)
             out = outer.pop()
             for _ in range(count):
                 _push_reduced(out, letter)
@@ -383,7 +394,7 @@ def parse(text: str) -> Word:
             raise _syntax_error(text, tokens, j, a, b)
     if outer:
         raise WordSyntaxError("expected ']'", len(text))
-    return Word(tuple(out))
+    return Word(out)
 
 
 # --- rendering -------------------------------------------------------------
@@ -391,12 +402,12 @@ def parse(text: str) -> Word:
 
 def render(w: Word) -> str:
     """Text of `w` in the grammar above, by an explicit stack: any depth renders."""
-    if not w.factors:
+    if not w:
         return "1"
     out = []
-    # (factors, next index, closing text) of each enclosing bracket
+    # (letters, next index, closing text) of each enclosing bracket
     outer = []
-    fs, i, close = w.factors, 0, ""
+    fs, i, close = w, 0, ""
     while True:
         if i < len(fs):
             f = fs[i]
@@ -407,7 +418,7 @@ def render(w: Word) -> str:
                 out.append(f.name if f.sign > 0 else f.name + "^-1")
                 continue
             outer.append((fs, i, close))
-            fs, i = f.content.factors, 0
+            fs, i = f.content, 0
             close = "]" + (f"@{f.iter}" if f.iter >= 2 else "") + ("^-1" if f.sign < 0 else "")
             out.append("[" if fs else "[1")
         elif outer:
@@ -444,7 +455,7 @@ def eval_operated(w: Word, target, assignment: Mapping[str, object]):
 
     def eval_word(v: Word):
         acc = target.identity()
-        for f in v.factors:
+        for f in v:
             acc = target.mul(acc, eval_factor(f))
         return acc
 

@@ -254,7 +254,7 @@ def _seam_merge_off_by_one(m):
 
 
 def _literal(w):
-    fs = w.factors
+    fs = w
     if len(fs) == 1 and isinstance(fs[0], Br) and fs[0].sign > 0:
         return single(Br(fs[0].content, fs[0].iter + 1, 1))
     return single(Br(w, 1, 1))
@@ -275,7 +275,7 @@ def _operator_is_a_literal_wrap(m):
 def _product_drops_the_last_letter(m):
     real = laws_mod.diamond
     m.setattr(laws_mod, "diamond",
-              lambda u, v: real(u, v if not v.factors else type(v)(v.factors[:-1])))
+              lambda u, v: real(u, v if not v else type(v)(v[:-1])))
 
 
 def _oracle_without_r2(m):

@@ -225,8 +225,8 @@ def _ref_seam_merge(a, b):
 
 
 def _ref_diamond(u, v):
-    out = list(u.factors)
-    queue = deque(v.factors)
+    out = list(u)
+    queue = deque(v)
     while queue:
         b = queue.popleft()
         if out:
@@ -243,7 +243,7 @@ def _ref_diamond(u, v):
 
 
 def _ref_op_apply(w):
-    fs = w.factors
+    fs = w
     if len(fs) == 1 and isinstance(fs[0], Br) and fs[0].sign > 0:
         f = fs[0]
         return single(Br(f.content, f.iter + 1, 1))
@@ -266,14 +266,14 @@ def _ref_op_iter(w, n):
 
 
 def _ref_is_normal(w):
-    fs = w.factors
+    fs = w
     for i, f in enumerate(fs):
         if i > 0 and are_inverse(fs[i - 1], f):
             return False
         if i > 0 and isinstance(f, Br) and isinstance(fs[i - 1], Br) and f.sign == fs[i - 1].sign:
             return False
         if isinstance(f, Br):
-            c = f.content.factors
+            c = f.content
             if len(c) >= 2:
                 first, last = c[0], c[-1]
                 if isinstance(first, Br) and first.sign > 0:
@@ -369,5 +369,5 @@ def test_equal_contents_built_apart_cancel_at_any_depth(depth):
     for _ in range(depth):
         d3 = Word((Gen("x", 1), Br(d3, 1, 1)))
     assert is_normal(Word((Br(d, 1, 1), Br(d3, 1, -1))))
-    assert len(diamond(single(Br(d, 1, 1)), single(Br(d3, 1, -1))).factors) == 2
+    assert len(diamond(single(Br(d, 1, 1)), single(Br(d3, 1, -1)))) == 2
 

@@ -168,6 +168,14 @@ def test_check_single_suite_and_flags(capsys):
     capsys.readouterr()
 
 
+def test_check_refuses_negative_word_bounds(capsys, monkeypatch):
+    import avgroups.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "run_suites", lambda *a: pytest.fail("a suite ran"))
+    for flag in ("--max-depth", "--max-breadth"):
+        want = f"error: {flag} must be at least 0\n"
+        assert run(capsys, "check", flag, "-1") == (2, "", want), flag
+
+
 def test_check_refuses_alphabet_names_that_are_not_generators(capsys):
     for alphabet, name in (("x,", ""), ("1,y", "1"), ("x y", "x y"), ("x,X", "X")):
         want = f"error: --alphabet: bad generator name {name!r}\n"
@@ -393,8 +401,8 @@ def test_run_suite_reports_minimal_counterexample(monkeypatch):
     # deliberately broken product: drops the last letter of the right factor
     real = laws_mod.diamond
     monkeypatch.setattr(laws_mod, "diamond",
-                        lambda u, v: real(u, v if not v.factors
-                                          else type(v)(v.factors[:-1])))
+                        lambda u, v: real(u, v if not v
+                                          else type(v)(v[:-1])))
     code, lines = run_suites("assoc", 30, GenParams(seed=1))
     assert code == 1
     assert lines[0].startswith("suite assoc: FAIL")

@@ -137,17 +137,17 @@ def test_replay_rejects_unlicensed_rewrites_and_bad_paths():
 def test_trace_renders_deep_intermediates():
     # x [x [x ... [x]]] [x], 300 deep: each R1 step moves the trailing [x] one
     # level in, so the traced steps render words about 300 deep.  Deep words
-    # are compared by their text: dataclass equality on them overflows.
+    # are compared by their text: `==` on them nears the recursion limit.
     x = Gen("x", 1)
     w = Word((x,))
     for _ in range(300):
         w = Word((x, Br(w, 1, 1)))
-    w = Word(w.factors + (Br(Word((x,)), 1, 1),))
+    w = Word(w + (Br(Word((x,)), 1, 1),))
     normal, steps = _traced(w)
     text = render(normal)
     assert text == "x [" * 301 + "x" + "]" * 301
     assert len(steps) == 300 and {s.rule for s in steps} == {"R1"}
-    assert steps[0].before == render(Word(w.factors[1:]))
+    assert steps[0].before == render(Word(w[1:]))
     assert render(oracle_normalize(w)) == text
     assert render(replay_trace(w, steps)) == text
 
@@ -232,17 +232,17 @@ def _reference_pair_rule(a, b):
 
 def _reference_r2(f):
     """[[a]@t rest]@n: a content of breadth >= 2 opening with a positive bracket."""
-    if not isinstance(f, Br) or len(f.content.factors) < 2:
+    if not isinstance(f, Br) or len(f.content) < 2:
         return False
-    head = f.content.factors[0]
+    head = f.content[0]
     return isinstance(head, Br) and head.sign > 0
 
 
 def _reference_r3(f):
     """[u [v]@m]@n, m >= 2: a content of breadth >= 2 closing with such a bracket."""
-    if not isinstance(f, Br) or len(f.content.factors) < 2:
+    if not isinstance(f, Br) or len(f.content) < 2:
         return False
-    last = f.content.factors[-1]
+    last = f.content[-1]
     return isinstance(last, Br) and last.sign > 0 and last.iter >= 2
 
 
@@ -253,7 +253,7 @@ def _reference_apply_local(fs, i, rule):
     if rule == "R1":
         a, b = fs[i], fs[i + 1]
         merged = make_br(
-            Word(a.content.factors + (make_br(b.content, 1, 1),)),
+            Word(a.content + (make_br(b.content, 1, 1),)),
             a.iter + b.iter - 1,
             1,
         )
@@ -261,26 +261,26 @@ def _reference_apply_local(fs, i, rule):
     if rule == "R1-":
         a, b = fs[i], fs[i + 1]
         merged = make_br(
-            Word(b.content.factors + (make_br(a.content, 1, 1),)),
+            Word(b.content + (make_br(a.content, 1, 1),)),
             a.iter + b.iter - 1,
             -1,
         )
         return fs[:i] + (merged,) + fs[i + 2 :], Word(fs[i : i + 2]), single(merged)
     if rule == "R2":
         f = fs[i]
-        head = f.content.factors[0]
-        rest = Word(f.content.factors[1:])
+        head = f.content[0]
+        rest = Word(f.content[1:])
         new = make_br(
-            Word(head.content.factors + (make_br(rest, 1, 1),)),
+            Word(head.content + (make_br(rest, 1, 1),)),
             f.iter + head.iter - 1,
             f.sign,
         )
         return fs[:i] + (new,) + fs[i + 1 :], single(f), single(new)
     if rule == "R3":
         f = fs[i]
-        last = f.content.factors[-1]
+        last = f.content[-1]
         new = make_br(
-            Word(f.content.factors[:-1] + (make_br(last.content, 1, 1),)),
+            Word(f.content[:-1] + (make_br(last.content, 1, 1),)),
             f.iter + last.iter - 1,
             f.sign,
         )
@@ -290,17 +290,17 @@ def _reference_apply_local(fs, i, rule):
 
 def _reference_apply_at(w, path, rule):
     if len(path) == 1:
-        new, before, after = _reference_apply_local(w.factors, path[0], rule)
+        new, before, after = _reference_apply_local(w, path[0], rule)
         return Word(new), before, after
     i = path[0]
-    f = w.factors[i]
+    f = w[i]
     new_content, before, after = _reference_apply_at(f.content, path[1:], rule)
     nf = make_br(new_content, f.iter, f.sign)
-    return Word(w.factors[:i] + (nf,) + w.factors[i + 1 :]), before, after
+    return Word(w[:i] + (nf,) + w[i + 1 :]), before, after
 
 
 def _reference_innermost_leftmost(w, path):
-    fs = w.factors
+    fs = w
     for i, f in enumerate(fs):
         if isinstance(f, Br):
             found = _reference_innermost_leftmost(f.content, path + (i,))
@@ -319,7 +319,7 @@ def _reference_innermost_leftmost(w, path):
 
 
 def _reference_outermost_rightmost(w, path):
-    fs = w.factors
+    fs = w
     for i in range(len(fs) - 1, -1, -1):
         if i + 1 < len(fs):
             rule = _reference_pair_rule(fs[i], fs[i + 1])

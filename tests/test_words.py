@@ -78,16 +78,59 @@ def test_parse_reduces_and_folds():
     assert parse("[[x]@2]@3") == parse("[x]@5")
     # negative inner bracket is a different letter and must not fold
     neg = parse("[[x]^-1]")
-    assert neg.factors[0].iter == 1
+    assert neg[0].iter == 1
     assert render(neg) == "[[x]^-1]"
 
 
 def test_bracket_letter_equality_is_structural():
-    a = parse("[c]@3").factors[0]
-    b = parse("[c]@2^-1").factors[0]
+    a = parse("[c]@3")[0]
+    b = parse("[c]@2^-1")[0]
     assert not are_inverse(a, b)
-    assert are_inverse(a, parse("[c]@3^-1").factors[0])
+    assert are_inverse(a, parse("[c]@3^-1")[0])
     assert reduce_concat(parse("[c]@3"), parse("[c]@2^-1")) == parse("[c]@3 [c]@2^-1")
+
+
+def test_words_and_letters_are_immutable():
+    w = parse("x [y]@2^-1")
+    g, b = w
+    for node, fields in ((g, Gen._fields), (b, Br._fields), (w, ("factors", "letters"))):
+        for field in fields:
+            for assign in (setattr, object.__setattr__):
+                with pytest.raises(AttributeError):
+                    assign(node, field, None)
+    with pytest.raises(TypeError):
+        w[0] = b
+    assert w == Word((Gen("x", 1), Br(Word((Gen("y", 1),)), 2, -1)))
+
+
+def test_equality_and_hashing_are_structural():
+    for text in ("x", "y^-1", "[x]", "[x y]@2^-1", "[[x]@3 y] z"):
+        u, v = parse(text), parse(text)
+        assert u is not v and u == v and hash(u) == hash(v), text
+        for f, g in zip(u, v):
+            assert f is not g and f == g and hash(f) == hash(g), text
+    assert make_gen("x", -1) == parse("x^-1")[0]
+    assert make_br(parse("x"), 2, -1) == parse("[x]@2^-1")[0]
+    # no two node types are equal: a Gen has two items, a Br three, a word letters
+    assert Gen("x", 1) != Br(ONE, 1, 1) and Br(ONE, 1, 1) != Gen("x", 1)
+    assert Gen("x", 1) != parse("x") != parse("[x]")[0]
+    assert parse("x y") != Gen("x", 1) and parse("x [y] z") != Br(parse("y"), 1, 1)
+    # the documented tuple semantics
+    assert ONE == Word(()) == () and not ONE and parse("x y")
+    assert parse("x") == (Gen("x", 1),) and Gen("x", 1) == ("x", 1)
+
+
+@pytest.mark.parametrize("depth", [150, 300])
+def test_equal_deep_words_built_apart_compare_and_hash_equal(depth):
+    def nest(bottom):
+        w = Word((Gen(bottom, 1),))
+        for _ in range(depth):
+            w = Word((Gen("x", 1), Br(w, 1, 1)))
+        return w
+
+    u, v = nest("y"), nest("y")
+    assert u == v and hash(u) == hash(v)
+    assert u != nest("z")
 
 
 # (text, message fragment, position) of every malformed input pinned here
@@ -335,7 +378,7 @@ def test_metrics():
 
 def _ref_size(w):
     total = 0
-    for f in w.factors:
+    for f in w:
         total += 1
         if isinstance(f, Br):
             total += f.iter + _ref_size(f.content)
@@ -344,7 +387,7 @@ def _ref_size(w):
 
 def _ref_generators(w):
     names = set()
-    for f in w.factors:
+    for f in w:
         if isinstance(f, Br):
             names |= _ref_generators(f.content)
         else:
@@ -353,12 +396,12 @@ def _ref_generators(w):
 
 
 def _ref_depth(w):
-    return max((f.iter + _ref_depth(f.content) for f in w.factors if isinstance(f, Br)),
+    return max((f.iter + _ref_depth(f.content) for f in w if isinstance(f, Br)),
                default=0)
 
 
 def _ref_degree(w):
-    return sum(f.iter + _ref_degree(f.content) for f in w.factors if isinstance(f, Br))
+    return sum(f.iter + _ref_degree(f.content) for f in w if isinstance(f, Br))
 
 
 @pytest.mark.parametrize("via_oracle", [False, True], ids=["positive", "full"])
@@ -367,7 +410,7 @@ def test_metrics_match_the_reference(via_oracle):
     for k in range(500):
         d, b = sizes[k % len(sizes)]
         w = random_normal_word(GenParams(d, b, seed=62_000 + k), via_oracle=via_oracle)
-        want = WordMetrics(len(w.factors), _ref_depth(w), _ref_degree(w),
+        want = WordMetrics(len(w), _ref_depth(w), _ref_degree(w),
                            _ref_size(w), _ref_generators(w))
         assert metrics(w) == want, render(w)
 
