@@ -12,10 +12,16 @@ table is averaging on the group exactly when its linear extension is
 averaging on the algebra and a coalgebra map, and that equivalence is
 asserted, never assumed.  The Lie side works over Fraction structure
 constants; no floating point enters this module.
+
+Range checks live at the entry points: `ga_mul` checks both supports,
+`linear_extend` explicit images' keys (a set map goes through
+`as_operator`), `from_brackets` every Lie index.  Past them the checks use
+the unchecked `_conv` and pass lazy one-tuple chunks to the witness kernel.
 """
 
 from fractions import Fraction
 import functools
+import itertools
 import random
 
 from .structures import (
@@ -23,10 +29,10 @@ from .structures import (
     FiniteGroupTable,
     TableError,
     _as_int,
+    _averaging,
     _law,
     _load_json,
     as_operator,
-    validate_averaging,
 )
 
 
@@ -47,11 +53,9 @@ def _coeff(v):
     return v if type(v) is int else _frac(v)
 
 
-_ZERO = 0
-
-
 def _norm(coeffs: dict) -> dict:
-    return {k: v for k, v in coeffs.items() if v}
+    """A fresh coefficient dict without its zeros; most have none to drop."""
+    return coeffs if all(coeffs.values()) else {k: v for k, v in coeffs.items() if v}
 
 
 def _combine(terms) -> dict:
@@ -63,8 +67,7 @@ def _combine(terms) -> dict:
     out: dict = {}
     for q, vec in terms:
         for k, v in vec.items():
-            s = out.get(k)
-            out[k] = q * v if s is None else s + q * v
+            out[k] = out[k] + q * v if k in out else q * v
     return _norm(out)
 
 
@@ -80,7 +83,7 @@ def ga_basis(i: int) -> dict:
 def ga_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, _ZERO) + v
+        out[k] = out.get(k, 0) + v
     return _norm(out)
 
 
@@ -91,21 +94,26 @@ def ga_scale(q, a: dict) -> dict:
 
 def ga_mul(a: dict, b: dict, g: FiniteGroupTable) -> dict:
     """Convolution product; the identity basis element is the unit."""
-    n, m = len(g), g.mul_table
+    n = len(g)
     # an index of b outside the carrier is reported once a's first index passes
     bad_j = next((j for j in b if not 0 <= j < n), None)
-    out: dict = {}
-    for i, ci in a.items():
+    for i in a:
         if not 0 <= i < n:
             raise TableError(f"support index {i} outside the carrier")
         if bad_j is not None:
             raise TableError(f"support index {bad_j} outside the carrier")
+    return _conv(a, b, g.mul_table)
+
+
+def _conv(a: dict, b: dict, m) -> dict:
+    """ga_mul over the table rows m, on supports known to lie in the carrier."""
+    out: dict = {}
+    for i, ci in a.items():
         row = m[i]
         for j, cj in b.items():
             k = row[j]
-            s = out.get(k)
-            out[k] = ci * cj if s is None else s + ci * cj
-    return _norm(out)
+            out[k] = out[k] + ci * cj if k in out else ci * cj
+    return out if all(out.values()) else {k: v for k, v in out.items() if v}
 
 
 def linear_extend(g: FiniteGroupTable, A):
@@ -119,6 +127,8 @@ def linear_extend(g: FiniteGroupTable, A):
     if seq and isinstance(seq[0], dict):
         if len(seq) != n:
             raise TableError("one basis image per carrier element required")
+        if not all(isinstance(img, dict) for img in seq):
+            raise TableError("each basis image must be an {index: coefficient} map")
         for k in (k for img in seq for k in img):
             if type(k) is not int or not 0 <= k < n:
                 raise TableError(f"support index {k!r} outside the carrier")
@@ -131,9 +141,8 @@ def linear_extend(g: FiniteGroupTable, A):
         out: dict = {}
         for i, c in a.items():
             k = target[i]
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return _norm(out)
+            out[k] = out[k] + c if k in out else c
+        return out if all(out.values()) else {k: v for k, v in out.items() if v}
 
     return move
 
@@ -165,26 +174,25 @@ def check_averaging_algebra(g: FiniteGroupTable, A) -> CheckReport:
     pairs are drawn once per (carrier size, seed) and reused by every call.
     """
     P = linear_extend(g, A)
-    n = len(g)
+    n, m = len(g), g.mul_table
 
-    def holds(a, b):
-        pa, pb = P(a), P(b)
-        lhs = ga_mul(pa, pb, g)
-        return lhs == P(ga_mul(pa, b, g)) and lhs == P(ga_mul(a, pb, g))
+    def sides(pairs):
+        for a, b in pairs:
+            pa, pb = P(a), P(b)
+            yield (_conv(pa, pb, m),), (P(_conv(pa, b, m)),), (P(_conv(a, pb, m)),)
 
-    entries = [_law("averaging on basis pairs",
-                    lambda i, j: holds(ga_basis(i), ga_basis(j)), n, 2, g.name)]
+    basis = [ga_basis(i) for i in range(n)]
+    entries = [_law("averaging on basis pairs", sides(itertools.product(basis, repeat=2)),
+                    n, 2, g.name)]
     if entries[0][1]:
-        entries.append(_spot_checks(
-            "averaging on random combinations", holds, n, 100, 2, "pairs", 0))
+        entries.append(_spot_checks("averaging on random combinations",
+                                    sides(_samples(n, 0, 100, 2)), 100, "pairs", 0))
     return CheckReport(tuple(entries))
 
 
-def _spot_checks(law, holds, n, count, per_sample, noun, seed):
-    """Entry of a seeded random check: holds(*sample) on each cached sample in turn."""
-    samples = _samples(n, seed, count, per_sample)
-    law, ok, detail = _law(law, lambda t: holds(*samples[t]), count, 1,
-                           lambda t: f"sample {t}, seed {seed}")
+def _spot_checks(law, chunks, count, noun, seed):
+    """Entry of a seeded random check, with one chunk per cached sample."""
+    law, ok, detail = _law(law, chunks, count, 1, lambda t: f"sample {t}, seed {seed}")
     return law, ok, detail if not ok else f"{count} {noun}, seed {seed}"
 
 
@@ -194,7 +202,7 @@ def coproduct(a: dict) -> dict:
 
 
 def counit(a: dict):
-    return sum(a.values(), _ZERO)
+    return sum(a.values(), 0)
 
 
 def _tensor_square(a: dict, b: dict) -> dict:
@@ -211,25 +219,26 @@ def check_coalgebra_map(g: FiniteGroupTable, A) -> CheckReport:
     """
     P = linear_extend(g, A)
     n = len(g)
-    images = [P(ga_basis(i)) for i in range(n)]
+    basis = [ga_basis(i) for i in range(n)]
+    images = [P(e) for e in basis]
+    # cop(x) is diagonal: P tensor P only meets the squares (P tensor P)(e_i tensor e_i)
+    squares = [_tensor_square(img, img) for img in images]
 
-    def tensor_P(t: dict) -> dict:
-        return _combine((c, _tensor_square(images[i], images[j])) for (i, j), c in t.items())
-
-    def cop_ok(x):
-        return coproduct(P(x)) == tensor_P(coproduct(x))
-
-    def counit_ok(x):
-        return counit(P(x)) == counit(x)
+    def sides(xs):
+        for x in xs:
+            px = P(x)
+            tensor = _combine((c, squares[i]) for (i, _), c in coproduct(x).items())
+            yield ((coproduct(px), counit(px)),), ((tensor, counit(x)),)
 
     entries = [
-        _law("coproduct compatibility on basis", lambda i: cop_ok(ga_basis(i)), n, 1, g.name),
-        _law("counit preservation on basis", lambda i: counit_ok(ga_basis(i)), n, 1, g.name),
+        _law("coproduct compatibility on basis",
+             (([coproduct(img) for img in images], squares),), n, 1, g.name),
+        _law("counit preservation on basis",
+             (([counit(img) for img in images], [counit(e) for e in basis]),), n, 1, g.name),
     ]
     if all(ok for _, ok, _ in entries):
-        entries.append(_spot_checks(
-            "compatibility on random combinations",
-            lambda x: cop_ok(x) and counit_ok(x), n, 20, 1, "samples", 1))
+        entries.append(_spot_checks("compatibility on random combinations",
+                                    sides(x for x, in _samples(n, 1, 20, 1)), 20, "samples", 1))
     return CheckReport(tuple(entries))
 
 
@@ -241,7 +250,7 @@ def check_hopf_equivalence(g: FiniteGroupTable, A):
     function raises instead of returning the pair.
     """
     A = as_operator(g, A)
-    group_ok = validate_averaging(g, A).ok
+    group_ok = _averaging(g, A)[1]
     algebra_ok = check_averaging_algebra(g, A).ok and check_coalgebra_map(g, A).ok
     if group_ok != algebra_ok:
         raise RuntimeError(
@@ -259,16 +268,11 @@ def check_antipode_averaging(g: FiniteGroupTable) -> CheckReport:
     makes no claim either way.
     """
     inv = g.inverses()
-    law, ok, detail = _law("S squared equals S", lambda x: inv[inv[x]] == inv[x],
+    law, ok, detail = _law("S squared equals S", (([inv[x] for x in inv], list(inv)),),
                            len(g), 1, g.name)
     if not ok:
         return CheckReport(((law, False, f"{detail}; nothing to assert"),))
     return CheckReport(((law, True, ""),) + check_averaging_algebra(g, inv).entries)
-
-
-def _units(d: int) -> list:
-    """The basis vectors e_0 .. e_{d-1}, as sparse vectors."""
-    return [{i: Fraction(1)} for i in range(d)]
 
 
 def _bilinear(table, u: dict, v: dict) -> dict:
@@ -334,17 +338,15 @@ def validate_lie(L: LieAlgebraSpec) -> CheckReport:
     if L._report is not None:
         return L._report
     d, sc = L.dim, L.brackets
-    basis = _units(d)
-
-    def jacobi_holds(i, j, k):
-        # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] = 0
-        return not _combine((1, _bilinear(sc, basis[a], sc[b][c]))
-                            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
-
+    basis = [{i: Fraction(1)} for i in range(d)]
+    # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] = 0
+    jacobi = (((_combine((1, _bilinear(sc, basis[a], sc[b][c]))
+                         for a, b, c in ((i, j, k), (j, k, i), (k, i, j))),), ({},))
+              for i, j, k in itertools.product(range(d), repeat=3))
     L._report = CheckReport((
-        _law("antisymmetry", lambda i, j: sc[i][j] == {k: -v for k, v in sc[j][i].items()},
-             d, 2, _e),
-        _law("Jacobi", jacobi_holds, d, 3, _e),
+        _law("antisymmetry", (((sc[i][j],), ({k: -v for k, v in sc[j][i].items()},))
+                              for i, j in itertools.product(range(d), repeat=2)), d, 2, _e),
+        _law("Jacobi", jacobi, d, 3, _e),
     ))
     return L._report
 
@@ -381,14 +383,12 @@ def check_averaging_lie(L: LieAlgebraSpec, M) -> CheckReport:
     """
     validate_lie(L).require()
     sc, cols = L.brackets, _columns(as_matrix(L.dim, M))
-    basis = _units(L.dim)
-
-    def holds(i, j):
-        lhs = _bilinear(sc, cols[i], cols[j])
-        return (lhs == _apply(cols, _bilinear(sc, cols[i], basis[j]))
-                and lhs == _apply(cols, _bilinear(sc, basis[i], cols[j])))
-
-    return CheckReport((_law("averaging on basis pairs", holds, L.dim, 2, _e),))
+    basis = [{i: Fraction(1)} for i in range(L.dim)]
+    sides = (((_bilinear(sc, cols[i], cols[j]),),
+              (_apply(cols, _bilinear(sc, cols[i], basis[j])),),
+              (_apply(cols, _bilinear(sc, basis[i], cols[j])),))
+             for i, j in itertools.product(range(L.dim), repeat=2))
+    return CheckReport((_law("averaging on basis pairs", sides, L.dim, 2, _e),))
 
 
 def leibniz_bracket(L: LieAlgebraSpec, M):
@@ -401,15 +401,15 @@ def check_leibniz(L: LieAlgebraSpec, M) -> CheckReport:
     """Left Leibniz law {x,{y,z}} = {{x,y},z} + {y,{x,z}} on basis triples."""
     validate_lie(L).require()
     br, d = leibniz_bracket(L, M), L.dim
-    basis = _units(d)
+    basis = [{i: Fraction(1)} for i in range(d)]
     # the derived bracket is bilinear: tabulate it on basis pairs once
     D = [[br(basis[a], basis[b]) for b in range(d)] for a in range(d)]
 
-    def holds(i, j, k):
-        return _bilinear(D, basis[i], D[j][k]) == _combine(
-            ((1, _bilinear(D, D[i][j], basis[k])), (1, _bilinear(D, basis[j], D[i][k]))))
-
-    return CheckReport((_law("left Leibniz on basis triples", holds, d, 3, _e),))
+    sides = (((_bilinear(D, basis[i], D[j][k]),),
+              (_combine(((1, _bilinear(D, D[i][j], basis[k])),
+                         (1, _bilinear(D, basis[j], D[i][k])))),))
+             for i, j, k in itertools.product(range(d), repeat=3))
+    return CheckReport((_law("left Leibniz on basis triples", sides, d, 3, _e),))
 
 
 def load_lie_file(source) -> LieAlgebraSpec:

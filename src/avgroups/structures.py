@@ -8,6 +8,12 @@ standard operator families (central shifts, idempotent endomorphisms,
 commuting compositions), searches small carriers exhaustively, and checks
 the derived structure: pointed-operator consequences, the induced
 disemigroup, and the conjugation rack.
+
+Every exhaustive law goes through one failing-witness kernel, `_witness`:
+a law lists its sides, one value per index tuple in itertools.product
+order, the kernel compares them with C list equality and decodes the first
+mismatching offset into its tuple.  Table laws pass whole tables; laws with
+expensive values pass lazy one-tuple chunks, so a failing one stops early.
 """
 
 from dataclasses import dataclass
@@ -38,11 +44,8 @@ class CheckReport:
         return all(ok for _, ok, _ in self.entries)
 
     def lines(self):
-        out = []
-        for law, ok, detail in self.entries:
-            mark = "ok" if ok else "FAIL"
-            out.append(f"{law}: {mark}" + (f" {detail}" if detail else ""))
-        return out
+        return [f"{law}: {'ok' if ok else 'FAIL'}" + (f" {detail}" if detail else "")
+                for law, ok, detail in self.entries]
 
     def entry(self, law):
         for name, ok, detail in self.entries:
@@ -56,19 +59,29 @@ class CheckReport:
             raise CheckFailed(self)
 
 
-def _first_failure(holds, n, arity):
-    """First index tuple over range(n), in itertools.product order, that
-    fails holds(*tuple); None when every tuple holds."""
-    for args in itertools.product(range(n), repeat=arity):
-        if not holds(*args):
-            return args
+def _witness(chunks, n, arity):
+    """First index tuple over range(n)**arity at which a law fails, or None.
+
+    `chunks` yields (lhs, rhs, ...) tuples of equal-length sequences of one
+    type: the law's sides on consecutive tuples in itertools.product order,
+    so offset k is the tuple that spells k in base n, most significant digit
+    first.  The law holds where lhs equals every rhs.  A chunk passes on C
+    sequence equality; a failing one is scanned for its first mismatch.
+    """
+    start = 0
+    for lhs, *rhss in chunks:
+        if rhss.count(lhs) < len(rhss):  # some rhs differs from lhs
+            # the first offset whose values are not all equal to lhs's
+            k = start + next(i for i, x in enumerate(zip(lhs, *rhss)) if x.count(x[0]) < len(x))
+            return tuple(k // n ** p % n for p in reversed(range(arity)))
+        start += len(lhs)
     return None
 
 
-def _law(law, holds, n, arity, names):
+def _law(law, chunks, n, arity, names):
     """(law, ok, detail) entry of an exhaustive check; the detail names the
     first failing tuple, as "fails at x" or "fails at (x, y, ...)"."""
-    bad = _first_failure(holds, n, arity)
+    bad = _witness(chunks, n, arity)
     if bad is None:
         return law, True, ""
     shown = ", ".join(names(i) for i in bad)
@@ -171,37 +184,44 @@ def validate_group(t: FiniteGroupTable, max_size: int = 24) -> CheckReport:
         entries.append(("inverses", False, str(exc)))
 
     m = t.mul_table
-    entries.append(_law("associativity", lambda a, b, c: m[m[a][b]][c] == m[a][m[b][c]],
+    ab = [v for row in m for v in row]  # ab[a*n + b] = ab
+    entries.append(_law("associativity", (([x for v in ab for x in m[v]],        # (ab)c
+                                            [row[v] for row in m for v in ab]),),  # a(bc)
                         n, 3, t.name))
     return CheckReport(tuple(entries))
 
 
 def as_operator(t: FiniteGroupTable, op) -> tuple:
     """Normalize an operator to an index tuple, total on the carrier."""
-    op = tuple(_as_int(v, "operator entry") for v in op)
-    n = len(t)
-    if len(op) != n or any(not 0 <= v < n for v in op):
+    op = tuple(op)
+    if set(map(type, op)) != {int}:  # plain ints need no conversion
+        op = tuple(_as_int(v, "operator entry") for v in op)
+    if len(op) != len(t) or min(op) < 0 or max(op) >= len(t):
         raise TableError("operator must map every element to an element")
     return op
 
 
 def validate_averaging(t: FiniteGroupTable, op) -> CheckReport:
     """Check A(g)A(h) = A(A(g)h) = A(gA(h)) on all pairs."""
-    op = as_operator(t, op)
+    return CheckReport((_averaging(t, as_operator(t, op)),))
+
+
+def _averaging(t: FiniteGroupTable, op: tuple):
+    """The averaging entry of an operator already normalized by as_operator."""
     m = t.mul_table
-
-    def holds(g, h):
-        lhs = m[op[g]][op[h]]
-        return lhs == op[m[op[g]][h]] and lhs == op[m[g][op[h]]]
-
-    return CheckReport((_law("averaging", holds, len(t), 2, t.name),))
+    rows = [m[a] for a in op]  # the row of A(g), for each g
+    return _law("averaging", (([row[b] for row in rows for b in op],       # A(g)A(h)
+                               [op[v] for row in rows for v in row],      # A(A(g)h)
+                               [op[row[b]] for row in m for b in op]),),  # A(gA(h))
+                len(t), 2, t.name)
 
 
 class AveragingGroupHandle:
     """A validated (table, operator) pair, usable as an evaluation target.
 
     The evaluation protocol works on element indices: identity(), mul(),
-    inv(), op().
+    inv(), op().  The table passed validate_group, so its identity and
+    inverses exist and are read straight from it.
     """
 
     def __init__(self, table: FiniteGroupTable, op):
@@ -212,13 +232,13 @@ class AveragingGroupHandle:
         self.op_table = op
 
     def identity(self) -> int:
-        return self.table.identity()
+        return self.table._identity
 
     def mul(self, a: int, b: int) -> int:
-        return self.table.mul(a, b)
+        return self.table.mul_table[a][b]
 
     def inv(self, a: int) -> int:
-        return self.table.inv(a)
+        return self.table._inverses[a]
 
     def op(self, a: int) -> int:
         return self.op_table[a]
@@ -264,22 +284,23 @@ class IntShiftGroup:
 def shift_operator(t: FiniteGroupTable, z) -> AveragingGroupHandle:
     """A(h) = z*h for a central z; centrality is checked, not assumed."""
     zi = z if isinstance(z, int) else t.index(z)
-    bad = _first_failure(lambda x: t.mul(zi, x) == t.mul(x, zi), len(t), 1)
+    m = t.mul_table
+    bad = _witness(((list(m[zi]), [row[zi] for row in m]),), len(t), 1)
     if bad is not None:
         raise TableError(f"shift element {t.name(zi)!r} is not central: "
                          f"fails against {t.name(bad[0])!r}")
-    op = tuple(t.mul(zi, x) for x in range(len(t)))
-    return AveragingGroupHandle(t, op)
+    return AveragingGroupHandle(t, m[zi])
 
 
 def idempotent_endo_operator(t: FiniteGroupTable, phi) -> AveragingGroupHandle:
     """A = an idempotent group endomorphism; both properties checked."""
     phi = as_operator(t, phi)
-    n = len(t)
-    for law, holds, arity in (
-            ("not a homomorphism", lambda a, b: phi[t.mul(a, b)] == t.mul(phi[a], phi[b]), 2),
-            ("not idempotent", lambda a: phi[phi[a]] == phi[a], 1)):
-        _, ok, detail = _law(law, holds, n, arity, t.name)
+    m = t.mul_table
+    for law, sides, arity in (
+            ("not a homomorphism", ([phi[v] for row in m for v in row],              # A(ab)
+                                    [row[b] for row in (m[a] for a in phi) for b in phi]), 2),
+            ("not idempotent", ([phi[a] for a in phi], list(phi)), 1)):
+        _, ok, detail = _law(law, (sides,), len(t), arity, t.name)
         if not ok:
             raise TableError(f"{law}: {detail}")
     return AveragingGroupHandle(t, phi)
@@ -297,10 +318,10 @@ def compose_operators(g, a1, a2) -> AveragingGroupHandle:
     a2 = as_operator(t, a2)
     for op in (a1, a2):
         validate_averaging(t, op).require()
-    bad = _first_failure(lambda x: a1[a2[x]] == a2[a1[x]], len(t), 1)
+    comp = [a1[x] for x in a2]
+    bad = _witness(((comp, [a2[x] for x in a1]),), len(t), 1)
     if bad is not None:
         raise TableError(f"operators do not commute: fail at {t.name(bad[0])!r}")
-    comp = tuple(a1[a2[x]] for x in range(len(t)))
     return AveragingGroupHandle(t, comp)
 
 
@@ -316,34 +337,31 @@ def check_pointed_consequences(h: AveragingGroupHandle) -> CheckReport:
         return CheckReport((("pointed", False,
                              f"A(e) = {t.name(A[e])!r}; consequences inapplicable"),))
     n, m, inv = len(t), t.mul_table, t.inverses()
+    ia = [inv[a] for a in A]  # A(g)^-1
+    cols = list(zip(*m))
+    # the row of A(g) and the column of A(g)^-1, for each g
+    conj = [(m[a], cols[b]) for a, b in zip(A, ia)]
     return CheckReport((
         ("pointed", True, ""),
-        _law("idempotence", lambda g: A[A[g]] == A[g], n, 1, t.name),
-        _law("inverse preservation", lambda g: inv[A[g]] == A[inv[A[g]]], n, 1, t.name),
-        _law("Ad-equivariance",
-             lambda g, k: m[m[A[g]][A[k]]][inv[A[g]]] == A[m[m[A[g]][k]][inv[A[g]]]],
+        _law("idempotence", (([A[a] for a in A], list(A)),), n, 1, t.name),
+        _law("inverse preservation", ((ia, [A[b] for b in ia]),), n, 1, t.name),
+        _law("Ad-equivariance", (([col[row[b]] for row, col in conj for b in A],
+                                  [A[col[x]] for row, col in conj for x in row]),),
              n, 2, t.name),
     ))
 
 
 def disemigroup_ops(h):
     """The pair (left, right): g -| h = g A(h) and g |- h = A(g) h."""
-    def left(g, k):
-        return h.mul(g, h.op(k))
-
-    def right(g, k):
-        return h.mul(h.op(g), k)
-
-    return left, right
+    return (lambda g, k: h.mul(g, h.op(k))), (lambda g, k: h.mul(h.op(g), k))
 
 
 def check_disemigroup(h: AveragingGroupHandle) -> CheckReport:
     """The five disemigroup identities, plus dimonoid units when pointed."""
-    left, right = disemigroup_ops(h)
-    n = len(h.table)
-    t = h.table
-    lt = [[left(g, k) for k in range(n)] for g in range(n)]
-    rt = [[right(g, k) for k in range(n)] for g in range(n)]
+    t, A = h.table, h.op_table
+    n, m = len(t), t.mul_table
+    lt = [[row[a] for a in A] for row in m]  # g -| k = g A(k)
+    rt = [m[a] for a in A]                   # g |- k = A(g) k
     # each law reads p(q(f, g), h) = r(f, s(g, h)); (p, q, r, s) are tables
     laws = (
         ("(f-|g)-|h = f-|(g-|h)", (lt, lt, lt, lt)),
@@ -352,11 +370,14 @@ def check_disemigroup(h: AveragingGroupHandle) -> CheckReport:
         ("(f-|g)|-h = f|-(g|-h)", (rt, lt, rt, rt)),
         ("(f|-g)|-h = f|-(g|-h)", (rt, rt, rt, rt)),
     )
-    entries = [_law(name, lambda f, g, k, p=p, q=q, r=r, s=s: p[q[f][g]][k] == r[f][s[g][k]],
-                    n, 3, t.name)
-               for name, (p, q, r, s) in laws]
+    entries = []
+    for name, (p, q, r, s) in laws:
+        sgh = [v for row in s for v in row]
+        entries.append(_law(name, (([x for row in q for v in row for x in p[v]],
+                                    [rf[v] for rf in r for v in sgh]),), n, 3, t.name))
     e = t.identity()
-    law, ok, detail = _law("dimonoid units", lambda g: lt[g][e] == g and rt[e][g] == g,
+    law, ok, detail = _law("dimonoid units",
+                           ((list(range(n)), [row[e] for row in lt], list(rt[e])),),
                            n, 1, t.name)
     if not ok and not h.is_pointed():
         detail += " (not pointed)"
@@ -378,13 +399,16 @@ def check_rack(h: AveragingGroupHandle) -> CheckReport:
         e = h.identity()
         return CheckReport((("pointed", False,
                              f"A(e) = {h.name(h.op(e))!r}; rack inapplicable"),))
-    n = len(h.table)
-    t = h.table
-    r = [[rack_op(h, g, k) for k in range(n)] for g in range(n)]
-    bad = _first_failure(lambda g: len(set(r[g])) == n, n, 1)
+    t, A = h.table, h.op_table
+    n, m, inv = len(t), t.mul_table, t.inverses()
+    cols = list(zip(*m))
+    r = [[cols[inv[a]][x] for x in m[a]] for a in A]  # g |> k, as rack_op
+    gk = [v for row in r for v in row]
+    bad = _witness((([len(set(row)) for row in r], [n] * n),), n, 1)
     return CheckReport((
         ("pointed", True, ""),
-        _law("self-distributivity", lambda f, g, k: r[f][r[g][k]] == r[r[f][g]][r[f][k]],
+        _law("self-distributivity", (([rf[v] for rf in r for v in gk],
+                                      [r[x][y] for rf in r for x in rf for y in rf]),),
              n, 3, t.name),
         ("translation bijectivity", bad is None,
          "" if bad is None else f"L_{t.name(bad[0])} is not a bijection"),
@@ -468,13 +492,9 @@ _S3_PERMS = (
 def sym3() -> FiniteGroupTable:
     """S_3 in cycle notation; the product applies the right factor first."""
     perms = [p for _, p in _S3_PERMS]
-    names = [n for n, _ in _S3_PERMS]
-
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(3))
-
-    mul = [[perms.index(compose(p, q)) for q in perms] for p in perms]
-    return FiniteGroupTable(names, mul)
+    # p q maps i to p[q[i]]
+    mul = [[perms.index(tuple(p[x] for x in q)) for q in perms] for p in perms]
+    return FiniteGroupTable([n for n, _ in _S3_PERMS], mul)
 
 
 def sym3_sign_retraction() -> tuple:

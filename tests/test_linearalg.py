@@ -79,6 +79,20 @@ def test_linear_extend():
                 check(z2, images)
 
 
+def test_explicit_images_must_all_be_coefficient_maps():
+    z2 = cyclic_group(2)
+    text = "each basis image must be an {index: coefficient} map"
+    for images in ([{0: 1}, 1], [{0: 1}, [1]], [{0: 1}, (1,)], [{0: 1}, "1"], [{0: 1}, None]):
+        for fn in (linear_extend, check_averaging_algebra, check_coalgebra_map):
+            with pytest.raises(TableError) as exc:
+                fn(z2, images)
+            assert str(exc.value) == text, (fn.__name__, images)
+    # the length is still checked first, and well-formed images still pass
+    with pytest.raises(TableError, match="one basis image per carrier element"):
+        linear_extend(z2, [{0: 1}, 1, 1])
+    assert check_averaging_algebra(z2, [{1: 1}, {0: 1}]).ok
+
+
 def test_averaging_algebra_check():
     z2 = cyclic_group(2)
     assert check_averaging_algebra(z2, (1, 0)).ok

@@ -12,6 +12,7 @@ from avgroups.structures import (
     FiniteGroupTable,
     IntShiftGroup,
     TableError,
+    as_operator,
     check_disemigroup,
     check_pointed_consequences,
     check_rack,
@@ -88,6 +89,40 @@ def test_validate_averaging():
         with pytest.raises(TableError, match="operator entry must be an integer"):
             validate_averaging(z2, op)
     assert validate_averaging(z2, ("1", "0")).ok
+
+
+class _Index(int):
+    """An int subclass: read by int(), like an integer string."""
+
+
+def test_as_operator_fast_path_keeps_every_result_and_error_text():
+    from avgroups.linearalg import check_hopf_equivalence
+
+    z3 = cyclic_group(3)
+    # plain ints, in any sequence, pass through as the same tuple
+    for op in ((1, 2, 0), [1, 2, 0], range(3)):
+        assert as_operator(z3, op) == tuple(op)
+        assert validate_averaging(z3, op).ok == (tuple(op) in ((1, 2, 0), (0, 1, 2)))
+    # integer strings and int subclasses are still read as plain ints
+    for op in (("1", "2", "0"), [1, "2", 0], (_Index(1), 2, _Index(0))):
+        assert as_operator(z3, op) == (1, 2, 0)
+        assert all(type(v) is int for v in as_operator(z3, op))
+        assert check_hopf_equivalence(z3, op) == (True, True)
+        assert AveragingGroupHandle(z3, op).op_table == (1, 2, 0)
+    entry = "operator entry must be an integer, got {!r}"
+    shape = "operator must map every element to an element"
+    cases = [((True, 2, 0), entry.format(True)), ((1, False, 0), entry.format(False)),
+             ((1.0, 2, 0), entry.format(1.0)), ((1, 2, 0.5), entry.format(0.5)),
+             (("x", 2, 0), entry.format("x")), ((1, "2.0", 0), entry.format("2.0")),
+             ((1, None, 0), entry.format(None)),
+             ((-1, 2, 0), shape), ((1, 2, 3), shape), ((1, 2), shape), ((1, 2, 0, 0), shape),
+             ((), shape), (("-1", 2, 0), shape)]
+    for op, text in cases:
+        for fn in (as_operator, validate_averaging, check_hopf_equivalence,
+                   AveragingGroupHandle):
+            with pytest.raises(TableError) as exc:
+                fn(z3, op)
+            assert str(exc.value) == text, (fn.__name__, op)
 
 
 def test_validate_averaging_names_the_first_failing_pair():
