@@ -19,7 +19,11 @@ two items, a ``Br`` three with a word first, and a word's items are letters.
 Tuple comparison counts two levels of the recursion limit per bracket, so
 ``==`` on equal words built apart answers up to 498 deep under the default
 limit and raises RecursionError deeper; :func:`are_inverse` answers at any
-depth.  Hashing is unguarded: a word nested 100,000 deep overflows the C stack.
+depth.  A word hashes through a Python-level ``__hash__`` that returns its
+tuple hash, so each nesting level counts against the recursion limit: like
+``==``, ``hash`` answers up to 498 deep under the default limit and raises
+RecursionError deeper, where C tuple hashing alone overflows the C stack
+some tens of thousands deep and kills the process.
 
 Grammar accepted by :func:`parse`::
 
@@ -41,6 +45,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Mapping
 
 __all__ = [
@@ -97,6 +102,11 @@ class Word(tuple):
     """A word: the tuple of its letters."""
 
     __slots__ = ()
+
+    def __hash__(self):
+        # tuple hashing recurses in C with no recursion guard; this frame
+        # puts each nesting level under the recursion limit
+        return tuple.__hash__(self)
 
 
 ONE = Word()
@@ -288,56 +298,86 @@ _FACTOR_RE = re.compile(rf"(?:({_IDENT_RE.pattern})|(\])|1)(?:@(\d*))?(?:\^(-?\d
 MAX_NESTING = 100
 
 
-def _read_token(tok: str, gens: dict) -> tuple:
-    """What a letter token spells: (kind, a, b, count).
+def _read_piece(piece: str, gens: dict) -> tuple:
+    """What a piece of the split text spells: (kind, a, b, count).
 
     kind "g": generator letter `a`, its inverse `b`, `count` copies;
     kind "]": a closing bracket of iteration `a` and sign `b`, `count` copies;
-    kind "1": nothing; kind "!": a syntax error, message `a` at offset `b`.
+    kind "1": nothing; kind "!": a syntax error, message `a` at offset `b`;
+    kind "*": a piece of several tokens, the list `a` of them in order.
+
+    A well-formed token is read with string methods, which accept what
+    ``_FACTOR_RE`` matches less what _misread refuses: an ASCII identifier
+    that starts with a lowercase letter is an ``_IDENT_RE`` match, and
+    ``\\d`` is ``str.isdecimal``.  Any other piece goes to _misread.  The
+    generator letters come from `gens`, which maps a name to its positive
+    and its negative letter.
     """
-    m = _FACTOR_RE.fullmatch(tok)
+    head, hat, k = piece.partition("^")
+    base, at, it = head.partition("@")
+    count = n = 1
+    if hat:
+        count = int(k) if (k[1:] if k[:1] == "-" else k).isdecimal() else 0
+    if at:
+        n = int(it) if base == "]" and it.isdecimal() else 0
+    if count and n > 0:
+        sign = 1 if count > 0 else -1
+        if base == "]":
+            return "]", n, sign, count * sign
+        if base == "1":
+            return "1", None, None, 0
+        if base.isidentifier() and base.isascii() and base[0].islower():
+            pair = gens.get(base)
+            if pair is None:
+                pair = gens[base] = _new(Gen, (base, 1)), _new(Gen, (base, -1))
+            return ("g", *pair, count) if sign > 0 else ("g", pair[1], pair[0], -count)
+    return _misread(piece)
+
+
+def _misread(piece: str) -> tuple:
+    """_read_piece's reading of a piece that is not one well-formed token.
+
+    ``_TOKEN_RE`` cuts a piece that does not match ``_FACTOR_RE`` into its
+    tokens.  A piece that matches it is one token that _read_piece refused,
+    so its "@n" or its "^k" is bad.
+    """
+    m = _FACTOR_RE.fullmatch(piece)
     if m is None:
+        tokens = _TOKEN_RE.findall(piece)
+        if len(tokens) > 1:
+            return "*", tokens, None, 0
         return "!", "expected a factor: identifier, '[', or '1'", 0, 0
-    name, closed, it, k = m.groups()
-    n = 1
-    if closed:
-        if it is not None:
-            if not it:
-                return "!", "expected a positive integer after '@'", m.end(3), 0
-            n = int(it)
-            if n < 1:
-                return "!", "iteration must be >= 1", m.start(3), 0
-    elif it is not None:
-        return "!", "'@' is only valid after ']'", m.start(3) - 1, 0
-    count, sign = 1, 1
-    if k is not None:
-        if not k or k == "-":
-            return "!", "expected a nonzero integer after '^'", m.end(4), 0
-        count = int(k)
-        if count == 0:
-            return "!", "power 0 is not allowed", m.start(4), 0
-        if count < 0:
-            count, sign = -count, -1
-    if closed:
-        return "]", n, sign, count
-    if not name:
-        return "1", None, None, 0
-    for s in (sign, -sign):
-        if (name, s) not in gens:
-            gens[name, s] = _new(Gen, (name, s))
-    return "g", gens[name, sign], gens[name, -sign], count
+    closed, it, k = m.group(2, 3, 4)
+    if it is not None:
+        if not closed:
+            return "!", "'@' is only valid after ']'", m.start(3) - 1, 0
+        if not it:
+            return "!", "expected a positive integer after '@'", m.end(3), 0
+        if int(it) < 1:
+            return "!", "iteration must be >= 1", m.start(3), 0
+    if not k or k == "-":
+        return "!", "expected a nonzero integer after '^'", m.end(4), 0
+    return "!", "power 0 is not allowed", m.start(4), 0
 
 
-def _syntax_error(text: str, tokens: list, j: int, message: str, offset: int):
-    """The error `message` at `offset` into `tokens[j]`, the j-th token of `text`.
+def _syntax_error(text: str, pieces: list, its: list, message: str, offset: int):
+    """The error `message` at `offset` into the token just read.
 
-    Only whitespace stands between tokens, and a token starts with none, so
-    each token starts where its text next occurs.
+    ``its`` is parse's iterator stack: the iterator over `pieces` and, inside
+    a piece of several tokens, the iterator over its tokens, each just past
+    the failing one.  Only whitespace stands between pieces and a piece
+    starts with none, so each piece starts where its text next occurs; the
+    tokens of a piece stand side by side.
     """
+    j = len(pieces) - 1 - length_hint(its[0])
     pos = 0
-    for tok in tokens[:j]:
-        pos = text.index(tok, pos) + len(tok)
-    return WordSyntaxError(message, text.index(tokens[j], pos) + offset)
+    for piece in pieces[:j]:
+        pos = text.index(piece, pos) + len(piece)
+    pos = text.index(pieces[j], pos)
+    if len(its) > 1:
+        tokens = _TOKEN_RE.findall(pieces[j])
+        pos += sum(map(len, tokens[:len(tokens) - 1 - length_hint(its[1])]))
+    return WordSyntaxError(message, pos + offset)
 
 
 def parse(text: str) -> Word:
@@ -346,52 +386,76 @@ def parse(text: str) -> Word:
     Raises WordSyntaxError, with the position, on malformed text and on
     brackets nested deeper than MAX_NESTING.
 
-    The text is split into tokens in one pass of ``_TOKEN_RE.findall``, and
-    each distinct token is read once per call through ``_FACTOR_RE``: a memo
-    maps its text to what it spells.  Generator letters come from one table
-    per call, one object per (name, sign), so a generator cancels the letter
-    before it exactly when that is its inverse object, and is pushed with no
-    call.  Positions are worked out only for an error.  The memo lives for
-    one call: a module-level one would grow with every name ever parsed and
-    keep its letters alive.
+    Tokens come from one ``str.split`` after a space is put on both sides of
+    each "[" and before each "]": a piece is then "[", or a closing bracket
+    with its ``@n^k``, or a letter, whenever the text separates its factors.
+    A memo maps each distinct piece to what it spells, read once per call
+    with string methods.  The regexes run only on a piece that does not read
+    as one well-formed token, and to place an error: ``_TOKEN_RE``, which
+    defines the tokens, cuts a tight spelling such as ``x^2y``, ``1x``,
+    ``]x`` or ``x#``, whose tokens the same loop then reads in turn from an
+    iterator pushed on its stack, and ``_FACTOR_RE`` finds the bad part of a
+    malformed token.  Positions are worked out only for an error.
+
+    Generator letters come from one table per call, one object per
+    (name, sign), so a generator cancels the letter before it exactly when
+    that is its inverse object, and is pushed with no call.  A closing
+    bracket calls make_br only when its content is a lone positive bracket,
+    which folds, and pushes its letter with no call unless the letter before
+    is a bracket of the opposite sign, which may cancel it.  The memo and
+    the table live for one call: module-level ones would grow with every
+    name ever parsed and keep their letters alive.
     """
     out: list = []
     outer: list = []  # the factor lists of the enclosing brackets
-    memo: dict = {}  # token text -> _read_token's reading
-    gens: dict = {}  # (name, sign) -> the one letter of this call
-    tokens = _TOKEN_RE.findall(text)
-    for j, tok in enumerate(tokens):
-        if tok == "[":
-            if len(outer) == MAX_NESTING:
-                message = f"brackets nested deeper than {MAX_NESTING}"
-                raise _syntax_error(text, tokens, j, message, 0)
-            outer.append(out)
-            out = []
-            continue
-        read = memo.get(tok)
-        if read is None:
-            read = memo[tok] = _read_token(tok, gens)
-        kind, a, b, count = read
-        if kind == "g":
-            if count == 1 and not (out and out[-1] is b):
-                out.append(a)
+    memo: dict = {}  # piece or token text -> _read_piece's reading
+    gens: dict = {}  # name -> the positive and negative letter of this call
+    pieces = text.replace("[", " [ ").replace("]", " ]").split()
+    its = [iter(pieces)]  # the pieces, then the tokens of a piece of several
+    while its:
+        for tok in its[-1]:
+            if tok == "[":
+                if len(outer) == MAX_NESTING:
+                    message = f"brackets nested deeper than {MAX_NESTING}"
+                    raise _syntax_error(text, pieces, its, message, 0)
+                outer.append(out)
+                out = []
                 continue
-            for _ in range(count):
-                if out and out[-1] is b:
-                    out.pop()
-                else:
+            read = memo.get(tok)
+            if read is None:
+                read = memo[tok] = _read_piece(tok, gens)
+            kind, a, b, count = read
+            if kind == "g":
+                if count == 1 and not (out and out[-1] is b):
                     out.append(a)
-        elif kind == "]":
-            if not outer:
-                raise _syntax_error(text, tokens, j, "unexpected ']'", 0)
-            letter = make_br(Word(out), a, b)
-            out = outer.pop()
-            for _ in range(count):
-                _push_reduced(out, letter)
-        elif kind == "!":
-            if tok[0] == "]" and not outer:
-                raise _syntax_error(text, tokens, j, "unexpected ']'", 0)
-            raise _syntax_error(text, tokens, j, a, b)
+                    continue
+                for _ in range(count):
+                    if out and out[-1] is b:
+                        out.pop()
+                    else:
+                        out.append(a)
+            elif kind == "]":
+                if not outer:
+                    raise _syntax_error(text, pieces, its, "unexpected ']'", 0)
+                if len(out) == 1 and type(out[0]) is Br and out[0].sign > 0:
+                    letter = make_br(Word(out), a, b)
+                else:
+                    letter = _new(Br, (Word(out), a, b))
+                out = outer.pop()
+                if count == 1 and not (out and type(out[-1]) is Br and out[-1].sign != b):
+                    out.append(letter)
+                    continue
+                for _ in range(count):
+                    _push_reduced(out, letter)
+            elif kind == "*":
+                its.append(iter(a))
+                break
+            elif kind == "!":
+                if tok[0] == "]" and not outer:
+                    raise _syntax_error(text, pieces, its, "unexpected ']'", 0)
+                raise _syntax_error(text, pieces, its, a, b)
+        else:
+            its.pop()
     if outer:
         raise WordSyntaxError("expected ']'", len(text))
     return Word(out)
@@ -401,31 +465,43 @@ def parse(text: str) -> Word:
 
 
 def render(w: Word) -> str:
-    """Text of `w` in the grammar above, by an explicit stack: any depth renders."""
+    """Text of `w` in the grammar above.
+
+    Each level is walked by a ``for`` over an iterator kept on an explicit
+    stack, so any depth renders: a bracket with content pushes the
+    iterator of its level and the text that closes it, and the level below
+    resumes where it stopped once the content is done.  Every letter is
+    followed by a space, and the space after a level's last letter gives way
+    to the level's closing text.
+    """
     if not w:
         return "1"
     out = []
-    # (letters, next index, closing text) of each enclosing bracket
-    outer = []
-    fs, i, close = w, 0, ""
+    outer = []  # (iterator, closing text) of each enclosing level
+    it, close = iter(w), ""
     while True:
-        if i < len(fs):
-            f = fs[i]
-            if i:
-                out.append(" ")
-            i += 1
-            if isinstance(f, Gen):
+        for f in it:
+            if type(f) is Gen:
                 out.append(f.name if f.sign > 0 else f.name + "^-1")
+                out.append(" ")
                 continue
-            outer.append((fs, i, close))
-            fs, i = f.content, 0
-            close = "]" + (f"@{f.iter}" if f.iter >= 2 else "") + ("^-1" if f.sign < 0 else "")
-            out.append("[" if fs else "[1")
-        elif outer:
-            out.append(close)
-            fs, i, close = outer.pop()
+            content, n, sign = f
+            end = "]" if n == 1 else f"]@{n}"
+            if sign < 0:
+                end += "^-1"
+            if content:
+                outer.append((it, close))
+                it, close = iter(content), end
+                out.append("[")
+                break
+            out.append("[1" + end)
+            out.append(" ")
         else:
-            return "".join(out)
+            out[-1] = close
+            if not outer:
+                return "".join(out)
+            it, close = outer.pop()
+            out.append(" ")
 
 
 # --- evaluation into operated groups ---------------------------------------

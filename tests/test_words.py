@@ -2,10 +2,13 @@
 
 import gc
 import importlib
+import os
 import random
 import re
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +37,7 @@ from avgroups.words import (
     render,
     single,
 )
+import avgroups
 from avgroups.avgroup import GenParams, random_normal_word, random_raw_word
 from avgroups.structures import IntShiftGroup
 
@@ -131,6 +135,26 @@ def test_equal_deep_words_built_apart_compare_and_hash_equal(depth):
     u, v = nest("y"), nest("y")
     assert u == v and hash(u) == hash(v)
     assert u != nest("z")
+
+
+def test_hashing_a_too_deep_word_raises_recursion_error():
+    # in a child process: C tuple hashing alone overflows the C stack
+    # at this depth and kills the process
+    code = """
+from avgroups.words import Br, ONE, Word
+w = ONE
+for _ in range(100_000):
+    w = Word((Br(w, 1, 1),))
+try:
+    hash(w)
+except RecursionError:
+    print("RecursionError")
+"""
+    src = str(Path(avgroups.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert (done.returncode, done.stdout.strip()) == (0, "RecursionError"), done.stderr
 
 
 # (text, message fragment, position) of every malformed input pinned here
@@ -274,6 +298,22 @@ def test_parse_matches_the_per_factor_reference():
              "[" * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1), "[x]@٣^٢",
              "x]@", "]^0", "[x]]@", "x^0]"]
     texts += [text for text, _, _ in PARSE_ERRORS]
+    # pieces of several tokens, as the split leaves them, alone, inside
+    # brackets, and with an error before, after or inside them
+    tight = ["x^2y", "1x", "]x", "x#", "]@2^-1x", "[x]@2[y]", "] @2", "x^2y^0", "#x",
+             "]#", "]@x", "]^2@3", "x@2y", "1^2x^-1", "x^-1^2", "x^2^3", "x1@2", "X1"]
+    for piece in tight:
+        texts += [piece, f"[{piece}]", f"[y {piece} z]@2", f"x^0 {piece}", f"{piece} x^0",
+                  f"{piece} ]", f"[ {piece}", f"{piece} [" + "[" * MAX_NESTING]
+    # every separator next to "[" and "]", and an error placed after it
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    assert len(spaces) >= 25
+    for c in spaces:
+        texts += [f"{c}[{c}x{c}]{c}@2{c}[y]{c}^-1{c}", f"[{c}]{c}", f"x{c}]{c}y",
+                  f"[x{c}[y]]@2{c}z^0", f"{c}]{c}@2"]
+    # the refusal at nesting 101, after a tight piece and in a deep word
+    deep = "[x " * (MAX_NESTING + 1) + "x" + "]" * (MAX_NESTING + 1)
+    texts += [deep, "x^2y " + deep, deep[3:], "[x " * 250 + "x" + "]" * 250]
     rng = random.Random(12)
     # unreduced spellings: letters and their inverses side by side, so that
     # cancellation, cascading through the letters before, decides the word
@@ -293,6 +333,55 @@ def test_parse_matches_the_per_factor_reference():
     errors = sum(type(_outcome(parse, t)) is tuple for t in texts)
     # both kinds of outcome occur, so neither side of the check is vacuous
     assert errors >= 100 and len(texts) - errors >= 900, errors
+
+
+# --- reference: the index walk render used before the iterator walk --------
+
+
+def _reference_render(w):
+    if not w:
+        return "1"
+    out = []
+    # (letters, next index, closing text) of each enclosing bracket
+    outer = []
+    fs, i, close = w, 0, ""
+    while True:
+        if i < len(fs):
+            f = fs[i]
+            if i:
+                out.append(" ")
+            i += 1
+            if isinstance(f, Gen):
+                out.append(f.name if f.sign > 0 else f.name + "^-1")
+                continue
+            outer.append((fs, i, close))
+            fs, i = f.content, 0
+            close = "]" + (f"@{f.iter}" if f.iter >= 2 else "") + ("^-1" if f.sign < 0 else "")
+            out.append("[" if fs else "[1")
+        elif outer:
+            out.append(close)
+            fs, i, close = outer.pop()
+        else:
+            return "".join(out)
+
+
+def test_render_matches_the_index_walk_reference():
+    words = [parse(text) for text in ("1", "[1]", "[1]@3^-1", "[1]^-1 x [[1]]", "[x]^-1",
+                                      "[[x]@2^-1 y]@3^-1 [x [y]^-1]^-1", "x^-1 [1 [1]@2]")]
+    sizes = ((3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9))
+    for k in range(600):
+        d, b = sizes[k % len(sizes)]
+        p = GenParams(d, b, seed=64_000 + k)
+        words += [random_raw_word(p), random_normal_word(p),
+                  random_normal_word(p, via_oracle=True)]
+    # built directly, not parsed, so no nesting bound applies
+    deep = ONE
+    for k in range(5000):
+        deep = Word((Gen("x", 1), Br(deep, 1 + k % 3, -1 if k % 2 else 1), Gen("y", -1)))
+    words.append(deep)
+    for w in words:
+        assert render(w) == _reference_render(w)
+    assert render(deep).count("[") == 5000
 
 
 def test_digits_are_decimal_digits_of_any_script():
