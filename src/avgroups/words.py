@@ -316,10 +316,10 @@ def _read_piece(piece: str, gens: dict) -> tuple:
     head, hat, k = piece.partition("^")
     base, at, it = head.partition("@")
     count = n = 1
-    if hat:
-        count = int(k) if (k[1:] if k[:1] == "-" else k).isdecimal() else 0
     if at:
         n = int(it) if base == "]" and it.isdecimal() else 0
+    if hat and n > 0:
+        count = int(k) if (k[1:] if k[:1] == "-" else k).isdecimal() else 0
     if count and n > 0:
         sign = 1 if count > 0 else -1
         if base == "]":

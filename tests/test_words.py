@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import avgroups
 from avgroups.words import (
     MAX_NESTING,
     Br,
@@ -37,7 +38,6 @@ from avgroups.words import (
     render,
     single,
 )
-import avgroups
 from avgroups.avgroup import GenParams, random_normal_word, random_raw_word
 from avgroups.structures import IntShiftGroup
 
