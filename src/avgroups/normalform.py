@@ -25,28 +25,39 @@ folding (a lone positive bracket content absorbed into the iteration count)
 is representational and is not a counted step.
 
 The redex conditions are written once, as one scan of a level
-(``_redexes``): it lists the level's redexes in leftmost order, taking the
-letters from the left and, at letter i, R2 at i, then R3 at i, then the pair
-rule on letters i and i+1.  innermost-leftmost searches the contents of a
-level before the level itself and takes the first redex of the first level
-with one.  outermost-rightmost searches a level before its contents and
-checks from the right (pair, R3, R2 at each letter), the mirror image of
-that order, so its choice is the *last* redex of the scan.  Replaying a
-trace asks the same scan whether a step's redex is on its level.
+(``_redexes``) listing its redexes in leftmost order: at letter i, R2, then
+R3, then the pair rule on letters i and i+1.  Replaying a trace asks the
+same scan whether a step's redex is on its level.
 
-Each search for the next redex skips every subword already found to hold
-none.  Words are immutable and a rewrite rebuilds only the path from the root
-to its redex, so a subword searched clean in one step is the same object, and
-still clean, in every later step that reaches it.  The memo lives for one
-normalization: a dict from ``id(word)`` to the word itself, which it keeps
-alive so that its id cannot be reused by a new, dirty word.  It changes which
-subwords are visited, never which redex is chosen.
+innermost-leftmost takes the first redex of the first level with one in
+post-order (bracket contents left to right, then their level).  Its engine
+settles levels in that order and resumes where it rewrote.  The contents a
+rule moves belong to the settled level's letters or are slices of it (R2's
+tail ``outer.content[1:]``, R3's head ``outer.content[:-1]``) that keep a
+subset of its letters and adjacent pairs, so they are settled, and the new
+content ``head + ([tail],)`` can hold a redex only at its join, the last
+pair and R2 or R3 at ``[tail]``: it is settled from there first.  A rewrite
+at index i leaves the letters before i and their pairs as the scan found
+them, so the level's next redex lies at or after i-1.  The search from the
+root rebuilds the path with make_br, which folds a lone positive bracket
+content, so a nested level that a rewrite leaves as one is handed up at
+once: its parent's make_br folds it and the parent settles the folded-in
+content, at the path that search gives it.  Each bracket is rebuilt once,
+when its content returns.  A lone positive content in the input (parse
+leaves none) folds at the first rewrite below it: all below it is handed
+up at its first change.
 
-A step is a rule and a path to its redex.  One function, the rule table, maps
-a redex's letters to their replacement; a rewrite splices that in and rebuilds
-the path.  ``oracle_normalize`` renders nothing.  Only ``oracle_steps`` and
-``replay_trace`` build a :class:`RewriteStep`, reading the redex from the word
-before the step: rebuilding the path can fold the rewritten level away.
+outermost-rightmost checks a level before its contents, and from the right
+(pair, R3, R2 at each letter), so its choice is the last redex of the scan.
+It searches from the root at every step but skips the subwords it found
+clean: a rewrite rebuilds only the path to its redex, so they are the same
+objects, still clean, in every later step that reaches them.
+
+A step is a rule and a path to its redex; ``_replacement``, the rule table,
+maps a redex's letters to their replacement.  The engines record steps only
+when traced.  ``oracle_steps`` rebuilds each word with ``_apply_at``; it and
+``replay_trace`` render a :class:`RewriteStep` from the word before the
+step, since rebuilding the path can fold the rewritten level away.
 """
 
 from __future__ import annotations
@@ -141,20 +152,6 @@ def _redexes(fs: tuple) -> list:
     return found
 
 
-def _find_innermost_leftmost(w: Word, path: tuple, clean: dict):
-    for i, f in enumerate(w):
-        if type(f) is Br and id(f.content) not in clean:
-            found = _find_innermost_leftmost(f.content, path + (i,), clean)
-            if found is not None:
-                return found
-    found = _redexes(w)
-    if found:
-        i, rule = found[0]
-        return path + (i,), rule
-    clean[id(w)] = w
-    return None
-
-
 def _find_outermost_rightmost(w: Word, path: tuple, clean: dict):
     # the rightmost check order mirrors the leftmost one: take the last redex
     found = _redexes(w)
@@ -169,12 +166,6 @@ def _find_outermost_rightmost(w: Word, path: tuple, clean: dict):
                 return found
     clean[id(w)] = w
     return None
-
-
-_FINDERS = {
-    "innermost-leftmost": _find_innermost_leftmost,
-    "outermost-rightmost": _find_outermost_rightmost,
-}
 
 
 # --- rule application --------------------------------------------------------
@@ -220,21 +211,90 @@ def _apply_at(w: Word, path: tuple, rule: str) -> Word:
     return Word(w[:i] + (nf,) + w[i + 1 :])
 
 
-def _rewrites(w: Word, strategy: str, step_limit: int):
-    """Yield (word, rule, path) after each rewrite; the clean-subword memo lives here."""
-    find, clean = _FINDERS[strategy], {}
-    for _ in range(step_limit):
-        found = find(w, (), clean)
+_LIMIT = "no normal form within {} steps; this signals suspected non-termination"
+
+
+def _innermost_leftmost(w: Word, step_limit: int, trace: list | None) -> Word:
+    """Normal form of `w` by the engine the module docstring describes.
+
+    Each step's (rule, path) goes to `trace` unless it is None.
+    """
+    taken = 0
+    joined = False  # a level handed up to fold holds redexes only at its join
+
+    def settle(fs, start, path, nested, eager):
+        """`fs` settled, its contents first if `start` is None, else from `start` on.
+
+        A `nested` level is handed up to fold when a rewrite leaves it a lone
+        positive bracket, an `eager` one (below such a content) at any change.
+        """
+        nonlocal taken, joined
+        if start is None:
+            start = 0
+            below = eager or (nested and len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0)
+            for i, f in enumerate(fs):
+                if type(f) is Br and f.content:
+                    sub = None if path is None else path + (i,)
+                    done = settle(f.content, None, sub, True, below)
+                    if done is not f.content:
+                        fs = fold_in(fs, i, f, done, sub, below)
+                        if below:
+                            joined = False
+                            return fs
+        while True:
+            found = _redexes(fs[start:] if start else fs)
+            if not found:
+                return fs
+            if taken == step_limit:
+                raise OracleStepLimit(_LIMIT.format(step_limit))
+            taken += 1
+            j, rule = found[0]
+            i = start + j
+            sub = None if path is None else path + (i,)
+            if sub is not None:
+                trace.append((rule, sub))
+            fs = _apply_at(fs, (i,), rule)
+            if eager or (nested and len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0):
+                joined = True
+                return fs
+            if rule != "R0":
+                f = fs[i]
+                done = settle(f.content, max(len(f.content) - 2, 0), sub, True, False)
+                if done is not f.content:
+                    fs = fold_in(fs, i, f, done, sub, False)
+            start = i - 1 if i else 0
+
+    def fold_in(fs, i, f, done, path, eager):
+        """`fs` with `done`, the new content of its bracket `f` at `i`, folded in and settled."""
+        while True:
+            f = make_br(done, f.iter, f.sign)
+            fs = Word(fs[:i] + (f,) + fs[i + 1 :])
+            if f.content is done or eager:
+                return fs
+            start = max(len(f.content) - 2, 0) if joined else None
+            done = settle(f.content, start, path, True, False)
+            if done is f.content:
+                return fs
+
+    return settle(w, None, None if trace is None else (), False, False)
+
+
+def _outermost_rightmost(w: Word, step_limit: int, trace: list | None) -> Word:
+    """Normal form of `w` outermost-rightmost, searching from the root at every step."""
+    clean: dict = {}  # id -> subword searched clean, kept alive so its id is not reused
+    for taken in range(step_limit + 1):
+        found = _find_outermost_rightmost(w, (), clean)
         if found is None:
-            return
+            return w
+        if taken == step_limit:
+            raise OracleStepLimit(_LIMIT.format(step_limit))
         path, rule = found
         w = _apply_at(w, path, rule)
-        yield w, rule, path
-    if find(w, (), clean) is not None:
-        raise OracleStepLimit(
-            f"no normal form within {step_limit} steps; "
-            "this signals suspected non-termination"
-        )
+        if trace is not None:
+            trace.append((rule, path))
+
+
+_ENGINES = dict(zip(STRATEGIES, (_innermost_leftmost, _outermost_rightmost)))
 
 
 def _redex(w: Word, rule: str, path: tuple) -> tuple:
@@ -266,8 +326,15 @@ def _step(w: Word, rule: str, path: tuple) -> RewriteStep:
 
 def oracle_steps(w: Word, strategy: str = "innermost-leftmost",
                  step_limit: int = DEFAULT_STEP_LIMIT):
-    """Yield (word, step) after each rewrite; `step` describes the rule applied."""
-    for cur, rule, path in _rewrites(w, strategy, step_limit):
+    """Yield (word, step) after each rewrite; `step` describes the rule applied.
+
+    The engine runs to the normal form first, so a step limit raises before
+    any step is yielded.
+    """
+    trace: list = []
+    _ENGINES[strategy](w, step_limit, trace)
+    for rule, path in trace:
+        cur = _apply_at(w, path, rule)
         yield cur, _step(w, rule, path)
         w = cur
 
@@ -275,10 +342,7 @@ def oracle_steps(w: Word, strategy: str = "innermost-leftmost",
 def oracle_normalize(w: Word, strategy: str = "innermost-leftmost",
                      step_limit: int = DEFAULT_STEP_LIMIT):
     """Normal form of `w` under the rewriting rules; `oracle_steps` has the trace."""
-    cur = w
-    for cur, _, _ in _rewrites(w, strategy, step_limit):
-        pass
-    return cur
+    return _ENGINES[strategy](w, step_limit, None)
 
 
 def replay_trace(w: Word, steps) -> Word:

@@ -36,8 +36,8 @@ Grammar accepted by :func:`parse`::
 ``^k`` is a group power and expands to |k| copies (inverted when k < 0);
 ``@n`` is operator iteration.  The empty input and "1" denote the identity;
 "[]" denotes "[1]".  Whitespace is any character ``str.isspace`` accepts and
-numbers are decimal digits of any script.  Brackets may nest at most
-:data:`MAX_NESTING` deep.
+numbers are decimal digits of any script, no more than ``int()`` reads from a
+string.  Brackets may nest at most :data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
@@ -285,7 +285,8 @@ _FACTOR_RE = re.compile(rf"(?:({_IDENT_RE.pattern})|(\])|1)(?:@(\d*))?(?:\^(-?\d
 # words with ``==`` (C tuple comparison counts one level for the word and one
 # for the bracket letter; only the law checks do, on generated words), two
 # each for eval_operated and for diamond's seam merges, one each for the
-# oracle's finders and _apply_at.  parse, render, is_normal, are_inverse (so
+# oracle's innermost engine (two at a level whose content it folds in), its
+# outermost finder and _apply_at.  parse, render, is_normal, are_inverse (so
 # every cancellation test) and the level walker behind is_reduced, is_folded,
 # metrics and nesting use an explicit stack.  A product of two words nests
 # at most as deep as both together, so the costliest command on
@@ -316,10 +317,13 @@ def _read_piece(piece: str, gens: dict) -> tuple:
     head, hat, k = piece.partition("^")
     base, at, it = head.partition("@")
     count = n = 1
-    if at:
-        n = int(it) if base == "]" and it.isdecimal() else 0
-    if hat and n > 0:
-        count = int(k) if (k[1:] if k[:1] == "-" else k).isdecimal() else 0
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        if at:
+            n = int(it) if base == "]" and it.isdecimal() else 0
+        if hat and n > 0:
+            count = int(k) if (k[1:] if k[:1] == "-" else k).isdecimal() else 0
+    except ValueError:
+        return "!", "number has too many digits", 0, 0
     if count and n > 0:
         sign = 1 if count > 0 else -1
         if base == "]":

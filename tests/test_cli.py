@@ -128,6 +128,20 @@ def test_results_deeper_than_the_limit_are_refused(capsys):
     assert (code, out) == (2, "") and err.endswith(want) and "Traceback" not in err
 
 
+def test_a_200_fold_bracket_power_is_refused(capsys):
+    # the oracle nests [x]^200 200 deep, one level per bracket, in 19,900 steps
+    assert run(capsys, "normalize", "[x]^200") == (2, "", too_deep_result(200))
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() reads numbers of any length here")
+def test_numbers_too_long_for_int_exit_2(capsys):
+    many = "9" * (sys.get_int_max_str_digits() + 1)
+    for text, pos in ((f"x^{many}", 0), (f"[x]@{many}", 2)):
+        want = f"parse error: number has too many digits (at position {pos})\n"
+        assert run(capsys, "normalize", text) == (2, "", want)
+
+
 def test_bad_usage_exits_2(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -1,5 +1,7 @@
 """Normality predicate and the rewriting oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,11 +18,12 @@ from avgroups.words import (
     render,
     single,
 )
+import avgroups.normalform as normalform_mod
 from avgroups.normalform import (
     OracleStepLimit,
     RewriteStep,
     STRATEGIES,
-    _FINDERS,
+    _find_outermost_rightmost,
     is_normal,
     oracle_normalize,
     oracle_steps,
@@ -181,7 +184,12 @@ def test_is_normal_exactly_when_neither_finder_finds_a_redex():
             p = GenParams(seed=seed, max_depth=depth, max_breadth=breadth)
             for w in (random_raw_word(p), random_normal_word(p),
                       random_normal_word(p, via_oracle=True)):
-                clean = all(find(w, (), {}) is None for find in _FINDERS.values())
+                # the innermost engine takes no step exactly when a limit of 0 holds
+                try:
+                    innermost_clean = oracle_normalize(w, STRATEGIES[0], step_limit=0) is w
+                except OracleStepLimit:
+                    innermost_clean = False
+                clean = innermost_clean and _find_outermost_rightmost(w, (), {}) is None
                 assert is_normal(w) == clean, render(w)
                 normal += clean
                 total += 1
@@ -375,6 +383,92 @@ def test_memoized_search_takes_the_reference_steps(strategy):
         steps_taken += len(steps)
     # the sample reaches the oracle: 100 raw words take 1037-1115 steps
     assert rewritten >= 90 and steps_taken >= 1000
+
+
+def _small_words(size, names):
+    """Every reduced word over `names` of size at most `size`, brackets at @1.
+
+    A generator counts 1 and a bracket 1 plus its content.  Letters take
+    both signs, and a lone positive bracket content is kept as it is: a
+    word built directly need not be folded.
+    """
+    letters = {1: [Gen(a, s) for a in names for s in (1, -1)]}
+    seqs = {0: [()]}
+    for n in range(1, size + 1):
+        letters.setdefault(n, [])
+        letters[n] += [Br(Word(c), 1, s) for c in seqs[n - 1] for s in (1, -1)]
+        seqs[n] = [(f,) + rest for k in range(1, n + 1) for f in letters[k]
+                   for rest in seqs[n - k] if not (rest and _reference_inverse(f, rest[0]))]
+    return [Word(w) for n in range(size + 1) for w in seqs[n]]
+
+
+def test_innermost_trace_matches_the_reference_on_every_small_word():
+    words = _small_words(5, ("x",)) + _small_words(4, ("x", "y"))
+    assert len(words) == 10_269 + 4_225
+    steps_taken = 0
+    for w in words:
+        want, want_steps = _reference_normalize(w, STRATEGIES[0])
+        normal, steps = _traced(w)
+        assert steps == want_steps and normal == want, render(w)
+        assert oracle_normalize(w) == want
+        assert replay_trace(w, steps) == want
+        steps_taken += len(steps)
+    assert steps_taken == 9_313
+
+
+def _unfolded(w, rng):
+    """`w` with some brackets [c]@n spelled [[c]]@n, a content no parse leaves."""
+    out = []
+    for f in w:
+        if isinstance(f, Br):
+            c = _unfolded(f.content, rng)
+            if rng.random() < 0.4:
+                c = Word((Br(c, 1, 1),))
+            f = Br(c, f.iter, f.sign)
+        out.append(f)
+    return Word(out)
+
+
+def test_innermost_trace_matches_the_reference_on_unfolded_words():
+    # a rewrite below a lone positive bracket content folds it into the
+    # bracket around it, which moves every later redex up one level
+    rng = random.Random(17)
+    steps_taken = 0
+    for w in _seeded_words():
+        w = _unfolded(w, rng)
+        want, want_steps = _reference_normalize(w, STRATEGIES[0])
+        normal, steps = _traced(w)
+        assert steps == want_steps and normal == want, render(w)
+        assert oracle_normalize(w) == want
+        steps_taken += len(steps)
+    assert steps_taken >= 1000
+
+
+def test_bracket_power_steps_build_a_fixed_number_of_brackets(monkeypatch):
+    # [x]^k takes k(k-1)/2 steps, the later ones up to k levels deep; a
+    # search from the root at every step rebuilt each level on the way
+    built = steps = 0
+    real_make_br, real_replacement = normalform_mod.make_br, normalform_mod._replacement
+
+    def make_br(*args):
+        nonlocal built
+        built += 1
+        return real_make_br(*args)
+
+    def replacement(*args):
+        nonlocal steps
+        steps += 1
+        return real_replacement(*args)
+
+    monkeypatch.setattr(normalform_mod, "make_br", make_br)
+    monkeypatch.setattr(normalform_mod, "_replacement", replacement)
+    for k in (100, 200):
+        built = steps = 0
+        normal = oracle_normalize(parse(f"[x]^{k}"))
+        assert steps == k * (k - 1) // 2
+        assert render(normal) == "[x " * (k - 1) + "[x" + "]" * k
+        # the restart search built 34.7 and 68.0 brackets per step
+        assert built / steps < 3.5, (k, built / steps)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

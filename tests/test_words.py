@@ -187,6 +187,21 @@ PARSE_ERRORS = [
 ]
 
 
+# int() refuses to read more digits than this from a string (0: no limit)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(INT_DIGITS == 0, reason="int() reads numbers of any length here")
+def test_numbers_too_long_for_int_are_syntax_errors():
+    many = "9" * (INT_DIGITS + 1)
+    # the error stands where the token with the number starts
+    for text, pos in ((f"x^{many}", 0), (f"x^-{many}", 0), (f"z y^{many}x", 2),
+                      (f"[x]@{many}", 2), (f"[x]@{many}^2", 2), (f"y [x]@2^{many}", 4)):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"number has too many digits (at position {pos})", text[:12]
+
+
 def test_parse_errors():
     for text, fragment, pos in PARSE_ERRORS:
         with pytest.raises(WordSyntaxError) as exc:
