@@ -219,64 +219,66 @@ def _innermost_leftmost(w: Word, step_limit: int, trace: list | None) -> Word:
 
     Each step's (rule, path) goes to `trace` unless it is None.
     """
-    taken = 0
-    joined = False  # a level handed up to fold holds redexes only at its join
+    # steps taken, the limit, the trace, and whether a level handed up to fold
+    # holds redexes only at its join
+    run = [0, step_limit, trace, False]
+    return _settle(w, None, None if trace is None else (), False, False, run)
 
-    def settle(fs, start, path, nested, eager):
-        """`fs` settled, its contents first if `start` is None, else from `start` on.
 
-        A `nested` level is handed up to fold when a rewrite leaves it a lone
-        positive bracket, an `eager` one (below such a content) at any change.
-        """
-        nonlocal taken, joined
-        if start is None:
-            start = 0
-            below = eager or (nested and len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0)
-            for i, f in enumerate(fs):
-                if type(f) is Br and f.content:
-                    sub = None if path is None else path + (i,)
-                    done = settle(f.content, None, sub, True, below)
-                    if done is not f.content:
-                        fs = fold_in(fs, i, f, done, sub, below)
-                        if below:
-                            joined = False
-                            return fs
-        while True:
-            found = _redexes(fs[start:] if start else fs)
-            if not found:
-                return fs
-            if taken == step_limit:
-                raise OracleStepLimit(_LIMIT.format(step_limit))
-            taken += 1
-            j, rule = found[0]
-            i = start + j
-            sub = None if path is None else path + (i,)
-            if sub is not None:
-                trace.append((rule, sub))
-            fs = _apply_at(fs, (i,), rule)
-            if eager or (nested and len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0):
-                joined = True
-                return fs
-            if rule != "R0":
-                f = fs[i]
-                done = settle(f.content, max(len(f.content) - 2, 0), sub, True, False)
+def _settle(fs, start, path, nested, eager, run):
+    """`fs` settled, its contents first if `start` is None, else from `start` on.
+
+    A `nested` level is handed up to fold when a rewrite leaves it a lone
+    positive bracket, an `eager` one (below such a content) at any change.
+    `path` is None when untraced; `run` is the normalization's state.
+    """
+    if start is None:
+        start = 0
+        below = eager or (nested and len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0)
+        for i, f in enumerate(fs):
+            if type(f) is Br and f.content:
+                sub = None if path is None else path + (i,)
+                done = _settle(f.content, None, sub, True, below, run)
                 if done is not f.content:
-                    fs = fold_in(fs, i, f, done, sub, False)
-            start = i - 1 if i else 0
+                    fs = _fold_in(fs, i, f, done, sub, below, run)
+                    if below:
+                        run[3] = False
+                        return fs
+    while True:
+        found = _redexes(fs[start:] if start else fs)
+        if not found:
+            return fs
+        if run[0] == run[1]:
+            raise OracleStepLimit(_LIMIT.format(run[1]))
+        run[0] += 1
+        j, rule = found[0]
+        i = start + j
+        sub = None if path is None else path + (i,)
+        if sub is not None:
+            run[2].append((rule, sub))
+        fs = _apply_at(fs, (i,), rule)
+        if eager or (nested and len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0):
+            run[3] = True
+            return fs
+        if rule != "R0":
+            f = fs[i]
+            done = _settle(f.content, max(len(f.content) - 2, 0), sub, True, False, run)
+            if done is not f.content:
+                fs = _fold_in(fs, i, f, done, sub, False, run)
+        start = i - 1 if i else 0
 
-    def fold_in(fs, i, f, done, path, eager):
-        """`fs` with `done`, the new content of its bracket `f` at `i`, folded in and settled."""
-        while True:
-            f = make_br(done, f.iter, f.sign)
-            fs = Word(fs[:i] + (f,) + fs[i + 1 :])
-            if f.content is done or eager:
-                return fs
-            start = max(len(f.content) - 2, 0) if joined else None
-            done = settle(f.content, start, path, True, False)
-            if done is f.content:
-                return fs
 
-    return settle(w, None, None if trace is None else (), False, False)
+def _fold_in(fs, i, f, done, path, eager, run):
+    """`fs` with `done`, the new content of its bracket `f` at `i`, folded in and settled."""
+    while True:
+        f = make_br(done, f.iter, f.sign)
+        fs = Word(fs[:i] + (f,) + fs[i + 1 :])
+        if f.content is done or eager:
+            return fs
+        start = max(len(f.content) - 2, 0) if run[3] else None
+        done = _settle(f.content, start, path, True, False, run)
+        if done is f.content:
+            return fs
 
 
 def _outermost_rightmost(w: Word, step_limit: int, trace: list | None) -> Word:
