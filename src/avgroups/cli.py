@@ -81,17 +81,14 @@ def _cmd_normalize(args) -> int:
         itself = {a: parse(a) for a in metrics(w).generators}
         print(_text(eval_operated(w, free_target(), itself)))
         return 0
+    # the result is checked before any step is rendered: a refused result
+    # prints nothing, so its steps would be rendered for nothing
+    text = _text(oracle_normalize(w, args.strategy))
     if args.trace:
-        normal, steps = w, []
-        for normal, step in oracle_steps(w, args.strategy):
-            steps.append(step)
-        text = _text(normal)
-        for i, s in enumerate(steps, 1):
+        for i, (_, s) in enumerate(oracle_steps(w, args.strategy), 1):
             at = "/".join(map(str, s.path)) or "top"
             print(f"step {i} {s.rule} at {at}: {s.before} -> {s.after}")
-        print(text)
-        return 0
-    print(_text(oracle_normalize(w, args.strategy)))
+    print(text)
     return 0
 
 
@@ -168,7 +165,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_search_ops(args) -> int:
     table, _ = load_group_file(args.group)
-    validate_group(table).require()
     ops = search_averaging_ops(table, pointed_only=args.pointed,
                                max_size=args.max_size)
     kind = "pointed averaging" if args.pointed else "averaging"
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--group", required=True)
     s.add_argument("--pointed", action="store_true",
                    help="only operators fixing the identity")
-    s.add_argument("--max-size", type=int, default=6)
+    s.add_argument("--max-size", type=int, default=24)
     s.set_defaults(func=_cmd_search_ops)
 
     h = sub.add_parser("hopf-check",

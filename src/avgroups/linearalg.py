@@ -1,17 +1,18 @@
 """Exact-rational linear layer: group algebras and Lie structure constants.
 
-Group algebra elements are finitely supported maps from element index to an
-exact coefficient, a plain int or a Fraction; zero coefficients never appear
-in the support.  Integral data stays in ints (basis vectors, set-map
-extensions, the seeded spot-check samples); a Fraction enters only where a
-caller supplies one, and int-Fraction arithmetic stays exact.
+Vectors are finitely supported maps from a basis index to an exact
+coefficient, a plain int or a Fraction; zero coefficients never appear in
+the support.  Integral data stays in ints (basis vectors, set-map
+extensions, the seeded spot-check samples, integer structure constants and
+matrix entries); a Fraction enters only where a caller supplies a value
+that is not an int, and int-Fraction arithmetic stays exact.
 
 The group algebra carries the diagonal coproduct, the sum counit, and the
 inversion antipode, which together feed the operator checks: an operator
 table is averaging on the group exactly when its linear extension is
 averaging on the algebra and a coalgebra map, and that equivalence is
-asserted, never assumed.  The Lie side works over Fraction structure
-constants; no floating point enters this module.
+asserted, never assumed.  The Lie side reads structure constants and
+operator matrices by the same rule; no floating point enters this module.
 
 Range checks live at the entry points: `ga_mul` checks both supports,
 `linear_extend` explicit images' keys (a set map goes through
@@ -49,7 +50,7 @@ def _frac(v) -> Fraction:
 
 
 def _coeff(v):
-    """A group algebra coefficient: an int stays an int, anything else is read by _frac."""
+    """An exact coefficient: an int stays an int, anything else is read by _frac."""
     return v if type(v) is int else _frac(v)
 
 
@@ -320,7 +321,7 @@ class LieAlgebraSpec:
                 raise TableError("bracket entry must be (i, j): {k: value}, "
                                  f"got {pair!r}: {coeffs!r}")
             i, j = pair
-            cell = _norm({index(k): _frac(v) for k, v in coeffs.items()})
+            cell = _norm({index(k): _coeff(v) for k, v in coeffs.items()})
             table[index(i)][index(j)] = cell
             if (j, i) not in brackets:
                 table[j][i] = {k: -v for k, v in cell.items()}
@@ -338,7 +339,7 @@ def validate_lie(L: LieAlgebraSpec) -> CheckReport:
     if L._report is not None:
         return L._report
     d, sc = L.dim, L.brackets
-    basis = [{i: Fraction(1)} for i in range(d)]
+    basis = [{i: 1} for i in range(d)]
     # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] = 0
     jacobi = (((_combine((1, _bilinear(sc, basis[a], sc[b][c]))
                          for a, b, c in ((i, j, k), (j, k, i), (k, i, j))),), ({},))
@@ -366,7 +367,7 @@ def as_matrix(dim: int, M):
     for row in M:
         if not isinstance(row, (list, tuple)):
             raise TableError("operator matrix rows must be lists")
-        row = tuple(_frac(v) for v in row)
+        row = tuple(_coeff(v) for v in row)
         if len(row) != dim:
             raise TableError("operator matrix must match the algebra dimension")
         rows.append(row)
@@ -383,7 +384,7 @@ def check_averaging_lie(L: LieAlgebraSpec, M) -> CheckReport:
     """
     validate_lie(L).require()
     sc, cols = L.brackets, _columns(as_matrix(L.dim, M))
-    basis = [{i: Fraction(1)} for i in range(L.dim)]
+    basis = [{i: 1} for i in range(L.dim)]
     sides = (((_bilinear(sc, cols[i], cols[j]),),
               (_apply(cols, _bilinear(sc, cols[i], basis[j])),),
               (_apply(cols, _bilinear(sc, basis[i], cols[j])),))
@@ -401,7 +402,7 @@ def check_leibniz(L: LieAlgebraSpec, M) -> CheckReport:
     """Left Leibniz law {x,{y,z}} = {{x,y},z} + {y,{x,z}} on basis triples."""
     validate_lie(L).require()
     br, d = leibniz_bracket(L, M), L.dim
-    basis = [{i: Fraction(1)} for i in range(d)]
+    basis = [{i: 1} for i in range(d)]
     # the derived bracket is bilinear: tabulate it on basis pairs once
     D = [[br(basis[a], basis[b]) for b in range(d)] for a in range(d)]
 
@@ -442,7 +443,7 @@ def load_lie_file(source) -> LieAlgebraSpec:
             k = _as_int(k, "coefficient index") - 1
             if not 0 <= k < dim:
                 raise TableError(f"coefficient index out of range in {entry!r}")
-            coeffs[k] = _frac(v)
+            coeffs[k] = _coeff(v)
         if (i, j) in brackets:
             raise TableError(f"duplicate bracket entry for (e{i+1}, e{j+1})")
         brackets[(i, j)] = coeffs

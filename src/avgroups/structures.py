@@ -5,9 +5,18 @@ the product.  The identity and the inverses are inferred from the table and
 double checked, never declared.  An operator is a plain index map.  The
 module validates group and averaging axioms by brute force, constructs the
 standard operator families (central shifts, idempotent endomorphisms,
-commuting compositions), searches small carriers exhaustively, and checks
-the derived structure: pointed-operator consequences, the induced
+commuting compositions), lists every averaging operator on a group, and
+checks the derived structure: pointed-operator consequences, the induced
 disemigroup, and the conjugation rack.
+
+The list rests on a structure theorem.  Let A be averaging on G, H = A(G)
+and c = A(e).  Then H is a subgroup, A is an H-bimodule map, A(hgk) =
+hA(g)k for h, k in H, and c is central in H with A(h) = hc on H.
+Conversely, every bimodule map of G onto a subgroup H is averaging.
+Derivation: A(g)A(h) = A(A(g)h) gives A(uw) = uA(w) for u in H.  Put
+w = u^-1, so A(u^-1) = u^-1 c is in H; put u = c^2, so c^-1 = A(c^-2) is in
+H, and H is closed under inverses.  A(e)A(h) = A(A(h)) = A(h)A(e), so c
+commutes with H.
 
 Every exhaustive law goes through one failing-witness kernel, `_witness`:
 a law lists its sides, one value per index tuple in itertools.product
@@ -416,50 +425,67 @@ def check_rack(h: AveragingGroupHandle) -> CheckReport:
 
 
 def search_averaging_ops(t: FiniteGroupTable, pointed_only: bool = False,
-                         max_size: int = 6):
-    """All operator tables satisfying the averaging law, in index order.
+                         max_size: int = 24):
+    """All averaging operator tables on a group, in lexicographic order.
 
-    The carrier is capped because the search space is |G|^|G|.  The search
-    assigns op[0], op[1], ... in turn, each value in increasing order, and
-    abandons a partial table as soon as a pair (g, h) breaks the law once
-    op[g], op[h] and the two lookups op[A(g)h], op[gA(h)] are all assigned.
-    Every complete table is confirmed by validate_averaging before it is
-    returned, so the hits come in the order of the full |G|^|G| enumeration.
+    The tables are built from the module's structure theorem, not searched
+    for: A is fixed by its image H, a subgroup; by c = A(e), central in H
+    (c = e when `pointed_only`), with A(h) = hc on H; and by one value A(g)
+    in H for each H x H double coset HgH of G - H, at its smallest index g,
+    among the values that every pair (h, k) with hgk = g fixes, since A(hgk)
+    = hA(g)k.  Each table is built once: H = A(G) and c = A(e) are read back
+    from it, and A(g) is one of its entries.  Every table still passes
+    validate_averaging, so a flaw in the construction raises CheckFailed
+    instead of returning a wrong table.  A table that is not a group raises
+    validate_group's report, since the construction needs the group axioms.
     """
     n = len(t)
     if n > max_size:
         raise TableError(f"carrier size {n} exceeds the search cap {max_size}")
-    e = t.identity()
-    m = t.mul_table
-    op = [0] * n
+    validate_group(t, max_size).require()
+    e, m = t.identity(), t.mul_table
+    # every subgroup: each H and g outside it give <H, g>, closed from e
+    # under right products by g and the generators that built H
+    subgroups, seen = [(frozenset((e,)), ())], set()
+    for H, gens in subgroups:
+        for g in range(n):
+            if g not in H:
+                gens_g, K, todo = gens + (g,), {e}, [e]
+                for x in todo:
+                    row = m[x]
+                    for s in gens_g:
+                        if row[s] not in K:
+                            K.add(row[s])
+                            todo.append(row[s])
+                K = frozenset(K)
+                if K not in seen:
+                    seen.add(K)
+                    subgroups.append((K, gens_g))
     found = []
-
-    def breaks(g):
-        # the pairs decided by assigning op[g]: all their indices are <= g
-        # and one of them is g, so each pair is checked exactly once
-        for a in range(g + 1):
-            pa = op[a]
-            for b in range(g + 1):
-                pb = op[b]
-                u, v = m[pa][b], m[a][pb]
-                if u <= g and v <= g and g in (a, b, u, v):
-                    lhs = m[pa][pb]
-                    if lhs != op[u] or lhs != op[v]:
-                        return True
-        return False
-
-    def extend(g):
-        if g == n:
-            if validate_averaging(t, op).ok:
-                found.append(tuple(op))
-            return
-        for value in ((e,) if pointed_only and g == e else range(n)):
-            op[g] = value
-            if not breaks(g):
-                extend(g + 1)
-
-    extend(0)
-    return found
+    for hset, _ in subgroups:
+        H = sorted(hset)
+        # (cells, their values under each choice): H itself for each c, then
+        # each double coset HgH for each allowed A(g)
+        cosets = [(H, [[m[h][c] for h in H] for c in ([e] if pointed_only else H)
+                       if all(m[c][h] == m[h][c] for h in H)])]
+        covered = set(H)
+        for g in range(n):
+            if g not in covered:
+                pairs = [(m[m[h][g]][k], h, k) for h in H for k in H]
+                cells = {x: (h, k) for x, h, k in pairs}  # x = hgk, one pair each
+                stab = [(h, k) for x, h, k in pairs if x == g]
+                covered.update(cells)
+                cosets.append((list(cells), [[m[m[h][a]][k] for h, k in cells.values()]
+                                             for a in H
+                                             if all(m[m[h][a]][k] == a for h, k in stab)]))
+        order = [x for cells, _ in cosets for x in cells]
+        where = sorted(range(n), key=order.__getitem__)  # order[where[g]] == g
+        for choice in itertools.product(*(values for _, values in cosets)):
+            flat = [v for values in choice for v in values]
+            op = tuple(flat[i] for i in where)
+            validate_averaging(t, op).require()
+            found.append(op)
+    return sorted(found)
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:

@@ -133,6 +133,27 @@ def test_a_200_fold_bracket_power_is_refused(capsys):
     assert run(capsys, "normalize", "[x]^200") == (2, "", too_deep_result(200))
 
 
+def test_a_refused_trace_renders_no_step(capsys, monkeypatch):
+    import avgroups.normalform as normalform_mod
+    calls = []
+    real = normalform_mod._step
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(normalform_mod, "_step", counted)
+    assert run(capsys, "normalize", "--trace", "[x]^101") == (2, "", too_deep_result(101))
+    assert calls == []
+    # an accepted result still renders every step, once
+    assert run(capsys, "normalize", "--trace", "[x]^3") == (0, (
+        "step 1 R1 at 0: [x] [x] -> [x [x]]\n"
+        "step 2 R1 at 0: [x [x]] [x] -> [x [x] [x]]\n"
+        "step 3 R1 at 0/1: [x] [x] -> [x [x]]\n"
+        "[x [x [x]]]\n"), "")
+    assert calls == ["R1"] * 3
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="int() reads numbers of any length here")
 def test_numbers_too_long_for_int_exit_2(capsys):
@@ -321,11 +342,14 @@ def test_search_ops(capsys, z2_file, tmp_path):
     ]
     code, out, _ = run(capsys, "search-ops", "--group", z2_file, "--pointed")
     assert code == 0 and out.splitlines()[0].startswith("found 2 pointed")
+    z25 = cyclic_file(tmp_path, 25)
+    assert run(capsys, "search-ops", "--group", z25) == \
+        (2, "", "error: carrier size 25 exceeds the search cap 24\n")
     z7 = cyclic_file(tmp_path, 7)
-    assert run(capsys, "search-ops", "--group", z7) == \
-        (2, "", "error: carrier size 7 exceeds the search cap 6\n")
-    code, out, _ = run(capsys, "search-ops", "--group", z7, "--max-size", "7")
+    code, out, _ = run(capsys, "search-ops", "--group", z7)
     assert code == 0 and out.splitlines()[0] == "found 8 averaging operator(s) on 7 elements"
+    assert run(capsys, "search-ops", "--group", z7, "--max-size", "6") == \
+        (2, "", "error: carrier size 7 exceeds the search cap 6\n")
 
 
 def test_hopf_check(capsys, z2_file, tmp_path):

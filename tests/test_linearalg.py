@@ -576,6 +576,26 @@ def test_int_coefficients_stay_ints_and_mix_exactly_with_fractions():
     assert type(ga_basis(3)[3]) is int
 
 
+def test_lie_values_written_as_ints_or_fractions_give_identical_reports():
+    half = ("half", 3, {(0, 1): {1: Fraction(1, 2)}, (0, 2): {2: 1}},
+            (("P", [[1, 0, 0], [0, 0, 0], [0, 0, 0]]), ("H", [[0, 0, 0], [0, 1, 0], [0, 0, 1]]),
+             ("Q", [[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 0]])))
+    for name, dim, brackets, mats in _lie_inputs() + (half,):
+        as_fractions = {pair: {k: Fraction(v) for k, v in cell.items()}
+                        for pair, cell in brackets.items()}
+        L, F = (LieAlgebraSpec.from_brackets(dim, b) for b in (brackets, as_fractions))
+        # integer values stay ints; a Fraction stays where one is written
+        assert all(type(v) is int or v.denominator > 1
+                   for row in L.brackets for cell in row for v in cell.values())
+        assert validate_lie(L).entries == validate_lie(F).entries
+        for mname, M in mats:
+            MF = [[Fraction(v) for v in row] for row in M]
+            for check in (check_averaging_lie, check_leibniz):
+                want = check(F, MF).entries
+                assert check(L, M).entries == want == check(L, MF).entries == \
+                    check(F, M).entries, (name, mname, check.__name__)
+
+
 def _fresh_draws(n, seed, count, per_sample):
     """The samples of random.Random(seed), drawn here without the module's cache."""
     rng = random.Random(seed)

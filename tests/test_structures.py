@@ -238,7 +238,7 @@ def test_search_flags_and_caps():
     z2 = cyclic_group(2)
     assert search_averaging_ops(z2, pointed_only=True) == [(0, 0), (0, 1)]
     with pytest.raises(TableError):
-        search_averaging_ops(cyclic_group(7))
+        search_averaging_ops(cyclic_group(25))
     assert len(search_averaging_ops(sym3())) == 14
 
 
@@ -265,13 +265,15 @@ def test_search_returns_the_exhaustive_list_in_order():
 
 
 def test_search_beyond_the_default_cap():
+    with pytest.raises(TableError, match="exceeds the search cap 24"):
+        search_averaging_ops(cyclic_group(25))
     with pytest.raises(TableError, match="exceeds the search cap 6"):
-        search_averaging_ops(cyclic_group(7))
+        search_averaging_ops(cyclic_group(7), max_size=6)
     # counts found independently: Z7 has 8 and 2, Z8 has 41 and 14
     for n, plain, pointed in ((7, 8, 2), (8, 41, 14)):
         t = cyclic_group(n)
-        ops = search_averaging_ops(t, max_size=n)
-        pointed_ops = search_averaging_ops(t, pointed_only=True, max_size=n)
+        ops = search_averaging_ops(t)
+        pointed_ops = search_averaging_ops(t, pointed_only=True)
         assert (len(ops), len(pointed_ops)) == (plain, pointed)
         assert ops == sorted(ops) and pointed_ops == [op for op in ops if op[0] == 0]
         assert all(validate_averaging(t, op).ok for op in ops)
