@@ -29,6 +29,12 @@ Every output of op_apply is a single positive bracket letter [c]@k, and the
 operator on such a letter only raises its count, so n applications are one
 application and a fold: A^n(w) = [c]@(k+n-1).  ``op_iter`` costs the same
 for every n >= 1.
+
+The seeded word generators ``random_raw_word`` and ``random_normal_word``
+draw straight from ``random.Random.getrandbits``: a choice among n things
+takes ``n.bit_length()`` bits and draws again until the value is below n,
+which is the draw ``randrange`` and ``choice`` make on CPython 3.10-3.13.  A
+given seed therefore gives the same word on each of those versions.
 """
 
 from __future__ import annotations
@@ -189,64 +195,102 @@ def random_normal_word(p: GenParams, via_oracle: bool = False) -> Word:
     identity brackets can name one group element in more than one way, so
     structural law checks are only meaningful away from them.  The
     via_oracle path normalizes an unrestricted raw word instead and can
-    reach the full carrier.
+    reach the full carrier.  The grammar path draws as :func:`random_raw_word`
+    does, from ``random.Random(p.seed)``, and both refuse the same parameters.
     """
     if via_oracle:
         return oracle_normalize(random_raw_word(p))
+    letters = _letters(p)
     rng = random.Random(p.seed)
     # the growth constraints make rejection rare; the check makes it impossible
     for _ in range(1000):
-        w = _grow_positive(rng, p, p.max_depth, inside=False)
+        w = _grow_positive(rng.getrandbits, rng.random, letters, max(1, p.max_breadth),
+                           p.max_depth, False)
         if is_normal(w):
             return w
     raise RuntimeError("word generator failed to produce a normal word")
 
 
 def random_raw_word(p: GenParams) -> Word:
-    """Reduced (but in general non-normal) word within the size bounds."""
+    """Reduced (but in general non-normal) word within the size bounds.
+
+    The word is drawn from ``random.Random(p.seed ^ 0x5EED)``.  Each choice
+    among n things takes ``n.bit_length()`` bits from ``getrandbits`` and
+    draws again until the value is below n, the draw ``randrange`` and
+    ``choice`` make on CPython 3.10-3.13; coin flips are ``random() < 0.4``.
+    So a given seed gives the same word on each of those versions.  An empty
+    alphabet or a negative ``max_breadth`` raises ValueError.
+    """
+    letters = _letters(p)
     rng = random.Random(p.seed ^ 0x5EED)
-    return _grow_raw(rng, p, p.max_depth)
+    return _grow_raw(rng.getrandbits, rng.random, letters, p.max_breadth + 1, p.max_depth)
 
 
-def _grow_positive(rng, p: GenParams, depth: int, inside: bool) -> Word:
-    k = rng.randint(1, max(1, p.max_breadth))
+def _letters(p: GenParams) -> list:
+    """(positive, negative) generator letters for each alphabet position.
+
+    Keyed by name, so a repeated name gets the same pair of objects, and a
+    generator letter is the inverse of another exactly when it is that
+    pair's other object.  An empty alphabet or a negative max_breadth is
+    refused here: either would leave a draw from range(0), which never ends.
+    """
+    if not p.alphabet:
+        raise ValueError("the alphabet must name at least one generator")
+    if p.max_breadth < 0:
+        raise ValueError("max_breadth must be >= 0")
+    pairs = {name: (_new(Gen, (name, 1)), _new(Gen, (name, -1))) for name in p.alphabet}
+    return [pairs[name] for name in p.alphabet]
+
+
+def _below(bits, n: int) -> int:
+    """A uniform draw from range(n), as ``Random.randrange(n)`` makes it."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _grow_positive(bits, rand, letters, width: int, depth: int, inside: bool) -> Word:
+    """A positive-sector word; `bits` and `rand` are one Random's getrandbits and random."""
+    count = 1 + _below(bits, width)
     out: list = []
-    for i in range(k):
-        last = i == k - 1
-        prev = out[-1] if out else None
-        can_bracket = (
-            depth >= 1
-            and not isinstance(prev, Br)       # no adjacent bracket letters
-            and not (inside and i == 0)        # contents start with a generator
-        )
-        if can_bracket and rng.random() < 0.4:
-            it = rng.randint(1, max(1, min(3, depth)))
-            if inside and last and it > 1:     # contents end at iteration 1
+    prev = None
+    for i in range(count):
+        if (depth >= 1
+                and type(prev) is not Br           # no adjacent bracket letters
+                and not (inside and i == 0)        # contents start with a generator
+                and rand() < 0.4):
+            it = 1 + _below(bits, min(3, depth))
+            if inside and i == count - 1:          # contents end at iteration 1
                 it = 1
-            content = _grow_positive(rng, p, depth - it, inside=True)
-            out.append(make_br(content, it, 1))
-            continue
-        name = rng.choice(p.alphabet)
-        sign = rng.choice((1, -1))
-        if isinstance(prev, Gen) and prev.name == name and prev.sign == -sign:
-            sign = -sign
-        out.append(Gen(name, sign))
+            content = _grow_positive(bits, rand, letters, width, depth - it, True)
+            prev = make_br(content, it, 1)
+        else:
+            pair = letters[_below(bits, len(letters))]
+            s = _below(bits, 2)
+            # a generator never cancels the one before it: it repeats it instead
+            prev = pair[1 - s] if prev is pair[1 - s] else pair[s]
+        out.append(prev)
     return Word(out)
 
 
-def _grow_raw(rng, p: GenParams, depth: int) -> Word:
-    k = rng.randint(0, p.max_breadth)
+def _grow_raw(bits, rand, letters, width: int, depth: int) -> Word:
     out: list = []
-    for _ in range(k):
+    for _ in range(_below(bits, width)):
         for _ in range(20):
-            if depth >= 1 and rng.random() < 0.4:
-                it = rng.randint(1, max(1, min(3, depth)))
-                content = _grow_raw(rng, p, depth - it)
-                f: object = make_br(content, it, rng.choice((1, -1)))
+            if depth >= 1 and rand() < 0.4:
+                it = 1 + _below(bits, min(3, depth))
+                content = _grow_raw(bits, rand, letters, width, depth - it)
+                f = make_br(content, it, (1, -1)[_below(bits, 2)])
+                if out and are_inverse(out[-1], f):
+                    continue
             else:
-                f = Gen(rng.choice(p.alphabet), rng.choice((1, -1)))
-            if out and are_inverse(out[-1], f):
-                continue
+                pair = letters[_below(bits, len(letters))]
+                s = _below(bits, 2)
+                if out and out[-1] is pair[1 - s]:
+                    continue
+                f = pair[s]
             out.append(f)
             break
     return Word(out)

@@ -311,6 +311,12 @@ def main(argv=None) -> int:
     except OracleStepLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # a word built on the way, such as the oracle's [x]^1000, nests past
+        # the interpreter's recursion limit
+        print("error: the words this input leads to nest too deep to work on "
+              "(recursion limit reached)", file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2

@@ -382,6 +382,24 @@ def test_module_entry_point_keeps_the_exit_contract():
         assert "Traceback" not in proc.stderr, argv
 
 
+def test_recursion_limit_is_refused_with_exit_2():
+    # the oracle nests [x]^k k deep; under a recursion limit of 200 it
+    # overflows at k = 250 in well under a second, as [x]^1000 does under
+    # the default limit in seconds
+    code = """
+import sys
+sys.setrecursionlimit(200)
+from avgroups.cli import main
+sys.exit(main(["normalize", "[x]^250"]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_hopf_check_rejects_malformed_operator_files(capsys, z2_file, tmp_path):
     def check(data):
         opfile = tmp_path / "op.json"
