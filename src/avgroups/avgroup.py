@@ -140,8 +140,8 @@ def op_iter(w: Word, n: int) -> Word:
     return _fold(w, n) if n else w
 
 
-def inverse(w: Word) -> Word:
-    return invert(w)
+# one function under both names: a wrapper would only add a frame
+inverse = invert
 
 
 # --- the universal property --------------------------------------------------
@@ -196,19 +196,24 @@ def random_normal_word(p: GenParams, via_oracle: bool = False) -> Word:
     structural law checks are only meaningful away from them.  The
     via_oracle path normalizes an unrestricted raw word instead and can
     reach the full carrier.  The grammar path draws as :func:`random_raw_word`
-    does, from ``random.Random(p.seed)``, and both refuse the same parameters.
+    does, from ``random.Random(p.seed)``, and both refuse the same parameters
+    and give the identity at ``max_breadth=0``.
+
+    The grammar is normal by construction: a generator repeats the one
+    before it instead of cancelling it, no two brackets stand side by side,
+    and a content starts with a generator, so it never folds, and ends at
+    iteration 1.  So one draw is taken, and ``is_normal`` only confirms it.
     """
     if via_oracle:
         return oracle_normalize(random_raw_word(p))
     letters = _letters(p)
+    if not p.max_breadth:
+        return ONE
     rng = random.Random(p.seed)
-    # the growth constraints make rejection rare; the check makes it impossible
-    for _ in range(1000):
-        w = _grow_positive(rng.getrandbits, rng.random, letters, max(1, p.max_breadth),
-                           p.max_depth, False)
-        if is_normal(w):
-            return w
-    raise RuntimeError("word generator failed to produce a normal word")
+    w = _grow_positive(rng.getrandbits, rng.random, letters, p.max_breadth, p.max_depth, False)
+    if not is_normal(w):
+        raise RuntimeError("word generator failed to produce a normal word")
+    return w
 
 
 def random_raw_word(p: GenParams) -> Word:

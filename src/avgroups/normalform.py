@@ -24,10 +24,14 @@ unreduced or mergeable subword behind; later steps clean it up.  Bracket
 folding (a lone positive bracket content absorbed into the iteration count)
 is representational and is not a counted step.
 
-The redex conditions are written once, as one scan of a level
+The rewriting engines read the redex conditions from one scan of a level
 (``_redexes``) listing its redexes in leftmost order: at letter i, R2, then
 R3, then the pair rule on letters i and i+1.  Replaying a trace asks the
-same scan whether a step's redex is on its level.
+same scan whether a step's redex is on its level.  ``is_normal`` writes
+N0-N2 a second time, as a predicate that stops at the first violation:
+reading them through ``_redexes`` level by level took 2.2 times as long on
+words shaped like the product-law corpus, and the law checks call it on
+every product.  A test holds the two to the same verdict on every level.
 
 innermost-leftmost takes the first redex of the first level with one in
 post-order (bracket contents left to right, then their level).  Its engine

@@ -37,7 +37,10 @@ Grammar accepted by :func:`parse`::
 ``@n`` is operator iteration.  The empty input and "1" denote the identity;
 "[]" denotes "[1]".  Whitespace is any character ``str.isspace`` accepts and
 numbers are decimal digits of any script, no more than ``int()`` reads from a
-string.  Brackets may nest at most :data:`MAX_NESTING` deep.
+string.  Brackets may nest at most :data:`MAX_NESTING` deep.  The tokens are
+those of ``_TOKEN_RE``; :func:`parse` reads text split at whitespace and
+brackets, and re-reads it through that regex only when a piece is not one
+token or the text is refused.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import length_hint
 from typing import Mapping
 
 __all__ = [
@@ -304,8 +306,8 @@ def _read_piece(piece: str, gens: dict) -> tuple:
 
     kind "g": generator letter `a`, its inverse `b`, `count` copies;
     kind "]": a closing bracket of iteration `a` and sign `b`, `count` copies;
-    kind "1": nothing; kind "!": a syntax error, message `a` at offset `b`;
-    kind "*": a piece of several tokens, the list `a` of them in order.
+    kind "1": nothing; kind "!": not one well-formed token, and for a piece
+    that is one token the syntax error, message `a` at offset `b`.
 
     A well-formed token is read with string methods, which accept what
     ``_FACTOR_RE`` matches less what _misread refuses: an ASCII identifier
@@ -341,15 +343,13 @@ def _read_piece(piece: str, gens: dict) -> tuple:
 def _misread(piece: str) -> tuple:
     """_read_piece's reading of a piece that is not one well-formed token.
 
-    ``_TOKEN_RE`` cuts a piece that does not match ``_FACTOR_RE`` into its
-    tokens.  A piece that matches it is one token that _read_piece refused,
-    so its "@n" or its "^k" is bad.
+    A token that does not match ``_FACTOR_RE`` is a character no factor
+    starts with.  A token that matches it is one that _read_piece refused,
+    so its "@n" or its "^k" is bad.  A piece of several tokens reads as the
+    first kind; parse never reports it, it reads the tokens instead.
     """
     m = _FACTOR_RE.fullmatch(piece)
     if m is None:
-        tokens = _TOKEN_RE.findall(piece)
-        if len(tokens) > 1:
-            return "*", tokens, None, 0
         return "!", "expected a factor: identifier, '[', or '1'", 0, 0
     closed, it, k = m.group(2, 3, 4)
     if it is not None:
@@ -364,24 +364,14 @@ def _misread(piece: str) -> tuple:
     return "!", "power 0 is not allowed", m.start(4), 0
 
 
-def _syntax_error(text: str, pieces: list, its: list, message: str, offset: int):
-    """The error `message` at `offset` into the token just read.
+def _tokens(text: str, start: list):
+    """The tokens of `text` by ``_TOKEN_RE``, drawn lazily.
 
-    ``its`` is parse's iterator stack: the iterator over `pieces` and, inside
-    a piece of several tokens, the iterator over its tokens, each just past
-    the failing one.  Only whitespace stands between pieces and a piece
-    starts with none, so each piece starts where its text next occurs; the
-    tokens of a piece stand side by side.
+    ``start[0]`` is where the token last drawn starts.
     """
-    j = len(pieces) - 1 - length_hint(its[0])
-    pos = 0
-    for piece in pieces[:j]:
-        pos = text.index(piece, pos) + len(piece)
-    pos = text.index(pieces[j], pos)
-    if len(its) > 1:
-        tokens = _TOKEN_RE.findall(pieces[j])
-        pos += sum(map(len, tokens[:len(tokens) - 1 - length_hint(its[1])]))
-    return WordSyntaxError(message, pos + offset)
+    for m in _TOKEN_RE.finditer(text):
+        start[0] = m.start(1)
+        yield m[1]
 
 
 def parse(text: str) -> Word:
@@ -390,16 +380,19 @@ def parse(text: str) -> Word:
     Raises WordSyntaxError, with the position, on malformed text and on
     brackets nested deeper than MAX_NESTING.
 
-    Tokens come from one ``str.split`` after a space is put on both sides of
-    each "[" and before each "]": a piece is then "[", or a closing bracket
-    with its ``@n^k``, or a letter, whenever the text separates its factors.
-    A memo maps each distinct piece to what it spells, read once per call
-    with string methods.  The regexes run only on a piece that does not read
-    as one well-formed token, and to place an error: ``_TOKEN_RE``, which
-    defines the tokens, cuts a tight spelling such as ``x^2y``, ``1x``,
-    ``]x`` or ``x#``, whose tokens the same loop then reads in turn from an
-    iterator pushed on its stack, and ``_FACTOR_RE`` finds the bad part of a
-    malformed token.  Positions are worked out only for an error.
+    The first reading takes its tokens from one ``str.split`` after a space
+    is put on both sides of each "[" and before each "]": a piece is then
+    "[", or a closing bracket with its ``@n^k``, or a letter, whenever the
+    text separates its factors, as rendered text does.  A memo maps each
+    distinct piece to what it spells, read once per call with string
+    methods.  On the first piece that is not one well-formed token (a tight
+    spelling such as ``x^2y``, ``1x`` or ``]x``, or a malformed token) and
+    on any other syntax error but a missing "]", the same loop, memo and
+    letter table read the text again from the start, token by token from
+    ``_TOKEN_RE``, which defines the tokens.  The tokens are drawn lazily,
+    so a refusal stops at the failing token, and the error is placed from
+    where that token starts.  ``_FACTOR_RE`` finds the bad part of a
+    malformed token.
 
     Generator letters come from one table per call, one object per
     (name, sign), so a generator cancels the letter before it exactly when
@@ -410,18 +403,18 @@ def parse(text: str) -> Word:
     the table live for one call: module-level ones would grow with every
     name ever parsed and keep their letters alive.
     """
-    out: list = []
-    outer: list = []  # the factor lists of the enclosing brackets
     memo: dict = {}  # piece or token text -> _read_piece's reading
     gens: dict = {}  # name -> the positive and negative letter of this call
-    pieces = text.replace("[", " [ ").replace("]", " ]").split()
-    its = [iter(pieces)]  # the pieces, then the tokens of a piece of several
-    while its:
-        for tok in its[-1]:
+    start = None  # in the second reading, where its last token starts
+    tokens = text.replace("[", " [ ").replace("]", " ]").split()
+    while True:
+        out: list = []
+        outer: list = []  # the factor lists of the enclosing brackets
+        for tok in tokens:
             if tok == "[":
                 if len(outer) == MAX_NESTING:
-                    message = f"brackets nested deeper than {MAX_NESTING}"
-                    raise _syntax_error(text, pieces, its, message, 0)
+                    error = f"brackets nested deeper than {MAX_NESTING}", 0
+                    break
                 outer.append(out)
                 out = []
                 continue
@@ -440,7 +433,8 @@ def parse(text: str) -> Word:
                         out.append(a)
             elif kind == "]":
                 if not outer:
-                    raise _syntax_error(text, pieces, its, "unexpected ']'", 0)
+                    error = "unexpected ']'", 0
+                    break
                 if len(out) == 1 and type(out[0]) is Br and out[0].sign > 0:
                     letter = make_br(Word(out), a, b)
                 else:
@@ -451,18 +445,18 @@ def parse(text: str) -> Word:
                     continue
                 for _ in range(count):
                     _push_reduced(out, letter)
-            elif kind == "*":
-                its.append(iter(a))
-                break
             elif kind == "!":
-                if tok[0] == "]" and not outer:
-                    raise _syntax_error(text, pieces, its, "unexpected ']'", 0)
-                raise _syntax_error(text, pieces, its, a, b)
+                error = ("unexpected ']'", 0) if tok[0] == "]" and not outer else (a, b)
+                break
         else:
-            its.pop()
-    if outer:
-        raise WordSyntaxError("expected ']'", len(text))
-    return Word(out)
+            if outer:
+                raise WordSyntaxError("expected ']'", len(text))
+            return Word(out)
+        if start is not None:
+            message, offset = error
+            raise WordSyntaxError(message, start[0] + offset)
+        start = [0]
+        tokens = _tokens(text, start)
 
 
 # --- rendering -------------------------------------------------------------

@@ -33,6 +33,7 @@ from avgroups.avgroup import (
     random_normal_word,
     random_raw_word,
 )
+from avgroups import avgroup as avgroup_module
 from avgroups.laws import law_commutes, law_table
 from avgroups.structures import AveragingGroupHandle, IntShiftGroup, cyclic_group
 
@@ -89,6 +90,8 @@ def test_op_iter_is_repeated_application():
     w = parse("x [y]^-1")
     assert op_iter(w, 1) == op_apply(w)
     assert op_iter(w, 3) == op_apply(op_apply(op_apply(w)))
+    with pytest.raises(ValueError, match=r"^iteration count must be >= 0$"):
+        op_iter(w, -1)
 
 
 def test_group_laws_on_generated_words():
@@ -218,6 +221,8 @@ def test_law_properties_on_random_seeds(seed):
 
 
 def _ref_random_normal_word(p):
+    if p.max_breadth == 0:
+        return ONE
     rng = random.Random(p.seed)
     for _ in range(1000):
         w = _ref_grow_positive(rng, p, p.max_depth, inside=False)
@@ -321,6 +326,23 @@ def test_word_generators_refuse_bad_parameters(params):
                  lambda p: random_normal_word(p, via_oracle=True)):
         with pytest.raises(ValueError):
             make(params)
+
+
+def test_breadth_zero_gives_the_identity():
+    # both generators keep to max_breadth; the grammar once drew one letter here
+    for seed in range(50):
+        for depth in (0, 3, 9):
+            p = GenParams(depth, 0, ("x", "y", "z"), seed)
+            assert random_raw_word(p) == ONE
+            assert random_normal_word(p) == ONE
+            assert random_normal_word(p, via_oracle=True) == ONE
+
+
+def test_a_grammar_word_that_is_not_normal_is_refused(monkeypatch):
+    # the grammar is normal by construction; is_normal confirms each draw
+    monkeypatch.setattr(avgroup_module, "is_normal", lambda w: False)
+    with pytest.raises(RuntimeError, match="word generator failed to produce a normal word"):
+        random_normal_word(GenParams(seed=1))
 
 
 # --- reference copies: the product as a deque walk over every letter of v,

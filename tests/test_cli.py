@@ -20,6 +20,7 @@ from avgroups.words import MAX_NESTING, metrics, parse, render
 from avgroups.avgroup import GenParams
 from avgroups.cli import main
 from avgroups.laws import run_suites, shrink_counterexample
+from avgroups.normalform import STRATEGIES
 
 
 def run(capsys, *argv):
@@ -201,6 +202,21 @@ def test_check_single_suite_and_flags(capsys):
     assert out.splitlines()[0] == "suite oracle: 15 trials, pass"
     assert main(["check", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+def test_an_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match=r"^unknown suite 'bogus'$"):
+        run_suites("bogus", 3, GenParams())
+
+
+def test_an_oracle_step_limit_is_one_error_line_and_exit_1(capsys, monkeypatch):
+    import avgroups.cli as cli_mod
+    real = cli_mod.oracle_normalize
+    monkeypatch.setattr(cli_mod, "oracle_normalize",
+                        lambda w, strategy=STRATEGIES[0]: real(w, strategy, step_limit=1))
+    assert run(capsys, "normalize", "[x]^3") == (1, "", (
+        "error: no normal form within 1 steps; "
+        "this signals suspected non-termination\n"))
 
 
 def test_check_refuses_negative_word_bounds(capsys, monkeypatch):

@@ -58,6 +58,15 @@ def test_group_algebra_arithmetic():
     assert ga_scale("2/3", ga_basis(1)) == {1: Fraction(2, 3)}
     with pytest.raises(TableError):
         ga_mul({5: Fraction(1)}, ga_basis(0), z3)
+    # a right factor outside the carrier is refused with the left one inside
+    with pytest.raises(TableError, match=r"^support index 5 outside the carrier$"):
+        ga_mul(ga_basis(0), {5: Fraction(1)}, z3)
+
+
+def test_lie_operator_rows_must_match_the_dimension():
+    L = LieAlgebraSpec.from_brackets(2, {})
+    with pytest.raises(TableError, match=r"^operator matrix must match the algebra dimension$"):
+        check_averaging_lie(L, [[1, 0], [0, 1], [0, 0]])
 
 
 def test_linear_extend():
@@ -269,6 +278,10 @@ def test_file_loaders(tmp_path):
         load_operator_file({"dim": 2, "matrix": [0.5, 0, 0, 0]})
     with pytest.raises(TableError):
         load_lie_file({"dim": 2, "brackets": [{"i": 5, "j": 1, "coeffs": {}}]})
+    with pytest.raises(TableError) as exc:
+        load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]})
+    assert str(exc.value) == ("coefficient index out of range in "
+                              "{'i': 1, 'j': 2, 'coeffs': {'3': '1'}}")
     with pytest.raises(TableError):
         load_lie_file({"dim": 2, "brackets": [
             {"i": 1, "j": 2, "coeffs": {"2": "1"}},

@@ -10,6 +10,7 @@ from avgroups.words import (
     Gen,
     ONE,
     Word,
+    _levels,
     bracket_literal,
     eval_operated,
     make_br,
@@ -24,6 +25,7 @@ from avgroups.normalform import (
     RewriteStep,
     STRATEGIES,
     _find_outermost_rightmost,
+    _redexes,
     is_normal,
     oracle_normalize,
     oracle_steps,
@@ -195,6 +197,23 @@ def test_is_normal_exactly_when_neither_finder_finds_a_redex():
                 total += 1
     # both verdicts occur: 3,105 of the 3,600 words are normal
     assert normal >= 3000 and total - normal >= 400
+
+
+def test_is_normal_exactly_when_no_level_has_a_redex():
+    # is_normal writes N0-N2 a second time, for speed; the redex scan is the
+    # one statement of the rules, so the two must agree on every level
+    normal = total = 0
+    for depth, breadth in ((2, 3), (3, 4), (5, 6), (7, 8)):
+        for seed in range(500):
+            p = GenParams(seed=70_000 + seed, max_depth=depth, max_breadth=breadth)
+            for w in (random_raw_word(p), random_normal_word(p),
+                      random_normal_word(p, via_oracle=True)):
+                clean = not any(_redexes(fs) for fs, _, _ in _levels(w))
+                assert is_normal(w) == clean, render(w)
+                normal += clean
+                total += 1
+    # both verdicts occur: 5,356 of the 6,000 words are normal
+    assert normal >= 5000 and total - normal >= 500, (normal, total)
 
 
 def test_step_limit_raises():

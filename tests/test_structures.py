@@ -46,6 +46,8 @@ def test_table_construction_checks_shape_only():
         FiniteGroupTable([], [])
     with pytest.raises(TableError):
         t.index("zz")
+    with pytest.raises(TableError, match=r"^cyclic group needs n >= 1$"):
+        cyclic_group(0)
 
 
 def test_identity_and_inverses_are_inferred():
