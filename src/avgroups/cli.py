@@ -110,10 +110,10 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_op(args) -> int:
-    w = _normalized_input(args.word)
     if args.iter < 1:
         print("error: --iter must be at least 1", file=sys.stderr)
         return 2
+    w = _normalized_input(args.word)
     print(_text(op_iter(w, args.iter)))
     return 0
 

@@ -1,7 +1,7 @@
 """Averaging normal form: the predicate and a rewriting normalizer.
 
-A word is an averaging (normal) word when, at every nesting level and with
-brackets read in folded form:
+A word is an averaging (normal) word when, at every nesting level of a word
+folded by construction (see :mod:`avgroups.words`):
 
     N0  it is freely reduced;
     N1  no two adjacent positive brackets and no two adjacent negative
@@ -47,9 +47,7 @@ root rebuilds the path with make_br, which folds a lone positive bracket
 content, so a nested level that a rewrite leaves as one is handed up at
 once: its parent's make_br folds it and the parent settles the folded-in
 content, at the path that search gives it.  Each bracket is rebuilt once,
-when its content returns.  A lone positive content in the input (parse
-leaves none) folds at the first rewrite below it: all below it is handed
-up at its first change.
+when its content returns.
 
 outermost-rightmost checks a level before its contents, and from the right
 (pair, R3, R2 at each letter), so its choice is the last redex of the scan.
@@ -223,31 +221,25 @@ def _innermost_leftmost(w: Word, step_limit: int, trace: list | None) -> Word:
 
     Each step's (rule, path) goes to `trace` unless it is None.
     """
-    # steps taken, the limit, the trace, and whether a level handed up to fold
-    # holds redexes only at its join
-    run = [0, step_limit, trace, False]
-    return _settle(w, None, None if trace is None else (), False, False, run)
+    run = [0, step_limit, trace]  # steps taken, the limit, the trace
+    return _settle(w, None, None if trace is None else (), False, run)
 
 
-def _settle(fs, start, path, nested, eager, run):
+def _settle(fs, start, path, nested, run):
     """`fs` settled, its contents first if `start` is None, else from `start` on.
 
     A `nested` level is handed up to fold when a rewrite leaves it a lone
-    positive bracket, an `eager` one (below such a content) at any change.
-    `path` is None when untraced; `run` is the normalization's state.
+    positive bracket.  `path` is None when untraced; `run` is the
+    normalization's state.
     """
     if start is None:
         start = 0
-        below = eager or (nested and len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0)
         for i, f in enumerate(fs):
             if type(f) is Br and f.content:
                 sub = None if path is None else path + (i,)
-                done = _settle(f.content, None, sub, True, below, run)
+                done = _settle(f.content, None, sub, True, run)
                 if done is not f.content:
-                    fs = _fold_in(fs, i, f, done, sub, below, run)
-                    if below:
-                        run[3] = False
-                        return fs
+                    fs = _fold_in(fs, i, f, done, sub, run)
     while True:
         found = _redexes(fs[start:] if start else fs)
         if not found:
@@ -261,26 +253,24 @@ def _settle(fs, start, path, nested, eager, run):
         if sub is not None:
             run[2].append((rule, sub))
         fs = _apply_at(fs, (i,), rule)
-        if eager or (nested and len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0):
-            run[3] = True
+        if nested and len(fs) == 1 and type(fs[0]) is Br and fs[0].sign > 0:
             return fs
         if rule != "R0":
             f = fs[i]
-            done = _settle(f.content, max(len(f.content) - 2, 0), sub, True, False, run)
+            done = _settle(f.content, max(len(f.content) - 2, 0), sub, True, run)
             if done is not f.content:
-                fs = _fold_in(fs, i, f, done, sub, False, run)
+                fs = _fold_in(fs, i, f, done, sub, run)
         start = i - 1 if i else 0
 
 
-def _fold_in(fs, i, f, done, path, eager, run):
+def _fold_in(fs, i, f, done, path, run):
     """`fs` with `done`, the new content of its bracket `f` at `i`, folded in and settled."""
     while True:
         f = make_br(done, f.iter, f.sign)
         fs = Word(fs[:i] + (f,) + fs[i + 1 :])
-        if f.content is done or eager:
+        if f.content is done:
             return fs
-        start = max(len(f.content) - 2, 0) if run[3] else None
-        done = _settle(f.content, start, path, True, False, run)
+        done = _settle(f.content, max(len(f.content) - 2, 0), path, True, run)
         if done is f.content:
             return fs
 

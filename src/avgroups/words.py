@@ -25,6 +25,11 @@ tuple hash, so each nesting level counts against the recursion limit: like
 RecursionError deeper, where C tuple hashing alone overflows the C stack
 some tens of thousands deep and kills the process.
 
+Words are folded by construction: ``Br(content, iter, sign)`` is
+:func:`make_br`, which folds and validates the letter as :func:`parse` does.
+Only ``Br._make`` and ``Br._replace`` build a letter as given, unfolded if
+so given, and :func:`is_folded` finds such a letter.
+
 Grammar accepted by :func:`parse`::
 
     word   := factor*
@@ -80,9 +85,9 @@ __all__ = [
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 # Letters and words are tuples with no per-instance __dict__: words are built
-# by the thousand.  The hot paths build them with the C tuple constructor,
-# _new(Br, (content, iter, sign)), instead of the namedtuple's Python-level
-# __new__, and Word(letters) is that constructor already.
+# by the thousand.  The hot paths build them with make_br, or with the C tuple
+# constructor _new(Br, (content, iter, sign)) where the content cannot fold,
+# and Word(letters) is that constructor already.
 _new = tuple.__new__
 
 
@@ -92,6 +97,9 @@ class Gen(namedtuple("Gen", "name sign")):
 
 class Br(namedtuple("Br", "content iter sign")):
     __slots__ = ()
+
+    def __new__(cls, content, iter, sign):
+        return make_br(content, iter, sign)
 
 
 # A PEP 604 union, not typing.Union: typing caches each Union[...] it builds

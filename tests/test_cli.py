@@ -73,6 +73,13 @@ def test_mul_op_inv(capsys):
     assert code == 2 and "at least 1" in err
 
 
+def test_op_refuses_a_bad_iter_before_reading_the_word(capsys):
+    # no normalization note and no oracle run on a request that is refused
+    want = (2, "", "error: --iter must be at least 1\n")
+    assert run(capsys, "op", "--iter", "0", "[x] [y]") == want
+    assert run(capsys, "op", "--iter", "-1", "[x]^1000") == want
+
+
 def test_non_normal_inputs_are_normalized_with_notice(capsys):
     code, out, err = run(capsys, "mul", "[x][y]", "z")
     assert code == 0

@@ -1,7 +1,5 @@
 """Normality predicate and the rewriting oracle."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +11,7 @@ from avgroups.words import (
     _levels,
     bracket_literal,
     eval_operated,
+    is_folded,
     make_br,
     parse,
     reduce_concat,
@@ -405,11 +404,11 @@ def test_memoized_search_takes_the_reference_steps(strategy):
 
 
 def _small_words(size, names):
-    """Every reduced word over `names` of size at most `size`, brackets at @1.
+    """Every reduced word over `names` of size at most `size`, brackets built at @1.
 
     A generator counts 1 and a bracket 1 plus its content.  Letters take
-    both signs, and a lone positive bracket content is kept as it is: a
-    word built directly need not be folded.
+    both signs.  Br(...) folds a lone positive bracket content, so
+    ``[[x]]`` is built as ``[x]@2``, the word parse reads from that text.
     """
     letters = {1: [Gen(a, s) for a in names for s in (1, -1)]}
     seqs = {0: [()]}
@@ -432,35 +431,21 @@ def test_innermost_trace_matches_the_reference_on_every_small_word():
         assert oracle_normalize(w) == want
         assert replay_trace(w, steps) == want
         steps_taken += len(steps)
-    assert steps_taken == 9_313
+    assert steps_taken == 8_705
 
 
-def _unfolded(w, rng):
-    """`w` with some brackets [c]@n spelled [[c]]@n, a content no parse leaves."""
-    out = []
-    for f in w:
-        if isinstance(f, Br):
-            c = _unfolded(f.content, rng)
-            if rng.random() < 0.4:
-                c = Word((Br(c, 1, 1),))
-            f = Br(c, f.iter, f.sign)
-        out.append(f)
-    return Word(out)
-
-
-def test_innermost_trace_matches_the_reference_on_unfolded_words():
-    # a rewrite below a lone positive bracket content folds it into the
-    # bracket around it, which moves every later redex up one level
-    rng = random.Random(17)
-    steps_taken = 0
-    for w in _seeded_words():
-        w = _unfolded(w, rng)
-        want, want_steps = _reference_normalize(w, STRATEGIES[0])
-        normal, steps = _traced(w)
-        assert steps == want_steps and normal == want, render(w)
-        assert oracle_normalize(w) == want
-        steps_taken += len(steps)
-    assert steps_taken >= 1000
+def test_small_words_read_back_and_normalize_to_folded_words():
+    words = _small_words(4, ("x",))
+    assert len(words) == 1_249
+    for strategy in STRATEGIES:
+        outputs = set()
+        for w in words:
+            assert parse(render(w)) == w, render(w)
+            normal = oracle_normalize(w, strategy)
+            assert is_normal(normal) and is_folded(normal), render(w)
+            outputs.add(normal)
+        # as many as the parsed words give: a built word is the parsed one
+        assert len(outputs) == 773, strategy
 
 
 def test_bracket_power_steps_build_a_fixed_number_of_brackets(monkeypatch):

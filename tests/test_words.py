@@ -1,8 +1,10 @@
 """Word core: parsing, rendering, reduction, folding, metrics, evaluation."""
 
+import copy
 import gc
 import importlib
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -141,10 +143,10 @@ def test_hashing_a_too_deep_word_raises_recursion_error():
     # in a child process: C tuple hashing alone overflows the C stack
     # at this depth and kills the process
     code = """
-from avgroups.words import Br, ONE, Word
+from avgroups.words import Br, Gen, ONE, Word
 w = ONE
 for _ in range(100_000):
-    w = Word((Br(w, 1, 1),))
+    w = Word((Gen("x", 1), Br(w, 1, 1)))
 try:
     hash(w)
 except RecursionError:
@@ -460,7 +462,7 @@ def test_predicates():
     raw = Word((Gen("x", 1), Gen("x", -1)))
     assert not is_reduced(raw)
     assert is_reduced(parse("x y x^-1"))
-    unfolded = Word((Br(single(Br(ONE, 1, 1)), 1, 1),))
+    unfolded = Word((Br._make((single(Br(ONE, 1, 1)), 1, 1)),))
     assert not is_folded(unfolded)
     assert is_folded(parse("[[x]^-1]"))
 
@@ -533,12 +535,34 @@ def test_the_level_walker_answers_on_deep_words():
     assert metrics(w).op_degree == depth and nesting(w) == depth
     assert metrics(w) == WordMetrics(2, depth, depth, 3 * depth, frozenset({"x"}))
     assert not is_reduced(nest(Word((x, Gen("x", -1)))))
-    assert not is_folded(nest(single(Br(ONE, 1, 1))))
+    # Br(...) would fold the unfolded letter into the bracket around it
+    assert not is_folded(nest(Word((x, Br._make((single(Br(ONE, 1, 1)), 1, 1))))))
 
 
 def test_bracket_literal_wraps_and_folds():
     assert bracket_literal(parse("x y")) == parse("[x y]")
     assert bracket_literal(parse("[x]@2")) == parse("[x]@3")
+
+
+def test_built_brackets_fold_like_parsed_ones():
+    x = parse("x")
+    for content, n, sign in ((x, 1, 1), (parse("x y"), 3, -1), (ONE, 2, 1),
+                             (parse("[x]"), 1, 1), (parse("[x]@2"), 2, -1),
+                             (parse("[x]^-1"), 1, 1)):
+        built = Br(content, n, sign)
+        assert type(built) is Br and built == make_br(content, n, sign)
+    assert Br(Word((Br(x, 1, 1),)), 1, 1) == parse("[x]@2")[0]
+    assert Br(Word((Br(Word((Br(x, 1, 1),)), 1, 1),)), 2, -1) == parse("[x]@4^-1")[0]
+    for n, sign in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            Br(x, n, sign)
+
+
+def test_words_survive_pickle_and_deepcopy():
+    w = parse("x [y [z]@2^-1 x]@3 [[1]^-1] y^-1")
+    for back in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
+        assert back == w and type(back) is Word and type(back[1]) is Br
+        assert render(back) == render(w)
 
 
 def test_eval_operated_in_integer_shift_group():
