@@ -69,15 +69,10 @@ def test_mul_op_inv(capsys):
     assert run(capsys, "op", "--iter", "3000000", "x") == (0, "[x]@3000000\n", "")
     assert run(capsys, "inv", "1") == (0, "1\n", "")
     assert run(capsys, "inv", "x [y]") == (0, "[y]^-1 x^-1\n", "")
-    code, _, err = run(capsys, "op", "--iter", "0", "x")
-    assert code == 2 and "at least 1" in err
-
-
-def test_op_refuses_a_bad_iter_before_reading_the_word(capsys):
-    # no normalization note and no oracle run on a request that is refused
-    want = (2, "", "error: --iter must be at least 1\n")
-    assert run(capsys, "op", "--iter", "0", "[x] [y]") == want
-    assert run(capsys, "op", "--iter", "-1", "[x]^1000") == want
+    # a bad --iter is refused before the word is read: no normalization
+    # note, and no oracle run on [x]^1000
+    for n, word in (("0", "x"), ("0", "[x] [y]"), ("-1", "[x]^1000")):
+        assert run(capsys, "op", "--iter", n, word) == (2, "", "error: --iter must be at least 1\n")
 
 
 def test_non_normal_inputs_are_normalized_with_notice(capsys):
