@@ -12,7 +12,8 @@ A merged or exposed letter is re-examined against both of its new neighbours,
 cascading until the seam is quiet.  The seam is quiet as soon as one of v's
 own letters is placed untouched: v is reduced and has no two adjacent
 same-sign brackets, so none of its later letters can interact, and they are
-appended in one go.
+appended in one go.  When u's last letter and v's first letter already
+neither cancel nor merge, the product is the one concatenation u + v.
 
 The operator ``op_apply`` follows the standard factorization w = w1...wk:
 
@@ -26,9 +27,9 @@ The operator ``op_apply`` follows the standard factorization w = w1...wk:
 Outer iterations are realized by applying the operator, never by literal
 repeated bracketing: the literal reading produces non-normal intermediates.
 Every output of op_apply is a single positive bracket letter [c]@k, and the
-operator on such a letter only raises its count, so n applications are one
-application and a fold: A^n(w) = [c]@(k+n-1).  ``op_iter`` costs the same
-for every n >= 1.
+operator on such a letter only raises its count, so A^n(w) = [c]@(k+n-1):
+``op_apply(w, n)`` carries n down its recursion into the one bracket each
+return path builds, and ``op_iter`` costs the same for every n >= 1.
 
 The seeded word generators ``random_raw_word`` and ``random_normal_word``
 draw straight from ``random.Random.getrandbits``: a choice among n things
@@ -82,6 +83,10 @@ def diamond(u: Word, v: Word) -> Word:
         return u
     if not u:
         return v
+    a, b = u[-1], v[0]
+    if not (type(a) is Br and type(b) is Br and a.sign == b.sign or are_inverse(a, b)):
+        # the seam is quiet at its first pair
+        return Word(u + v)
     out = list(u)
     for i, b in enumerate(v):
         untouched = True
@@ -106,38 +111,27 @@ def diamond(u: Word, v: Word) -> Word:
     return Word(out)
 
 
-def op_apply(w: Word) -> Word:
+def op_apply(w: Word, n: int = 1) -> Word:
+    """A^n(w) for n >= 1: one bracket letter, whose count carries n - 1."""
     if len(w) == 1:
         f = w[0]
         if type(f) is Br and f.sign > 0:
-            return Word((_new(Br, (f.content, f.iter + 1, 1)),))
+            return Word((_new(Br, (f.content, f.iter + n, 1)),))
     elif w:
         first, last = w[0], w[-1]
         if type(first) is Br and first.sign > 0:
-            return _fold(diamond(first.content, op_apply(Word(w[1:]))), first.iter)
+            return op_apply(diamond(first.content, op_apply(Word(w[1:]))), first.iter + n - 1)
         if type(last) is Br and last.sign > 0 and last.iter >= 2:
-            return _fold(diamond(Word(w[:-1]), op_apply(last.content)), last.iter)
+            return op_apply(diamond(Word(w[:-1]), op_apply(last.content)), last.iter + n - 1)
     # neither end forces a merge, and w is not a lone positive bracket, so one
     # literal bracket is already normal and folded
-    return Word((_new(Br, (w, 1, 1)),))
-
-
-def _fold(w: Word, n: int) -> Word:
-    """A^n(w) for n >= 1: one application, then n - 1 folded into the count."""
-    if len(w) == 1 and type(w[0]) is Br and w[0].sign > 0:
-        content, it, _ = w[0]
-        return Word((_new(Br, (content, it + n, 1)),))
-    a = op_apply(w)
-    if n == 1:
-        return a
-    ((content, it, _),) = a
-    return Word((_new(Br, (content, it + n - 1, 1)),))
+    return Word((_new(Br, (w, n, 1)),))
 
 
 def op_iter(w: Word, n: int) -> Word:
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    return _fold(w, n) if n else w
+    return op_apply(w, n) if n else w
 
 
 # one function under both names: a wrapper would only add a frame

@@ -26,9 +26,10 @@ RecursionError deeper, where C tuple hashing alone overflows the C stack
 some tens of thousands deep and kills the process.
 
 Words are folded by construction: ``Br(content, iter, sign)`` is
-:func:`make_br`, which folds and validates the letter as :func:`parse` does.
-Only ``Br._make`` and ``Br._replace`` build a letter as given, unfolded if
-so given, and :func:`is_folded` finds such a letter.
+:func:`make_br` and ``Gen(name, sign)`` is :func:`make_gen`: each folds or
+validates its letter as :func:`parse` does.  Only ``_make`` and ``_replace``
+build a letter as given, unfolded or unchecked if so given, and
+:func:`is_folded` finds an unfolded letter.
 
 Grammar accepted by :func:`parse`::
 
@@ -86,13 +87,16 @@ _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 # Letters and words are tuples with no per-instance __dict__: words are built
 # by the thousand.  The hot paths build them with make_br, or with the C tuple
-# constructor _new(Br, (content, iter, sign)) where the content cannot fold,
-# and Word(letters) is that constructor already.
+# constructor _new(Br, ...) or _new(Gen, ...) where the letter needs no fold
+# or check, and Word(letters) is that constructor already.
 _new = tuple.__new__
 
 
 class Gen(namedtuple("Gen", "name sign")):
     __slots__ = ()
+
+    def __new__(cls, name, sign):
+        return make_gen(name, sign)
 
 
 class Br(namedtuple("Br", "content iter sign")):

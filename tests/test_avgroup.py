@@ -398,6 +398,10 @@ def _ref_op_iter(w, n):
     return w
 
 
+def _ref_inverse(w):
+    return Word(f._replace(sign=-f.sign) for f in reversed(w))
+
+
 def _ref_is_normal(w):
     fs = w
     for i, f in enumerate(fs):
@@ -421,9 +425,9 @@ def _ref_is_normal(w):
 EQUIVALENCE_SIZES = ((3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
-def _battery(D, A, It, u, v, w):
+def _battery(D, A, It, Inv, u, v, w):
     """Products, inverses, the averaging law's three sides, and A^n, n = 0..4."""
-    uv, iu, au, av = D(u, v), inverse(u), A(u), A(v)
+    uv, iu, au, av = D(u, v), Inv(u), A(u), A(v)
     outs = [uv, D(uv, w), D(u, D(v, w)), iu, D(u, iu), D(iu, u),
             au, D(au, av), A(D(au, v)), A(D(u, av))]
     for n in range(5):
@@ -433,7 +437,7 @@ def _battery(D, A, It, u, v, w):
 
 @pytest.mark.parametrize("via_oracle", [False, True], ids=["positive", "full"])
 def test_product_hot_path_matches_the_reference(via_oracle):
-    """diamond, op_apply, op_iter and is_normal give the reference's results.
+    """diamond, op_apply, op_iter, inverse and is_normal give the reference's results.
 
     1000 seeded triples per sector, d3b4 to d7b8; the full sector reaches
     inverse and identity brackets and outputs that are not normal.
@@ -443,8 +447,8 @@ def test_product_hot_path_matches_the_reference(via_oracle):
         d, b = EQUIVALENCE_SIZES[k % len(EQUIVALENCE_SIZES)]
         u, v, w = (random_normal_word(GenParams(d, b, seed=60_000 + 3 * k + j),
                                       via_oracle=via_oracle) for j in range(3))
-        got = _battery(diamond, op_apply, op_iter, u, v, w)
-        want = _battery(_ref_diamond, _ref_op_apply, _ref_op_iter, u, v, w)
+        got = _battery(diamond, op_apply, op_iter, inverse, u, v, w)
+        want = _battery(_ref_diamond, _ref_op_apply, _ref_op_iter, _ref_inverse, u, v, w)
         assert got == want, (render(u), render(v), render(w))
         for x in (u, v, w, *got):
             verdicts.add(is_normal(x))

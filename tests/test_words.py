@@ -432,6 +432,11 @@ def test_make_gen_validates_names():
             make_gen(bad)
     with pytest.raises(ValueError):
         make_gen("x", 0)
+    # Gen(...) is make_gen; only _make and _replace build a letter as given
+    for name, sign in (("X", 1), ("y", 2), ("", 1), ("x y", -1)):
+        with pytest.raises(ValueError):
+            Gen(name, sign)
+    assert Gen._make(("X", 1)) == ("X", 1) and Gen("x", 1)._replace(sign=2) == ("x", 2)
 
 
 def test_make_br_validates_and_folds():
@@ -562,6 +567,8 @@ def test_words_survive_pickle_and_deepcopy():
     w = parse("x [y [z]@2^-1 x]@3 [[1]^-1] y^-1")
     for back in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
         assert back == w and type(back) is Word and type(back[1]) is Br
+        assert type(back[0]) is Gen and type(back[-1]) is Gen
+        assert (back[0].sign, back[-1].sign) == (1, -1)
         assert render(back) == render(w)
 
 
