@@ -17,7 +17,11 @@ operator matrices by the same rule; no floating point enters this module.
 Range checks live at the entry points: `ga_mul` checks both supports,
 `linear_extend` explicit images' keys (a set map goes through
 `as_operator`), `from_brackets` every Lie index.  Past them the checks use
-the unchecked `_conv` and pass lazy one-tuple chunks to the witness kernel.
+the unchecked `_conv` and pass lazy chunks to the witness kernel.  The
+algebra laws' chunks are built from the linear map and its basis images, so
+`check_hopf_equivalence` reads and extends the operator once, and one set
+of basis images serves both algebra laws, whose verdicts it reads through
+`_holds`.
 """
 
 from fractions import Fraction
@@ -30,7 +34,8 @@ from .structures import (
     FiniteGroupTable,
     TableError,
     _as_int,
-    _averaging,
+    _averaging_sides,
+    _holds,
     _law,
     _load_json,
     as_operator,
@@ -167,6 +172,25 @@ def _samples(n: int, seed: int, count: int, per_sample: int) -> tuple:
                  for _ in range(count))
 
 
+def _extension(g: FiniteGroupTable, A):
+    """The linear map P of A and its basis images P(e_i)."""
+    P = linear_extend(g, A)
+    return P, [P(ga_basis(i)) for i in range(len(g))]
+
+
+def _averaging_chunks(P, images, m):
+    """Lazy chunks of P(a)P(b) = P(P(a)b) = P(aP(b)): one per basis pair, in
+    product order, so a failing law stops at its first failing pair, then one
+    for the seeded pairs, drawn once per (carrier size, seed)."""
+    def sides(a, b, pa, pb):
+        return _conv(pa, pb, m), P(_conv(pa, b, m)), P(_conv(a, pb, m))
+
+    basis = list(zip(map(ga_basis, range(len(images))), images))
+    return ((tuple(zip(sides(a, b, pa, pb))) for a, pa in basis for b, pb in basis),
+            (tuple(zip(*(sides(a, b, P(a), P(b)) for a, b in _samples(len(images), 0, 100, 2))))
+             for _ in (0,)))
+
+
 def check_averaging_algebra(g: FiniteGroupTable, A) -> CheckReport:
     """P(a)P(b) = P(P(a)b) = P(aP(b)) on the group algebra.
 
@@ -174,25 +198,15 @@ def check_averaging_algebra(g: FiniteGroupTable, A) -> CheckReport:
     non-basis pairs only guard the linear-extension plumbing.  Those seeded
     pairs are drawn once per (carrier size, seed) and reused by every call.
     """
-    P = linear_extend(g, A)
-    n, m = len(g), g.mul_table
-
-    def sides(pairs):
-        for a, b in pairs:
-            pa, pb = P(a), P(b)
-            yield (_conv(pa, pb, m),), (P(_conv(pa, b, m)),), (P(_conv(a, pb, m)),)
-
-    basis = [ga_basis(i) for i in range(n)]
-    entries = [_law("averaging on basis pairs", sides(itertools.product(basis, repeat=2)),
-                    n, 2, g.name)]
+    pairs, seeded = _averaging_chunks(*_extension(g, A), g.mul_table)
+    entries = [_law("averaging on basis pairs", pairs, len(g), 2, g.name)]
     if entries[0][1]:
-        entries.append(_spot_checks("averaging on random combinations",
-                                    sides(_samples(n, 0, 100, 2)), 100, "pairs", 0))
+        entries.append(_spot_checks("averaging on random combinations", seeded, 100, "pairs", 0))
     return CheckReport(tuple(entries))
 
 
 def _spot_checks(law, chunks, count, noun, seed):
-    """Entry of a seeded random check, with one chunk per cached sample."""
+    """Entry of a seeded random check; offset t of the chunks is sample t."""
     law, ok, detail = _law(law, chunks, count, 1, lambda t: f"sample {t}, seed {seed}")
     return law, ok, detail if not ok else f"{count} {noun}, seed {seed}"
 
@@ -210,6 +224,22 @@ def _tensor_square(a: dict, b: dict) -> dict:
     return _norm({(i, j): ci * cj for i, ci in a.items() for j, cj in b.items()})
 
 
+def _coalgebra_chunks(P, images):
+    """Chunks of the coalgebra-map laws: the coproduct on the basis, the
+    counit on the basis, then one lazy chunk for the seeded samples."""
+    # cop(x) is diagonal: P tensor P only meets the squares (P tensor P)(e_i tensor e_i)
+    squares = [_tensor_square(img, img) for img in images]
+
+    def sides(x, px):
+        return ((coproduct(px), counit(px)),
+                (_combine((c, squares[i]) for (i, _), c in coproduct(x).items()), counit(x)))
+
+    return ((([coproduct(img) for img in images], squares),),
+            (([counit(img) for img in images], [1] * len(images)),),
+            (tuple(zip(*(sides(x, P(x)) for x, in _samples(len(images), 1, 20, 1))))
+             for _ in (0,)))
+
+
 def check_coalgebra_map(g: FiniteGroupTable, A) -> CheckReport:
     """Coproduct and counit compatibility of an operator on the algebra.
 
@@ -218,28 +248,12 @@ def check_coalgebra_map(g: FiniteGroupTable, A) -> CheckReport:
     always pass; genuinely spread-out operators can fail.  The seeded
     samples are drawn once per (carrier size, seed) and reused by every call.
     """
-    P = linear_extend(g, A)
-    n = len(g)
-    basis = [ga_basis(i) for i in range(n)]
-    images = [P(e) for e in basis]
-    # cop(x) is diagonal: P tensor P only meets the squares (P tensor P)(e_i tensor e_i)
-    squares = [_tensor_square(img, img) for img in images]
-
-    def sides(xs):
-        for x in xs:
-            px = P(x)
-            tensor = _combine((c, squares[i]) for (i, _), c in coproduct(x).items())
-            yield ((coproduct(px), counit(px)),), ((tensor, counit(x)),)
-
-    entries = [
-        _law("coproduct compatibility on basis",
-             (([coproduct(img) for img in images], squares),), n, 1, g.name),
-        _law("counit preservation on basis",
-             (([counit(img) for img in images], [counit(e) for e in basis]),), n, 1, g.name),
-    ]
+    cop, cou, seeded = _coalgebra_chunks(*_extension(g, A))
+    entries = [_law("coproduct compatibility on basis", cop, len(g), 1, g.name),
+               _law("counit preservation on basis", cou, len(g), 1, g.name)]
     if all(ok for _, ok, _ in entries):
         entries.append(_spot_checks("compatibility on random combinations",
-                                    sides(x for x, in _samples(n, 1, 20, 1)), 20, "samples", 1))
+                                    seeded, 20, "samples", 1))
     return CheckReport(tuple(entries))
 
 
@@ -248,11 +262,17 @@ def check_hopf_equivalence(g: FiniteGroupTable, A):
 
     Returns (group_ok, algebra_ok).  The two verdicts must coincide; if
     they ever disagree that is a bug in one of the checkers, so the
-    function raises instead of returning the pair.
+    function raises instead of returning the pair.  The verdicts are the
+    reports' laws, read through `_holds`: the operator is extended once, and
+    its basis images serve both algebra laws.
     """
     A = as_operator(g, A)
-    group_ok = _averaging(g, A)[1]
-    algebra_ok = check_averaging_algebra(g, A).ok and check_coalgebra_map(g, A).ok
+    m = g.mul_table
+    group_ok = _holds((_averaging_sides(m, A),))
+    P, images = _extension(g, A)
+    pairs, seeded = _averaging_chunks(P, images, m)
+    algebra_ok = (_holds(pairs) and _holds(seeded)
+                  and all(map(_holds, _coalgebra_chunks(P, images))))
     if group_ok != algebra_ok:
         raise RuntimeError(
             f"verdicts disagree on {A}: group {group_ok}, algebra {algebra_ok}")

@@ -23,6 +23,8 @@ a law lists its sides, one value per index tuple in itertools.product
 order, the kernel compares them with C list equality and decodes the first
 mismatching offset into its tuple.  Table laws pass whole tables; laws with
 expensive values pass lazy one-tuple chunks, so a failing one stops early.
+A caller that keeps only the verdict reads the same chunks through
+`_holds`, which decodes no offset and names no element.
 """
 
 from dataclasses import dataclass
@@ -85,6 +87,15 @@ def _witness(chunks, n, arity):
             return tuple(k // n ** p % n for p in reversed(range(arity)))
         start += len(lhs)
     return None
+
+
+def _holds(chunks):
+    """Whether a law holds on `chunks`: `_witness(chunks, ...) is None`,
+    without decoding the witness."""
+    for lhs, *rhss in chunks:
+        if rhss.count(lhs) < len(rhss):
+            return False
+    return True
 
 
 def _law(law, chunks, n, arity, names):
@@ -212,17 +223,16 @@ def as_operator(t: FiniteGroupTable, op) -> tuple:
 
 def validate_averaging(t: FiniteGroupTable, op) -> CheckReport:
     """Check A(g)A(h) = A(A(g)h) = A(gA(h)) on all pairs."""
-    return CheckReport((_averaging(t, as_operator(t, op)),))
+    sides = _averaging_sides(t.mul_table, as_operator(t, op))
+    return CheckReport((_law("averaging", (sides,), len(t), 2, t.name),))
 
 
-def _averaging(t: FiniteGroupTable, op: tuple):
-    """The averaging entry of an operator already normalized by as_operator."""
-    m = t.mul_table
+def _averaging_sides(m, op: tuple):
+    """The averaging law's three sides on every pair (g, h), over the table rows m."""
     rows = [m[a] for a in op]  # the row of A(g), for each g
-    return _law("averaging", (([row[b] for row in rows for b in op],       # A(g)A(h)
-                               [op[v] for row in rows for v in row],      # A(A(g)h)
-                               [op[row[b]] for row in m for b in op]),),  # A(gA(h))
-                len(t), 2, t.name)
+    return ([row[b] for row in rows for b in op],       # A(g)A(h)
+            [op[v] for row in rows for v in row],      # A(A(g)h)
+            [op[row[b]] for row in m for b in op])     # A(gA(h))
 
 
 class AveragingGroupHandle:
@@ -434,8 +444,10 @@ def search_averaging_ops(t: FiniteGroupTable, pointed_only: bool = False,
     in H for each H x H double coset HgH of G - H, at its smallest index g,
     among the values that every pair (h, k) with hgk = g fixes, since A(hgk)
     = hA(g)k.  Each table is built once: H = A(G) and c = A(e) are read back
-    from it, and A(g) is one of its entries.  Every table still passes
-    validate_averaging, so a flaw in the construction raises CheckFailed
+    from it, and A(g) is one of its entries.  Each table is confirmed by the
+    theorem's converse: its image is H, and A(sg) = sA(g) and A(gs) = A(g)s
+    for every g and every generator s that closed H.  A table that fails goes
+    to validate_averaging, so a flaw in the construction raises CheckFailed
     instead of returning a wrong table.  A table that is not a group raises
     validate_group's report, since the construction needs the group axioms.
     """
@@ -461,9 +473,11 @@ def search_averaging_ops(t: FiniteGroupTable, pointed_only: bool = False,
                 if K not in seen:
                     seen.add(K)
                     subgroups.append((K, gens_g))
-    found = []
-    for hset, _ in subgroups:
+    cols, found = list(zip(*m)), []
+    for hset, gens in subgroups:
         H = sorted(hset)
+        # the translations g -> sg and g -> gs by each generator s of H
+        shifts = [m[s] for s in gens] + [cols[s] for s in gens]
         # (cells, their values under each choice): H itself for each c, then
         # each double coset HgH for each allowed A(g)
         cosets = [(H, [[m[h][c] for h in H] for c in ([e] if pointed_only else H)
@@ -483,7 +497,8 @@ def search_averaging_ops(t: FiniteGroupTable, pointed_only: bool = False,
         for choice in itertools.product(*(values for _, values in cosets)):
             flat = [v for values in choice for v in values]
             op = tuple(flat[i] for i in where)
-            validate_averaging(t, op).require()
+            if set(op) != hset or any([op[x] for x in T] != [T[a] for a in op] for T in shifts):
+                validate_averaging(t, op).require()
             found.append(op)
     return sorted(found)
 

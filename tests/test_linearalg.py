@@ -10,13 +10,16 @@ from pathlib import Path
 
 import pytest
 
+from avgroups import linearalg
 from avgroups.structures import (
     CheckFailed,
     TableError,
     cyclic_group,
     klein_four_group,
     load_group_file,
+    search_averaging_ops,
     sym3,
+    validate_averaging,
 )
 from avgroups.linearalg import (
     MAX_LIE_DIM,
@@ -136,12 +139,61 @@ def test_coalgebra_map_check():
 
 
 def test_hopf_equivalence_agrees_everywhere():
-    for g, n in ((cyclic_group(2), 2), (cyclic_group(3), 3), (cyclic_group(4), 4)):
-        for op in itertools.product(range(n), repeat=n):
-            gv, av = check_hopf_equivalence(g, op)
-            assert gv == av
+    # the verdicts are those of the reports: the group law, then both algebra laws
+    rng = random.Random(23)
+    s3 = sym3()
+    cases = [(g, op) for g in [cyclic_group(n) for n in range(2, 6)] + [klein_four_group()]
+             for op in itertools.product(range(len(g)), repeat=len(g))]
+    cases += [(s3, op) for op in search_averaging_ops(s3)]
+    cases += [(s3, tuple(rng.randrange(6) for _ in range(6))) for _ in range(300)]
+    # maps of S3 that keep A(g)A(h) = A(A(g)h) but not A(gA(h)), and the other way round
+    cases += [(s3, op) for op in ((0, 0, 2, 2, 2, 0), (0, 1, 0, 1, 0, 1),
+                                  (0, 0, 2, 2, 0, 2), (0, 1, 0, 1, 1, 0))]
+    passing = 0
+    for g, op in cases:
+        pair = check_hopf_equivalence(g, op)
+        assert pair == (validate_averaging(g, op).ok, check_averaging_algebra(g, op).ok
+                        and check_coalgebra_map(g, op).ok), (g.elements, op)
+        passing += pair[0]
+    assert passing == 3 + 4 + 9 + 6 + 17 + 14 + 1
+    assert len(cases) == 4 + 27 + 256 + 3125 + 256 + 14 + 300 + 4
     assert check_hopf_equivalence(cyclic_group(2), (1, 0)) == (True, True)
     assert check_hopf_equivalence(cyclic_group(2), (1, 1)) == (False, False)
+
+
+def _passing_maps(g):
+    return [op for op in itertools.product(range(len(g)), repeat=len(g))
+            if validate_averaging(g, op).ok]
+
+
+def test_a_seeded_break_on_the_algebra_side_raises(monkeypatch):
+    coproduct_ = linearalg.coproduct
+    monkeypatch.setattr(linearalg, "coproduct", lambda a: dict(list(coproduct_(a).items())[1:]))
+    for g in (cyclic_group(4), klein_four_group()):
+        for op in _passing_maps(g):
+            with pytest.raises(RuntimeError, match="group True, algebra False"):
+                check_hopf_equivalence(g, op)
+
+
+def test_a_break_only_the_seeded_pairs_see_raises(monkeypatch):
+    conv = linearalg._conv
+
+    def broken(a, b, m):
+        # exact on basis vectors; any other input loses a term of its product
+        out = conv(a, b, m)
+        basis = len(a) == len(b) == 1 and 1 == next(iter(a.values())) == next(iter(b.values()))
+        return out if basis else dict(list(out.items())[1:])
+
+    monkeypatch.setattr(linearalg, "_conv", broken)
+    for g in (cyclic_group(4), klein_four_group()):
+        # on a translation A(g) = cg every side moves by c alike, whatever _conv does
+        ops = [op for op in _passing_maps(g) if len(set(op)) < len(op)]
+        assert len(ops) == {"1": 5, "a": 13}[g.elements[1]]
+        for op in ops:
+            basis, seeded = check_averaging_algebra(g, op).entries
+            assert basis == ("averaging on basis pairs", True, "") and not seeded[1]
+            with pytest.raises(RuntimeError, match="group True, algebra False"):
+                check_hopf_equivalence(g, op)
 
 
 def test_antipode_averaging():

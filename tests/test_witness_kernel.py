@@ -4,7 +4,8 @@
 predicate once per index tuple in itertools.product order.  Each reference
 check below states its law in that predicate form, as the library did
 before its laws became tabulated sides; the (law, ok, detail) entries and
-the error texts must be identical.
+the error texts must be identical.  Every law the library reports along the
+way is also read by the verdict-only kernel `_holds`, which must agree.
 """
 
 import itertools
@@ -16,10 +17,13 @@ from pathlib import Path
 
 import pytest
 
+from avgroups import linearalg, structures
 from avgroups.structures import (
     AveragingGroupHandle,
     FiniteGroupTable,
     TableError,
+    _holds,
+    _witness,
     as_operator,
     compose_operators,
     cyclic_group,
@@ -58,6 +62,25 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 from avbench.workloads import _lie_inputs  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def _verdicts_match_witnesses(monkeypatch):
+    """Each chunk list a law reports through `_law` gets `_holds`' verdict too."""
+    law_ = structures._law
+    verdicts = set()
+
+    def law(name, chunks, n, arity, names):
+        chunks = list(chunks)
+        ok = _holds(chunks)
+        assert ok == (_witness(chunks, n, arity) is None), name
+        verdicts.add(ok)
+        return law_(name, chunks, n, arity, names)
+
+    monkeypatch.setattr(structures, "_law", law)
+    monkeypatch.setattr(linearalg, "_law", law)
+    yield
+    assert verdicts == {True, False}
 
 
 def _ref_first_failure(holds, n, arity):
