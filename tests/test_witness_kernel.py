@@ -4,8 +4,8 @@
 predicate once per index tuple in itertools.product order.  Each reference
 check below states its law in that predicate form, as the library did
 before its laws became tabulated sides; the (law, ok, detail) entries and
-the error texts must be identical.  Every law the library reports along the
-way is also read by the verdict-only kernel `_holds`, which must agree.
+the error texts must be identical.  The verdict-only kernel `_holds` must
+agree with `_witness` on the chunks that `check_hopf_equivalence` reads.
 """
 
 import itertools
@@ -17,11 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from avgroups import linearalg, structures
 from avgroups.structures import (
     AveragingGroupHandle,
     FiniteGroupTable,
     TableError,
+    _averaging_sides,
     _holds,
     _witness,
     as_operator,
@@ -38,9 +38,12 @@ from avgroups.structures import (
 from avgroups.linearalg import (
     LieAlgebraSpec,
     _apply,
+    _averaging_chunks,
     _bilinear,
+    _coalgebra_chunks,
     _columns,
     _combine,
+    _extension,
     _samples,
     as_matrix,
     check_antipode_averaging,
@@ -62,25 +65,6 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 from avbench.workloads import _lie_inputs  # noqa: E402
-
-
-@pytest.fixture(autouse=True)
-def _verdicts_match_witnesses(monkeypatch):
-    """Each chunk list a law reports through `_law` gets `_holds`' verdict too."""
-    law_ = structures._law
-    verdicts = set()
-
-    def law(name, chunks, n, arity, names):
-        chunks = list(chunks)
-        ok = _holds(chunks)
-        assert ok == (_witness(chunks, n, arity) is None), name
-        verdicts.add(ok)
-        return law_(name, chunks, n, arity, names)
-
-    monkeypatch.setattr(structures, "_law", law)
-    monkeypatch.setattr(linearalg, "_law", law)
-    yield
-    assert verdicts == {True, False}
 
 
 def _ref_first_failure(holds, n, arity):
@@ -335,6 +319,35 @@ def test_group_algebra_reports_match_the_per_tuple_kernel():
     assert ("averaging on basis pairs", False) in seen
     assert ("compatibility on random combinations", True) in seen
     assert ("coproduct compatibility on basis", False) in seen
+
+
+def test_holds_is_the_verdict_of_the_witness_kernel():
+    # the chunks check_hopf_equivalence reads, on set maps and explicit images
+    rng = random.Random(23)
+    seen = set()
+    for g in (cyclic_group(3), cyclic_group(4), klein_four_group(), sym3()):
+        n = len(g)
+        ops = [[rng.randrange(n) for _ in range(n)] for _ in range(40)] + search_averaging_ops(g)
+        ops += [[{rng.randrange(n): rng.choice((1, -1, 2, Fraction(1, 2)))
+                  for _ in range(rng.randint(1, 2))} for _ in range(n)] for _ in range(25)]
+        ops += [[{g.identity(): Fraction(1, n)} for _ in range(n)], [{} for _ in range(n)]]
+        for op in ops:
+            P, images = _extension(g, op)
+            laws = [("averaging on basis pairs", n, 2), ("averaging on seeded pairs", 100, 1),
+                    ("coproduct on basis", n, 1), ("counit on basis", n, 1),
+                    ("coalgebra on seeded samples", 20, 1)]
+            chunks = [*_averaging_chunks(P, images, g.mul_table), *_coalgebra_chunks(P, images)]
+            if isinstance(op[0], int):
+                laws.append(("group averaging", n, 2))
+                chunks.append((_averaging_sides(g.mul_table, as_operator(g, op)),))
+            for (law, size, arity), law_chunks in zip(laws, chunks):
+                law_chunks = list(law_chunks)
+                # the whole law, then each chunk alone: a basis pair may fail one side only
+                for part in [law_chunks] + [[chunk] for chunk in law_chunks]:
+                    verdict = _holds(part)
+                    assert verdict == (_witness(part, size, arity) is None), (law, op)
+                    seen.add((law, verdict))
+    assert len(seen) == 12  # each law both holds and fails somewhere
 
 
 def _ref_validate_lie(L):
