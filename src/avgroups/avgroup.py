@@ -47,11 +47,11 @@ from .normalform import is_normal, oracle_normalize
 from .words import (
     ONE,
     Br,
-    Gen,
     Word,
     are_inverse,
     invert,
     make_br,
+    make_gen,
     single,
 )
 
@@ -232,12 +232,13 @@ def _letters(p: GenParams) -> list:
     generator letter is the inverse of another exactly when it is that
     pair's other object.  An empty alphabet or a negative max_breadth is
     refused here: either would leave a draw from range(0), which never ends.
+    So is a name make_gen refuses: its letters would not read back.
     """
     if not p.alphabet:
         raise ValueError("the alphabet must name at least one generator")
     if p.max_breadth < 0:
         raise ValueError("max_breadth must be >= 0")
-    pairs = {name: (_new(Gen, (name, 1)), _new(Gen, (name, -1))) for name in p.alphabet}
+    pairs = {name: (make_gen(name), make_gen(name, -1)) for name in p.alphabet}
     return [pairs[name] for name in p.alphabet]
 
 

@@ -50,7 +50,6 @@ from .linearalg import (
     check_leibniz,
     load_lie_file,
     load_operator_file,
-    validate_lie,
 )
 from .laws import SUITE_NAMES, run_suites
 
@@ -205,7 +204,6 @@ def _cmd_hopf_check(args) -> int:
 def _cmd_lie_check(args) -> int:
     L = load_lie_file(args.structure)
     M = load_operator_file(args.operator, dim=L.dim)
-    validate_lie(L).require()
     code = 0
     for rep in (check_averaging_lie(L, M), check_leibniz(L, M)):
         for line in rep.lines():

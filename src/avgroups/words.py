@@ -43,10 +43,11 @@ Grammar accepted by :func:`parse`::
 ``@n`` is operator iteration.  The empty input and "1" denote the identity;
 "[]" denotes "[1]".  Whitespace is any character ``str.isspace`` accepts and
 numbers are decimal digits of any script, no more than ``int()`` reads from a
-string.  Brackets may nest at most :data:`MAX_NESTING` deep.  The tokens are
-those of ``_TOKEN_RE``; :func:`parse` reads text split at whitespace and
-brackets, and re-reads it through that regex only when a piece is not one
-token or the text is refused.
+string.  Brackets may nest at most :data:`MAX_NESTING` deep.  ``_FACTOR_RE``
+is the grammar of a letter token and ``_TOKEN_RE`` splits text into tokens.
+:func:`parse` reads text split at whitespace and brackets, re-reading it
+token by token only when a piece is not one token or the text is refused;
+what a piece spells is cached by its text, and its letters are made per call.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 __all__ = [
@@ -283,15 +285,14 @@ class WordSyntaxError(ValueError):
         self.pos = pos
 
 
-# One token, after any whitespace: "[", a letter with its suffixes (an
-# identifier, "]" or "1", then "@n" and "^k"), or any other character, which
-# no factor starts with.  ``\s`` is exactly ``str.isspace``.  The suffixes
-# are matched after any base so that a misplaced "@" is reported where it
-# stands.
-_TOKEN_RE = re.compile(rf"\s*(\[|(?:{_IDENT_RE.pattern}|\]|1)(?:@\d*)?(?:\^-?\d*)?|\S)")
-# A letter token: group 1 an identifier, group 2 "]" (neither for "1"), then
-# group 3 the digits of "@n" and group 4 the signed digits of "^k".
+# A letter token, the only statement of one: group 1 an identifier, group 2
+# "]" (neither for "1"), then group 3 the digits of "@n" and group 4 the
+# signed digits of "^k".  The suffixes are matched after any base so that a
+# misplaced "@" is reported where it stands.  ``\d`` is any decimal digit.
 _FACTOR_RE = re.compile(rf"(?:({_IDENT_RE.pattern})|(\])|1)(?:@(\d*))?(?:\^(-?\d*))?")
+# One token, after any whitespace: "[", a letter token, or any other
+# character, which no factor starts with.  ``\s`` is exactly ``str.isspace``.
+_TOKEN_RE = re.compile(rf"\s*(\[|{_FACTOR_RE.pattern}|\S)")
 
 # Deepest bracket nesting `parse` accepts; one level more is a WordSyntaxError.
 # Some of the program recurses once per nesting level, and each level costs
@@ -313,67 +314,56 @@ _FACTOR_RE = re.compile(rf"(?:({_IDENT_RE.pattern})|(\])|1)(?:@(\d*))?(?:\^(-?\d
 MAX_NESTING = 100
 
 
-def _read_piece(piece: str, gens: dict) -> tuple:
-    """What a piece of the split text spells: (kind, a, b, count).
+@lru_cache(maxsize=512)
+def _spell(piece: str) -> tuple:
+    """What `piece` spells, by one ``_FACTOR_RE`` match: (kind, a, sign, count).
 
-    kind "g": generator letter `a`, its inverse `b`, `count` copies;
-    kind "]": a closing bracket of iteration `a` and sign `b`, `count` copies;
-    kind "1": nothing; kind "!": not one well-formed token, and for a piece
-    that is one token the syntax error, message `a` at offset `b`.
-
-    A well-formed token is read with string methods, which accept what
-    ``_FACTOR_RE`` matches less what _misread refuses: an ASCII identifier
-    that starts with a lowercase letter is an ``_IDENT_RE`` match, and
-    ``\\d`` is ``str.isdecimal``.  Any other piece goes to _misread.  The
-    generator letters come from `gens`, which maps a name to its positive
-    and its negative letter.
-    """
-    head, hat, k = piece.partition("^")
-    base, at, it = head.partition("@")
-    count = n = 1
-    try:  # int() refuses more digits than sys.get_int_max_str_digits()
-        if at:
-            n = int(it) if base == "]" and it.isdecimal() else 0
-        if hat and n > 0:
-            count = int(k) if (k[1:] if k[:1] == "-" else k).isdecimal() else 0
-    except ValueError:
-        return "!", "number has too many digits", 0, 0
-    if count and n > 0:
-        sign = 1 if count > 0 else -1
-        if base == "]":
-            return "]", n, sign, count * sign
-        if base == "1":
-            return "1", None, None, 0
-        if base.isidentifier() and base.isascii() and base[0].islower():
-            pair = gens.get(base)
-            if pair is None:
-                pair = gens[base] = _new(Gen, (base, 1)), _new(Gen, (base, -1))
-            return ("g", *pair, count) if sign > 0 else ("g", pair[1], pair[0], -count)
-    return _misread(piece)
-
-
-def _misread(piece: str) -> tuple:
-    """_read_piece's reading of a piece that is not one well-formed token.
-
-    A token that does not match ``_FACTOR_RE`` is a character no factor
-    starts with.  A token that matches it is one that _read_piece refused,
-    so its "@n" or its "^k" is bad.  A piece of several tokens reads as the
-    first kind; parse never reports it, it reads the tokens instead.
+    kind "g": generator named `a`; kind "]": a closing bracket of iteration
+    `a`; either `count` copies of the letter of that sign.  Kind "1":
+    nothing.  Kind "!": not one well-formed token, and for a piece that is
+    one token the syntax error, message `a` at offset `sign` in the piece.
     """
     m = _FACTOR_RE.fullmatch(piece)
     if m is None:
         return "!", "expected a factor: identifier, '[', or '1'", 0, 0
-    closed, it, k = m.group(2, 3, 4)
-    if it is not None:
-        if not closed:
-            return "!", "'@' is only valid after ']'", m.start(3) - 1, 0
-        if not it:
-            return "!", "expected a positive integer after '@'", m.end(3), 0
-        if int(it) < 1:
-            return "!", "iteration must be >= 1", m.start(3), 0
-    if not k or k == "-":
-        return "!", "expected a nonzero integer after '^'", m.end(4), 0
-    return "!", "power 0 is not allowed", m.start(4), 0
+    name, closed, it, k = m.groups()
+    n = count = 1
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        if it is not None:
+            if not closed:
+                return "!", "'@' is only valid after ']'", m.start(3) - 1, 0
+            if not it:
+                return "!", "expected a positive integer after '@'", m.end(3), 0
+            n = int(it)
+            if n < 1:
+                return "!", "iteration must be >= 1", m.start(3), 0
+        if k is not None:
+            if k in ("", "-"):
+                return "!", "expected a nonzero integer after '^'", m.end(4), 0
+            count = int(k)
+            if not count:
+                return "!", "power 0 is not allowed", m.start(4), 0
+    except ValueError:
+        return "!", "number has too many digits", 0, 0
+    sign = 1 if count > 0 else -1
+    if closed:
+        return "]", n, sign, count * sign
+    if name:
+        return "g", name, sign, count * sign
+    return "1", None, None, 0
+
+
+def _read_piece(piece: str, gens: dict) -> tuple:
+    """_spell's reading of `piece`, a generator's letter and its inverse in
+    place of its name and sign; `gens` maps a name to its two letters.
+    """
+    kind, name, sign, count = read = _spell(piece)
+    if kind != "g":
+        return read
+    pair = gens.get(name)
+    if pair is None:
+        pair = gens[name] = _new(Gen, (name, 1)), _new(Gen, (name, -1))
+    return ("g", *pair, count) if sign > 0 else ("g", pair[1], pair[0], count)
 
 
 def _tokens(text: str, start: list):
@@ -395,25 +385,25 @@ def parse(text: str) -> Word:
     The first reading takes its tokens from one ``str.split`` after a space
     is put on both sides of each "[" and before each "]": a piece is then
     "[", or a closing bracket with its ``@n^k``, or a letter, whenever the
-    text separates its factors, as rendered text does.  A memo maps each
-    distinct piece to what it spells, read once per call with string
-    methods.  On the first piece that is not one well-formed token (a tight
-    spelling such as ``x^2y``, ``1x`` or ``]x``, or a malformed token) and
-    on any other syntax error but a missing "]", the same loop, memo and
-    letter table read the text again from the start, token by token from
-    ``_TOKEN_RE``, which defines the tokens.  The tokens are drawn lazily,
-    so a refusal stops at the failing token, and the error is placed from
-    where that token starts.  ``_FACTOR_RE`` finds the bad part of a
-    malformed token.
+    text separates its factors, as rendered text does.  Each piece is read
+    by one ``_FACTOR_RE`` match in _spell.  On the first piece that is not
+    one well-formed token (a tight spelling such as ``x^2y``, ``1x`` or
+    ``]x``, or a malformed token) and on any other syntax error but a
+    missing "]", the same loop reads the text again from the start, token
+    by token from ``_TOKEN_RE``.  The tokens are drawn lazily, so a refusal
+    stops at the failing token, and the error is placed from where that
+    token starts.
 
-    Generator letters come from one table per call, one object per
-    (name, sign), so a generator cancels the letter before it exactly when
-    that is its inverse object, and is pushed with no call.  A closing
-    bracket calls make_br only when its content is a lone positive bracket,
-    which folds, and pushes its letter with no call unless the letter before
-    is a bracket of the opposite sign, which may cancel it.  The memo and
-    the table live for one call: module-level ones would grow with every
-    name ever parsed and keep their letters alive.
+    What a piece spells is cached by its text across calls, as strings and
+    ints only; a memo maps each distinct piece of one call to its reading
+    with letters.  Generator letters come from one table per call, one
+    object per (name, sign), so a generator cancels the letter before it
+    exactly when that is its inverse object, and is pushed with no call.  A
+    closing bracket calls make_br only when its content is a lone positive
+    bracket, which folds, and pushes its letter with no call unless the
+    letter before is a bracket of the opposite sign, which may cancel it.
+    The memo and the table live for one call: module-level ones would grow
+    with every name ever parsed and keep their letters alive.
     """
     memo: dict = {}  # piece or token text -> _read_piece's reading
     gens: dict = {}  # name -> the positive and negative letter of this call

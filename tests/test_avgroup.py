@@ -319,8 +319,12 @@ def test_seeded_words_are_pinned(params, raw, normal, full):
     assert render(random_normal_word(params, via_oracle=True)) == full
 
 
-@pytest.mark.parametrize("params", [GenParams(alphabet=()), GenParams(max_breadth=-1)],
-                         ids=["empty-alphabet", "negative-breadth"])
+@pytest.mark.parametrize("params", [GenParams(alphabet=()), GenParams(max_breadth=-1),
+                                    # names whose letters would print as other text
+                                    GenParams(2, 3, ("x y",), 1), GenParams(2, 3, ("1",), 1),
+                                    GenParams(2, 3, ("X",), 1), GenParams(2, 0, ("x", "é"), 1)],
+                         ids=["empty-alphabet", "negative-breadth", "space-name", "digit-name",
+                              "capital-name", "non-ascii-name-at-breadth-0"])
 def test_word_generators_refuse_bad_parameters(params):
     for make in (random_raw_word, random_normal_word,
                  lambda p: random_normal_word(p, via_oracle=True)):

@@ -213,6 +213,32 @@ def test_parse_errors():
         assert str(exc.value).endswith(f"(at position {pos})")
 
 
+def test_cached_spellings_are_placed_and_lettered_per_call():
+    from avgroups.words import _spell
+    # one malformed token, cached by its text, is placed where each call has it
+    for _ in range(2):
+        for text, pos in (("x@2", 1), ("  x@2", 3), ("[y x@2]", 4)):
+            with pytest.raises(WordSyntaxError) as exc:
+                parse(text)
+            assert str(exc.value) == f"'@' is only valid after ']' (at position {pos})"
+    u = parse("x y^2 [x]@2 x^-1")
+    assert reduce_concat(u, parse("x [x]@2^-1 y^-2 x^-1")) == ONE
+    assert parse("x y^2 [x]@2 x^-1") == u and reduce_concat(u, invert(u)) == ONE
+    # the cache is bounded and holds text and numbers, never letters
+    assert _spell.cache_parameters()["maxsize"] == 512
+    pieces = set()
+    for i in range(300):
+        text = f"v{i} v{i}^-3 [v{i}]@{i + 1}^2"
+        assert parse(text) == parse(f"v{i}^-2 [v{i}]@{i + 1} [v{i}]@{i + 1}")
+        text += f" v{i}@2"
+        with pytest.raises(WordSyntaxError):
+            parse(text)
+        pieces.update(text.replace("[", " [ ").replace("]", " ]").split())
+    assert _spell.cache_info().currsize == 512
+    for piece in pieces:
+        assert {type(v) for v in _spell(piece)} <= {str, int, type(None)}, piece
+
+
 # --- reference: the per-factor scanner parse used before the one-pass
 # tokenizer, one regex match per factor and a call per pushed letter ---------
 
