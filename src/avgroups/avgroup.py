@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .normalform import is_normal, oracle_normalize
 from .words import (
@@ -225,7 +226,7 @@ def random_raw_word(p: GenParams) -> Word:
     return _grow_raw(rng.getrandbits, rng.random, letters, p.max_breadth + 1, p.max_depth)
 
 
-def _letters(p: GenParams) -> list:
+def _letters(p: GenParams) -> tuple:
     """(positive, negative) generator letters for each alphabet position.
 
     Keyed by name, so a repeated name gets the same pair of objects, and a
@@ -238,8 +239,14 @@ def _letters(p: GenParams) -> list:
         raise ValueError("the alphabet must name at least one generator")
     if p.max_breadth < 0:
         raise ValueError("max_breadth must be >= 0")
-    pairs = {name: (make_gen(name), make_gen(name, -1)) for name in p.alphabet}
-    return [pairs[name] for name in p.alphabet]
+    return _alphabet_letters(tuple(p.alphabet))
+
+
+@lru_cache(maxsize=1)
+def _alphabet_letters(alphabet: tuple) -> tuple:
+    """_letters of `alphabet` through make_gen, kept for the last alphabet."""
+    pairs = {name: (make_gen(name), make_gen(name, -1)) for name in alphabet}
+    return tuple(pairs[name] for name in alphabet)
 
 
 def _below(bits, n: int) -> int:

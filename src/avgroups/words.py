@@ -45,9 +45,8 @@ Grammar accepted by :func:`parse`::
 numbers are decimal digits of any script, no more than ``int()`` reads from a
 string.  Brackets may nest at most :data:`MAX_NESTING` deep.  ``_FACTOR_RE``
 is the grammar of a letter token and ``_TOKEN_RE`` splits text into tokens.
-:func:`parse` reads text split at whitespace and brackets, re-reading it
-token by token only when a piece is not one token or the text is refused;
-what a piece spells is cached by its text, and its letters are made per call.
+:func:`parse` caches what a short piece of text spells, by the piece's text,
+and makes its letters per call.
 """
 
 from __future__ import annotations
@@ -354,10 +353,12 @@ def _spell(piece: str) -> tuple:
 
 
 def _read_piece(piece: str, gens: dict) -> tuple:
-    """_spell's reading of `piece`, a generator's letter and its inverse in
-    place of its name and sign; `gens` maps a name to its two letters.
+    """_spell's reading of `piece`, with a generator's letter and its inverse
+    from `gens` (name -> its two letters) in place of its name and sign.  A
+    piece over 32 characters is spelled uncached: the cache keeps short texts.
     """
-    kind, name, sign, count = read = _spell(piece)
+    spell = _spell if len(piece) <= 32 else _spell.__wrapped__
+    kind, name, sign, count = read = spell(piece)
     if kind != "g":
         return read
     pair = gens.get(name)
@@ -394,16 +395,15 @@ def parse(text: str) -> Word:
     stops at the failing token, and the error is placed from where that
     token starts.
 
-    What a piece spells is cached by its text across calls, as strings and
-    ints only; a memo maps each distinct piece of one call to its reading
-    with letters.  Generator letters come from one table per call, one
-    object per (name, sign), so a generator cancels the letter before it
-    exactly when that is its inverse object, and is pushed with no call.  A
-    closing bracket calls make_br only when its content is a lone positive
-    bracket, which folds, and pushes its letter with no call unless the
-    letter before is a bracket of the opposite sign, which may cancel it.
-    The memo and the table live for one call: module-level ones would grow
-    with every name ever parsed and keep their letters alive.
+    A memo maps each distinct piece of one call to its reading with
+    letters; what a piece spells is cached across calls as strings and
+    ints.  Generator letters come from one table per call, one object per
+    (name, sign), so a generator cancels the letter before it exactly when
+    that is its inverse object, and is pushed with no call.  A closing
+    bracket calls make_br only when its content is a lone positive bracket,
+    which folds, and pushes its letter with no call unless the letter
+    before is a bracket of the opposite sign, which may cancel it.  No
+    letter outlives its call.
     """
     memo: dict = {}  # piece or token text -> _read_piece's reading
     gens: dict = {}  # name -> the positive and negative letter of this call

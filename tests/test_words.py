@@ -237,6 +237,14 @@ def test_cached_spellings_are_placed_and_lettered_per_call():
     assert _spell.cache_info().currsize == 512
     for piece in pieces:
         assert {type(v) for v in _spell(piece)} <= {str, int, type(None)}, piece
+    # a piece over 32 characters is spelled uncached, so the cache keeps short texts
+    _spell.cache_clear()
+    n = int("7" * 31)
+    u = parse(f"{'v' * 33} [x]@{n}^-1 x")
+    assert u == (make_gen("v" * 33), make_br(parse("x"), n, -1), make_gen("x"))
+    with pytest.raises(WordSyntaxError, match="too many digits"):
+        parse("x^" + "9" * 5000)
+    assert _spell.cache_info().currsize == 1  # "x" alone
 
 
 # --- reference: the per-factor scanner parse used before the one-pass
