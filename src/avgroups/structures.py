@@ -21,8 +21,9 @@ commutes with H.
 Every exhaustive law goes through one failing-witness kernel, `_witness`:
 a law lists its sides, one value per index tuple in itertools.product
 order, the kernel compares them with C list equality and decodes the first
-mismatching offset into its tuple.  Table laws pass whole tables; laws with
-expensive values pass lazy one-tuple chunks, so a failing one stops early.
+mismatching offset into its tuple.  Table laws pass whole tables, except the
+averaging law, which passes one lazy chunk per row; laws with expensive
+values pass lazy one-tuple chunks.  Either way a failing law stops early.
 A caller that keeps only the verdict reads the same chunks through
 `_holds`, which decodes no offset and names no element.
 """
@@ -224,15 +225,18 @@ def as_operator(t: FiniteGroupTable, op) -> tuple:
 def validate_averaging(t: FiniteGroupTable, op) -> CheckReport:
     """Check A(g)A(h) = A(A(g)h) = A(gA(h)) on all pairs."""
     sides = _averaging_sides(t.mul_table, as_operator(t, op))
-    return CheckReport((_law("averaging", (sides,), len(t), 2, t.name),))
+    return CheckReport((_law("averaging", sides, len(t), 2, t.name),))
 
 
 def _averaging_sides(m, op: tuple):
-    """The averaging law's three sides on every pair (g, h), over the table rows m."""
-    rows = [m[a] for a in op]  # the row of A(g), for each g
-    return ([row[b] for row in rows for b in op],       # A(g)A(h)
-            [op[v] for row in rows for v in row],      # A(A(g)h)
-            [op[row[b]] for row in m for b in op])     # A(gA(h))
+    """The averaging law's three sides, one lazy chunk per row g: the pairs
+    (g, h) for every h, over the table rows m.  A failing law stops at its
+    first failing row."""
+    for row, a in zip(m, op):
+        row_a = m[a]  # the row of A(g)
+        yield ([row_a[b] for b in op],      # A(g)A(h)
+               [op[v] for v in row_a],      # A(A(g)h)
+               [op[row[b]] for b in op])    # A(gA(h))
 
 
 class AveragingGroupHandle:

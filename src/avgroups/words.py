@@ -43,10 +43,11 @@ Grammar accepted by :func:`parse`::
 ``@n`` is operator iteration.  The empty input and "1" denote the identity;
 "[]" denotes "[1]".  Whitespace is any character ``str.isspace`` accepts and
 numbers are decimal digits of any script, no more than ``int()`` reads from a
-string.  Brackets may nest at most :data:`MAX_NESTING` deep.  ``_FACTOR_RE``
-is the grammar of a letter token and ``_TOKEN_RE`` splits text into tokens.
-:func:`parse` caches what a short piece of text spells, by the piece's text,
-and makes its letters per call.
+string.  Brackets may nest at most :data:`MAX_NESTING` deep, and the powers
+of one text may expand to at most :data:`MAX_POWER_LETTERS` letters.
+``_FACTOR_RE`` is the grammar of a letter token and ``_TOKEN_RE`` splits
+text into tokens.  :func:`parse` caches what a short piece of text spells,
+by the piece's text, and makes its letters per call.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ __all__ = [
     "WordSyntaxError",
     "UnassignedGenerator",
     "MAX_NESTING",
+    "MAX_POWER_LETTERS",
 ]
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
@@ -312,6 +314,14 @@ _TOKEN_RE = re.compile(rf"\s*(\[|{_FACTOR_RE.pattern}|\S)")
 # when read back.
 MAX_NESTING = 100
 
+# Most letters the powers ``^k`` with |k| >= 2 of one text may expand to;
+# past it, a WordSyntaxError.  A power is expanded letter by letter before
+# anything else can refuse it, so ``x^99999999999`` would otherwise fill
+# memory.  ``x^3000000`` (24 MB of letter references on a 64-bit build) is
+# the largest power a CI step reads.
+MAX_POWER_LETTERS = 3_000_000
+_TOO_MANY = "powers expand to more than {} letters"
+
 
 @lru_cache(maxsize=512)
 def _spell(piece: str) -> tuple:
@@ -380,8 +390,9 @@ def _tokens(text: str, start: list):
 def parse(text: str) -> Word:
     """Word spelled by `text` in the grammar above, reduced and folded.
 
-    Raises WordSyntaxError, with the position, on malformed text and on
-    brackets nested deeper than MAX_NESTING.
+    Raises WordSyntaxError, with the position, on malformed text, on
+    brackets nested deeper than MAX_NESTING, and at the power whose letters
+    take the text's powers past MAX_POWER_LETTERS.
 
     The first reading takes its tokens from one ``str.split`` after a space
     is put on both sides of each "[" and before each "]": a piece is then
@@ -412,6 +423,7 @@ def parse(text: str) -> Word:
     while True:
         out: list = []
         outer: list = []  # the factor lists of the enclosing brackets
+        powered = 0  # the letters that powers |k| >= 2 have expanded to
         for tok in tokens:
             if tok == "[":
                 if len(outer) == MAX_NESTING:
@@ -428,6 +440,9 @@ def parse(text: str) -> Word:
                 if count == 1 and not (out and out[-1] is b):
                     out.append(a)
                     continue
+                if count > 1 and (powered := powered + count) > MAX_POWER_LETTERS:
+                    error = _TOO_MANY.format(MAX_POWER_LETTERS), 0
+                    break
                 for _ in range(count):
                     if out and out[-1] is b:
                         out.pop()
@@ -445,6 +460,9 @@ def parse(text: str) -> Word:
                 if count == 1 and not (out and type(out[-1]) is Br and out[-1].sign != b):
                     out.append(letter)
                     continue
+                if count > 1 and (powered := powered + count) > MAX_POWER_LETTERS:
+                    error = _TOO_MANY.format(MAX_POWER_LETTERS), 0
+                    break
                 for _ in range(count):
                     _push_reduced(out, letter)
             elif kind == "!":

@@ -14,6 +14,7 @@ from avgroups import linearalg
 from avgroups.structures import (
     CheckFailed,
     TableError,
+    _holds,
     cyclic_group,
     klein_four_group,
     load_group_file,
@@ -159,6 +160,21 @@ def test_hopf_equivalence_agrees_everywhere():
     assert len(cases) == 4 + 27 + 256 + 3125 + 256 + 14 + 300 + 4
     assert check_hopf_equivalence(cyclic_group(2), (1, 0)) == (True, True)
     assert check_hopf_equivalence(cyclic_group(2), (1, 1)) == (False, False)
+
+
+def test_rows_and_pairs_give_one_verdict_on_every_set_map():
+    # the averaging law read row by row, through b* = sum_h 2^h e_h, against
+    # the law read basis pair by basis pair
+    groups = [cyclic_group(n) for n in range(2, 7)] + [klein_four_group(), sym3()]
+    for g, want in zip(groups, (3, 4, 9, 6, 24, 17, 14)):
+        m, n, passing = g.mul_table, len(g), 0
+        for op in itertools.product(range(n), repeat=n):
+            P = linearalg._set_map(op)
+            images = [P({i: 1}) for i in range(n)]
+            verdict = _holds(linearalg._averaging_chunks(P, images, m)[0])
+            assert _holds(linearalg._averaging_rows(P, images, m)) == verdict, (g.elements, op)
+            passing += verdict
+        assert passing == want, g.elements
 
 
 def _passing_maps(g):

@@ -339,7 +339,7 @@ def test_holds_is_the_verdict_of_the_witness_kernel():
             chunks = [*_averaging_chunks(P, images, g.mul_table), *_coalgebra_chunks(P, images)]
             if isinstance(op[0], int):
                 laws.append(("group averaging", n, 2))
-                chunks.append((_averaging_sides(g.mul_table, as_operator(g, op)),))
+                chunks.append(_averaging_sides(g.mul_table, as_operator(g, op)))
             for (law, size, arity), law_chunks in zip(laws, chunks):
                 law_chunks = list(law_chunks)
                 # the whole law, then each chunk alone: a basis pair may fail one side only

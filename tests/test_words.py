@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import avgroups
 from avgroups.words import (
     MAX_NESTING,
+    MAX_POWER_LETTERS,
     Br,
     Gen,
     ONE,
@@ -186,6 +187,8 @@ PARSE_ERRORS = [
     # superscripts are digits to str.isdigit but no int() can read them
     ("x^\u00b2", "nonzero integer", 2),
     ("[x]@\u00b2", "positive integer", 4),
+    # a power is refused before any of its letters is made
+    (f"y [x]^2 z^-{MAX_POWER_LETTERS + 1}", f"more than {MAX_POWER_LETTERS} letters", 8),
 ]
 
 
@@ -211,6 +214,18 @@ def test_parse_errors():
         assert fragment in str(exc.value), text
         assert exc.value.pos == pos, text
         assert str(exc.value).endswith(f"(at position {pos})")
+
+
+def test_powers_are_bounded_per_call(monkeypatch):
+    # the bound is on the letters of every power |k| >= 2 of one text together
+    monkeypatch.setattr(avgroups.words, "MAX_POWER_LETTERS", 10)
+    assert parse("x^4 [y]^-6 " + "x " * 20) == parse("x^4 [y]^-6") + parse("x") * 20
+    for text, pos in (("x^4 [y]^-7", 6), ("[x^5 y^6]", 5), ("x^11", 0), ("z x^4 x^-7", 6)):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"powers expand to more than 10 letters (at position {pos})"
+    # each call has the whole bound
+    assert len(parse("x^10")) == len(parse("y^10")) == 10
 
 
 def test_cached_spellings_are_placed_and_lettered_per_call():
@@ -270,7 +285,7 @@ def _reference_push(out, f):
 
 
 def _reference_parse(text):
-    out, outer, i = [], [], 0
+    out, outer, i, powered = [], [], 0, 0
     while True:
         m = _REF_FACTOR_RE.match(text, i)
         if m is None:
@@ -316,6 +331,11 @@ def _reference_parse(text):
             letter = Gen(name, sign)
         else:
             continue
+        if count > 1:
+            powered += count
+            if powered > MAX_POWER_LETTERS:
+                raise WordSyntaxError(f"powers expand to more than {MAX_POWER_LETTERS} letters",
+                                      m.start(3) if name else m.start(4))
         for _ in range(count):
             _reference_push(out, letter)
 
