@@ -177,7 +177,8 @@ def _cmd_search_ops(args) -> int:
 
 def _cmd_hopf_check(args) -> int:
     table, op = load_group_file(args.group)
-    validate_group(table).require()
+    # a --max-size above the group check's default cap of 24 raises that cap
+    validate_group(table, max(args.max_size, 24)).require()
     if args.op:
         data = _load_json(args.op)
         # the file holds an 'op' block, or is the bare name map

@@ -23,12 +23,13 @@ algebra laws' chunks are built from the linear map and its basis images, so
 of basis images serves both algebra laws, whose verdicts it reads through
 `_holds`.
 
-There pairs refute and rows confirm: an operator that fails the group law
-is refuted on the algebra one basis pair at a time, and one that passes is
-confirmed a row at a time, through b* = sum_h 2^h e_h, whose bitmask
-coefficients keep every pair of the row apart.  That reading is exact only
-while P and `_conv` are linear, which the seeded pairs and samples check, so
-they stay.  The reports still read the per-pair chunks.
+There one pair refutes and rows confirm: an operator that fails the group
+law is refuted on the algebra at the group law's first failing basis pair,
+where a set map's algebra sides are the group sides' basis vectors, and one
+that passes is confirmed a row at a time, through b* = sum_h 2^h e_h, whose
+bitmask coefficients keep every pair of the row apart.  That reading is
+exact only while P and `_conv` are linear, which the seeded pairs and
+samples check, so they stay.  The reports still read the per-pair chunks.
 """
 
 from fractions import Fraction
@@ -188,16 +189,20 @@ def _extension(g: FiniteGroupTable, A):
     return P, [P(ga_basis(i)) for i in range(len(g))]
 
 
+def _sides(P, m, a, b, pa, pb):
+    """P(a)P(b), P(P(a)b) and P(aP(b)) on vectors a, b with pa = P(a), pb = P(b)."""
+    return _conv(pa, pb, m), P(_conv(pa, b, m)), P(_conv(a, pb, m))
+
+
 def _averaging_chunks(P, images, m):
     """Lazy chunks of P(a)P(b) = P(P(a)b) = P(aP(b)): one per basis pair, in
-    product order, so a failing law stops at its first failing pair, then one
-    for the seeded pairs, drawn once per (carrier size, seed)."""
-    def sides(a, b, pa, pb):
-        return _conv(pa, pb, m), P(_conv(pa, b, m)), P(_conv(a, pb, m))
-
-    return ((((_conv(pa, pb, m),), (P(_conv(pa, {b: 1}, m)),), (P(_conv({a: 1}, pb, m)),))
+    product order, each side alone, so a failing law stops at its first
+    failing pair, then one for the seeded pairs, drawn once per (carrier
+    size, seed)."""
+    return ((tuple(zip(_sides(P, m, {a: 1}, {b: 1}, pa, pb)))
              for a, pa in enumerate(images) for b, pb in enumerate(images)),
-            (tuple(zip(*(sides(a, b, P(a), P(b)) for a, b in _samples(len(images), 0, 100, 2))))
+            (tuple(zip(*(_sides(P, m, a, b, P(a), P(b))
+                         for a, b in _samples(len(images), 0, 100, 2))))
              for _ in (0,)))
 
 
@@ -283,25 +288,39 @@ def check_hopf_equivalence(g: FiniteGroupTable, A):
     Returns (group_ok, algebra_ok).  The two verdicts must coincide; if
     they ever disagree that is a bug in one of the checkers, so the
     function raises instead of returning the pair.  The verdicts are the
-    reports' laws, read through `_holds`: the operator is read once, and its
-    set-map extension P and its basis images P(e_i) = e_{A(i)}, read off the
-    table, serve both algebra laws.
+    reports' laws, read without naming a witness: the operator is read once,
+    and its set-map extension P and its basis images P(e_i) = e_{A(i)}, read
+    off the table, serve both algebra laws.
 
-    Pairs refute, rows confirm.  When the group law fails, the algebra law
-    is read basis pair by basis pair and stops at its first failing pair.
-    When it holds, the algebra law is read one row g at a time, as the pair
-    (e_g, b*) with b* = sum_h 2^h e_h: three products and two applications
-    of P per row instead of per pair.  For a set map that is exact.  Each
-    basis pair's side is one basis vector, so the coefficient of e_x in a
-    row's side is the bitmask of the h whose side is e_x, and two rows are
-    equal exactly when their sides agree at every pair.  The reading leans
-    on P and `_conv` being linear; the 100 seeded pairs and 20 seeded
-    coalgebra samples check exactly that, so they stay.
+    One pair refutes, rows confirm.  When the group law fails first at
+    (x, y), the algebra law is read at (e_x, e_y) alone: for a set map its
+    sides there are e_{A(x)A(y)}, e_{A(A(x)y)} and e_{A(xA(y))}, so it fails
+    too, before any basis image or seeded chunk is built.  Only a broken P
+    or `_conv` lets that pair hold; the algebra law is then read pair by pair
+    from (0, 0), as on any other map.  When the group law holds, the algebra
+    law is read one row g at a time, as the pair (e_g, b*) with
+    b* = sum_h 2^h e_h: three products and two applications of P per row
+    instead of per pair.  For a set map that is exact.  Each basis pair's
+    side is one basis vector, so the coefficient of e_x in a row's side is
+    the bitmask of the h whose side is e_x, and two rows are equal exactly
+    when their sides agree at every pair.  The reading leans on P and
+    `_conv` being linear; the 100 seeded pairs and 20 seeded coalgebra
+    samples check exactly that, so they stay.
     """
     A = as_operator(g, A)
     m = g.mul_table
-    group_ok = _holds(_averaging_sides(m, A))
     P = _set_map(A)
+    group_ok = True
+    for x, (left, mid, right) in enumerate(_averaging_sides(m, A)):
+        if left != mid or left != right:
+            # the group law fails first at (x, y); so does the algebra law at (e_x, e_y)
+            y = next(y for y, (u, v, w) in enumerate(zip(left, mid, right))
+                     if u != v or u != w)
+            left, mid, right = _sides(P, m, {x: 1}, {y: 1}, {A[x]: 1}, {A[y]: 1})
+            if left != mid or left != right:
+                return False, False
+            group_ok = False
+            break
     images = [{a: 1} for a in A]
     pairs, seeded = _averaging_chunks(P, images, m)
     algebra_ok = (_holds(_averaging_rows(P, images, m) if group_ok else pairs)

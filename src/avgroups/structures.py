@@ -153,6 +153,7 @@ class FiniteGroupTable:
                 inv.append(b)
             else:
                 self._inverses = tuple(inv)
+        self._report = None  # validate_group's report, made on first use
 
     def __len__(self):
         return len(self.elements)
@@ -185,10 +186,20 @@ class FiniteGroupTable:
 
 
 def validate_group(t: FiniteGroupTable, max_size: int = 24) -> CheckReport:
-    """Brute-force group axioms; the first failing witness is named."""
+    """Brute-force group axioms; the first failing witness is named.
+
+    The report depends on the table alone; it is made once and kept on it.
+    The size cap is checked on every call.
+    """
     n = len(t)
     if n > max_size:
         raise TableError(f"carrier size {n} exceeds the exhaustive-check cap {max_size}")
+    if t._report is None:
+        t._report = _group_report(t)
+    return t._report
+
+
+def _group_report(t: FiniteGroupTable) -> CheckReport:
     entries = []
 
     try:
@@ -204,7 +215,7 @@ def validate_group(t: FiniteGroupTable, max_size: int = 24) -> CheckReport:
     except TableError as exc:
         entries.append(("inverses", False, str(exc)))
 
-    m = t.mul_table
+    n, m = len(t), t.mul_table
     ab = [v for row in m for v in row]  # ab[a*n + b] = ab
     entries.append(_law("associativity", (([x for v in ab for x in m[v]],        # (ab)c
                                             [row[v] for row in m for v in ab]),),  # a(bc)

@@ -389,6 +389,25 @@ def test_hopf_check(capsys, z2_file, tmp_path):
         (0, "verdicts agree on all 27 operator maps\n", "")
 
 
+def test_hopf_check_max_size_raises_the_group_cap(capsys, tmp_path):
+    z30 = {"elements": [str(i) for i in range(30)],
+           "mul": [[(i + j) % 30 for j in range(30)] for i in range(30)],
+           "op": {str(i): "0" for i in range(30)}}
+    const = tmp_path / "z30.json"
+    const.write_text(json.dumps(z30))
+    assert run(capsys, "hopf-check", "--group", str(const), "--max-size", "30") == \
+        (0, "(group: ok, algebra: ok)\n", "")
+    z30["op"]["1"] = "1"
+    mutant = tmp_path / "z30m.json"
+    mutant.write_text(json.dumps(z30))
+    assert run(capsys, "hopf-check", "--group", str(mutant), "--max-size", "30") == \
+        (1, "(group: FAIL, algebra: FAIL)\naveraging: FAIL fails at (1, 1)\n", "")
+    # at 24 or below the group check keeps its cap
+    for argv in ((), ("--max-size", "24")):
+        assert run(capsys, "hopf-check", "--group", str(const), *argv) == \
+            (2, "", "error: carrier size 30 exceeds the exhaustive-check cap 24\n")
+
+
 def test_module_entry_point_keeps_the_exit_contract():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for argv, want in ((["normalize", "x"], 0),

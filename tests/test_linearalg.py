@@ -13,8 +13,11 @@ import pytest
 from avgroups import linearalg
 from avgroups.structures import (
     CheckFailed,
+    FiniteGroupTable,
     TableError,
+    _averaging_sides,
     _holds,
+    _witness,
     cyclic_group,
     klein_four_group,
     load_group_file,
@@ -175,6 +178,69 @@ def test_rows_and_pairs_give_one_verdict_on_every_set_map():
             assert _holds(linearalg._averaging_rows(P, images, m)) == verdict, (g.elements, op)
             passing += verdict
         assert passing == want, g.elements
+
+
+def _s4_mutants():
+    """S4, and four seeded one-entry mutants of each of its averaging operators."""
+    p = sorted(itertools.permutations(range(4)))
+    g = FiniteGroupTable(["".join(map(str, a)) for a in p],
+                         [[p.index(tuple(a[i] for i in b)) for b in p] for a in p])
+    rng, mutants = random.Random(0), []
+    for op in search_averaging_ops(g):
+        for _ in range(4):
+            i = rng.randrange(len(op))
+            v = rng.choice([v for v in range(len(op)) if v != op[i]])
+            mutants.append(op[:i] + (v,) + op[i + 1:])
+    return g, mutants
+
+
+def test_a_failing_map_is_refuted_at_one_pair(monkeypatch):
+    # the algebra law read at the group law's first failing pair: three products
+    calls = []
+    conv = linearalg._conv
+    monkeypatch.setattr(linearalg, "_conv", lambda *args: calls.append(args) or conv(*args))
+    groups = [(g, itertools.product(range(len(g)), repeat=len(g)))
+              for g in [cyclic_group(n) for n in range(2, 7)] + [klein_four_group(), sym3()]]
+    s4, mutants = _s4_mutants()
+    failing = 0
+    for g, maps in groups + [(s4, mutants)]:
+        for op in maps:
+            calls.clear()
+            if check_hopf_equivalence(g, op) == (False, False):
+                assert len(calls) == 3, (g.elements, op)
+                failing += 1
+    # Z2-Z6, K4 and S3 keep 3 + 4 + 9 + 6 + 24 + 17 + 14 averaging maps; no mutant is one
+    assert failing == 4 + 27 + 256 + 3125 + 46656 + 256 + 46656 - 77 + len(mutants)
+    assert len(mutants) == 6184
+
+
+def test_a_break_that_holds_at_the_refuting_pair_reads_every_pair(monkeypatch):
+    # zero products hide the group law's first failing pair from the algebra:
+    # the map then takes the per-pair reading from (0, 0), with its outcome
+    calls = []
+    conv = linearalg._conv
+
+    def first_three_zero(a, b, m):
+        calls.append(1)
+        return {} if len(calls) <= 3 else conv(a, b, m)
+
+    monkeypatch.setattr(linearalg, "_conv", first_three_zero)
+    for g in (cyclic_group(4), klein_four_group(), sym3()):
+        n = len(g)
+        for op in itertools.product(range(n), repeat=n):
+            bad = _witness(_averaging_sides(g.mul_table, op), n, 2)
+            if bad is None:
+                continue
+            calls.clear()
+            assert check_hopf_equivalence(g, op) == (False, False), (g.elements, op)
+            # the refuting pair, then three products per pair up to the first failing one
+            assert len(calls) == 3 + 3 * (bad[0] * n + bad[1] + 1), (g.elements, op)
+    # with every product zero, the algebra law holds everywhere: the verdicts disagree
+    monkeypatch.setattr(linearalg, "_conv", lambda a, b, m: {})
+    for g in (cyclic_group(4), klein_four_group()):
+        for op in ((1, 1, 1, 1), (0, 1, 2, 2)):
+            with pytest.raises(RuntimeError, match="group False, algebra True"):
+                check_hopf_equivalence(g, op)
 
 
 def _passing_maps(g):

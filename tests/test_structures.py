@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import avgroups.structures as structures_mod
 from avgroups.structures import (
     AveragingGroupHandle,
     CheckReport,
@@ -73,6 +74,26 @@ def test_validate_group_size_cap():
     with pytest.raises(TableError):
         validate_group(cyclic_group(25))
     assert validate_group(cyclic_group(25), max_size=25).ok
+
+
+def test_a_group_report_is_made_once_per_table(monkeypatch):
+    laws = []
+    real = structures_mod._law
+    monkeypatch.setattr(structures_mod, "_law",
+                        lambda law, *args: laws.append(law) or real(law, *args))
+    s3 = sym3()
+    AveragingGroupHandle(s3, range(6))
+    AveragingGroupHandle(s3, (0,) * 6)
+    assert laws.count("associativity") == 1
+    assert validate_group(s3).entries == (("identity", True, "inferred 'e'"),
+                                          ("inverses", True, ""), ("associativity", True, ""))
+    broken = FiniteGroupTable(["e", "a", "b"], [[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    assert validate_group(broken) is validate_group(broken)
+    assert laws.count("associativity") == 2
+    assert validate_group(broken).entries[-1] == ("associativity", False, "fails at (a, a, a)")
+    # the cap is checked on every call, a kept report or not
+    with pytest.raises(TableError, match="exceeds the exhaustive-check cap 5"):
+        validate_group(s3, max_size=5)
 
 
 def test_validate_averaging():
