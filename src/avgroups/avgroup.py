@@ -50,7 +50,7 @@ from .words import (
     Br,
     Word,
     are_inverse,
-    invert,
+    inverse,
     make_br,
     make_gen,
     single,
@@ -63,6 +63,8 @@ __all__ = [
     "inverse",
     "free_target",
     "GenParams",
+    "DrawTooLarge",
+    "MAX_DRAW_LETTERS",
     "random_normal_word",
     "random_raw_word",
 ]
@@ -135,10 +137,6 @@ def op_iter(w: Word, n: int) -> Word:
     return op_apply(w, n) if n else w
 
 
-# one function under both names: a wrapper would only add a frame
-inverse = invert
-
-
 # --- the universal property --------------------------------------------------
 
 # words.eval_operated extends a generator assignment to any target; into this
@@ -172,6 +170,15 @@ def free_target() -> _FreeTarget:
 # --- random words ------------------------------------------------------------
 
 
+# the most letters one word draw makes at all its levels, with the contents of
+# brackets _grow_raw discards; seeds 0-5,999 at d8b9 draw at most size 2,171
+MAX_DRAW_LETTERS = 100_000
+
+
+class DrawTooLarge(ValueError):
+    """A word draw would make more than MAX_DRAW_LETTERS letters."""
+
+
 @dataclass(frozen=True)
 class GenParams:
     max_depth: int = 3
@@ -191,8 +198,9 @@ def random_normal_word(p: GenParams, via_oracle: bool = False) -> Word:
     structural law checks are only meaningful away from them.  The
     via_oracle path normalizes an unrestricted raw word instead and can
     reach the full carrier.  The grammar path draws as :func:`random_raw_word`
-    does, from ``random.Random(p.seed)``, and both refuse the same parameters
-    and give the identity at ``max_breadth=0``.
+    does, from ``random.Random(p.seed)``, and both refuse the same parameters,
+    stop a draw past ``MAX_DRAW_LETTERS`` letters and give the identity at
+    ``max_breadth=0``.
 
     The grammar is normal by construction: a generator repeats the one
     before it instead of cancelling it, no two brackets stand side by side,
@@ -205,7 +213,8 @@ def random_normal_word(p: GenParams, via_oracle: bool = False) -> Word:
     if not p.max_breadth:
         return ONE
     rng = random.Random(p.seed)
-    w = _grow_positive(rng.getrandbits, rng.random, letters, p.max_breadth, p.max_depth, False)
+    w = _grow_positive(rng.getrandbits, rng.random, letters, p.max_breadth, p.max_depth, False,
+                       [MAX_DRAW_LETTERS])
     if not is_normal(w):
         raise RuntimeError("word generator failed to produce a normal word")
     return w
@@ -214,16 +223,15 @@ def random_normal_word(p: GenParams, via_oracle: bool = False) -> Word:
 def random_raw_word(p: GenParams) -> Word:
     """Reduced (but in general non-normal) word within the size bounds.
 
-    The word is drawn from ``random.Random(p.seed ^ 0x5EED)``.  Each choice
-    among n things takes ``n.bit_length()`` bits from ``getrandbits`` and
-    draws again until the value is below n, the draw ``randrange`` and
-    ``choice`` make on CPython 3.10-3.13; coin flips are ``random() < 0.4``.
-    So a given seed gives the same word on each of those versions.  An empty
-    alphabet or a negative ``max_breadth`` raises ValueError.
+    The word is drawn from ``random.Random(p.seed ^ 0x5EED)``, as the module
+    docstring says; coin flips are ``random() < 0.4``.  An empty alphabet or
+    a negative ``max_breadth`` raises ValueError, and a draw that would make
+    more than ``MAX_DRAW_LETTERS`` letters raises DrawTooLarge.
     """
     letters = _letters(p)
     rng = random.Random(p.seed ^ 0x5EED)
-    return _grow_raw(rng.getrandbits, rng.random, letters, p.max_breadth + 1, p.max_depth)
+    return _grow_raw(rng.getrandbits, rng.random, letters, p.max_breadth + 1, p.max_depth,
+                     [MAX_DRAW_LETTERS])
 
 
 def _letters(p: GenParams) -> tuple:
@@ -258,9 +266,17 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _grow_positive(bits, rand, letters, width: int, depth: int, inside: bool) -> Word:
+def _spend(budget: list, count: int) -> None:
+    """Take a level's `count` letters from the draw's `budget`, before any is drawn."""
+    budget[0] -= count
+    if budget[0] < 0:
+        raise DrawTooLarge(f"a word draw would make more than {MAX_DRAW_LETTERS} letters")
+
+
+def _grow_positive(bits, rand, letters, width: int, depth: int, inside: bool, budget) -> Word:
     """A positive-sector word; `bits` and `rand` are one Random's getrandbits and random."""
     count = 1 + _below(bits, width)
+    _spend(budget, count)
     out: list = []
     prev = None
     for i in range(count):
@@ -271,7 +287,7 @@ def _grow_positive(bits, rand, letters, width: int, depth: int, inside: bool) ->
             it = 1 + _below(bits, min(3, depth))
             if inside and i == count - 1:          # contents end at iteration 1
                 it = 1
-            content = _grow_positive(bits, rand, letters, width, depth - it, True)
+            content = _grow_positive(bits, rand, letters, width, depth - it, True, budget)
             prev = make_br(content, it, 1)
         else:
             pair = letters[_below(bits, len(letters))]
@@ -282,13 +298,15 @@ def _grow_positive(bits, rand, letters, width: int, depth: int, inside: bool) ->
     return Word(out)
 
 
-def _grow_raw(bits, rand, letters, width: int, depth: int) -> Word:
+def _grow_raw(bits, rand, letters, width: int, depth: int, budget) -> Word:
+    count = _below(bits, width)
+    _spend(budget, count)
     out: list = []
-    for _ in range(_below(bits, width)):
+    for _ in range(count):
         for _ in range(20):
             if depth >= 1 and rand() < 0.4:
                 it = 1 + _below(bits, min(3, depth))
-                content = _grow_raw(bits, rand, letters, width, depth - it)
+                content = _grow_raw(bits, rand, letters, width, depth - it, budget)
                 f = make_br(content, it, (1, -1)[_below(bits, 2)])
                 if out and are_inverse(out[-1], f):
                     continue

@@ -19,7 +19,6 @@ from .words import (
     Word,
     WordSyntaxError,
     eval_operated,
-    make_gen,
     metrics,
     nesting,
     parse,
@@ -32,7 +31,8 @@ from .normalform import (
     oracle_normalize,
     oracle_steps,
 )
-from .avgroup import GenParams, diamond, free_target, inverse, op_iter
+from .avgroup import (DrawTooLarge, GenParams, _alphabet_letters, diamond, free_target,
+                      inverse, op_iter)
 from .structures import (
     AveragingGroupHandle,
     CheckFailed,
@@ -126,8 +126,8 @@ def _cmd_check(args) -> int:
     params = GenParams(max_depth=args.max_depth, max_breadth=args.max_breadth,
                        alphabet=tuple(args.alphabet.split(",")), seed=args.seed)
     try:
-        for name in params.alphabet:
-            make_gen(name)
+        # the generators' own name check, ahead of the flag checks
+        _alphabet_letters(params.alphabet)
     except ValueError as exc:
         print(f"error: --alphabet: {exc}", file=sys.stderr)
         return 2
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
         # a table, operator or Lie spec failed its axioms: the report is the finding
         print("\n".join(exc.report.lines()))
         return 1
-    except (TableError, ResultTooDeep) as exc:
+    except (TableError, ResultTooDeep, DrawTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleStepLimit as exc:

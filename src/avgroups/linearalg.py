@@ -14,10 +14,10 @@ averaging on the algebra and a coalgebra map, and that equivalence is
 asserted, never assumed.  The Lie side reads structure constants and
 operator matrices by the same rule; no floating point enters this module.
 
-Range checks live at the entry points: `ga_mul` checks both supports,
-`linear_extend` explicit images' keys (a set map goes through
-`as_operator`), `from_brackets` every Lie index.  Past them the checks use
-the unchecked `_conv` and pass lazy chunks to the witness kernel.  The
+Range checks live at the entry points: `linear_extend` checks explicit
+images' keys (a set map goes through `as_operator`), `from_brackets` every
+Lie index.  Past them the checks use the convolution product `_conv`, which
+checks no index, and pass lazy chunks to the witness kernel.  The
 algebra laws' chunks are built from the linear map and its basis images, so
 `check_hopf_equivalence` reads and extends the operator once, and one set
 of basis images serves both algebra laws, whose verdicts it reads through
@@ -94,33 +94,8 @@ def ga_basis(i: int) -> dict:
     return {i: 1}
 
 
-def ga_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return _norm(out)
-
-
-def ga_scale(q, a: dict) -> dict:
-    q = _coeff(q)
-    return _norm({k: q * v for k, v in a.items()})
-
-
-def ga_mul(a: dict, b: dict, g: FiniteGroupTable) -> dict:
-    """Convolution product; the identity basis element is the unit."""
-    n = len(g)
-    # an index of b outside the carrier is reported once a's first index passes
-    bad_j = next((j for j in b if not 0 <= j < n), None)
-    for i in a:
-        if not 0 <= i < n:
-            raise TableError(f"support index {i} outside the carrier")
-        if bad_j is not None:
-            raise TableError(f"support index {bad_j} outside the carrier")
-    return _conv(a, b, g.mul_table)
-
-
 def _conv(a: dict, b: dict, m) -> dict:
-    """ga_mul over the table rows m, on supports known to lie in the carrier."""
+    """The convolution product over the table rows m, on supports in the carrier."""
     out: dict = {}
     for i, ci in a.items():
         row = m[i]

@@ -3,11 +3,10 @@
 A group is given as a table of element names and a square index table for
 the product.  The identity and the inverses are inferred from the table and
 double checked, never declared.  An operator is a plain index map.  The
-module validates group and averaging axioms by brute force, constructs the
-standard operator families (central shifts, idempotent endomorphisms,
-commuting compositions), lists every averaging operator on a group, and
-checks the derived structure: pointed-operator consequences, the induced
-disemigroup, and the conjugation rack.
+module validates group and averaging axioms by brute force, builds the
+operator of an idempotent endomorphism, lists every averaging operator on a
+group, and checks the derived structure: pointed-operator consequences, the
+induced disemigroup, and the conjugation rack.
 
 The list rests on a structure theorem.  Let A be averaging on G, H = A(G)
 and c = A(e).  Then H is a subgroup, A is an H-bimodule map, A(hgk) =
@@ -315,17 +314,6 @@ class IntShiftGroup:
         return self.z == 0
 
 
-def shift_operator(t: FiniteGroupTable, z) -> AveragingGroupHandle:
-    """A(h) = z*h for a central z; centrality is checked, not assumed."""
-    zi = z if isinstance(z, int) else t.index(z)
-    m = t.mul_table
-    bad = _witness(((list(m[zi]), [row[zi] for row in m]),), len(t), 1)
-    if bad is not None:
-        raise TableError(f"shift element {t.name(zi)!r} is not central: "
-                         f"fails against {t.name(bad[0])!r}")
-    return AveragingGroupHandle(t, m[zi])
-
-
 def idempotent_endo_operator(t: FiniteGroupTable, phi) -> AveragingGroupHandle:
     """A = an idempotent group endomorphism; both properties checked."""
     phi = as_operator(t, phi)
@@ -338,25 +326,6 @@ def idempotent_endo_operator(t: FiniteGroupTable, phi) -> AveragingGroupHandle:
         if not ok:
             raise TableError(f"{law}: {detail}")
     return AveragingGroupHandle(t, phi)
-
-
-def compose_operators(g, a1, a2) -> AveragingGroupHandle:
-    """Composite A1 o A2 of two commuting averaging operators.
-
-    Accepts a table or a handle for the carrier.  Each factor is validated
-    as averaging, commutation is checked, and the composite handle is
-    validated again rather than trusted.
-    """
-    t = g.table if isinstance(g, AveragingGroupHandle) else g
-    a1 = as_operator(t, a1)
-    a2 = as_operator(t, a2)
-    for op in (a1, a2):
-        validate_averaging(t, op).require()
-    comp = [a1[x] for x in a2]
-    bad = _witness(((comp, [a2[x] for x in a1]),), len(t), 1)
-    if bad is not None:
-        raise TableError(f"operators do not commute: fail at {t.name(bad[0])!r}")
-    return AveragingGroupHandle(t, comp)
 
 
 def check_pointed_consequences(h: AveragingGroupHandle) -> CheckReport:
@@ -383,11 +352,6 @@ def check_pointed_consequences(h: AveragingGroupHandle) -> CheckReport:
                                   [A[col[x]] for row, col in conj for x in row]),),
              n, 2, t.name),
     ))
-
-
-def disemigroup_ops(h):
-    """The pair (left, right): g -| h = g A(h) and g |- h = A(g) h."""
-    return (lambda g, k: h.mul(g, h.op(k))), (lambda g, k: h.mul(h.op(g), k))
 
 
 def check_disemigroup(h: AveragingGroupHandle) -> CheckReport:

@@ -75,7 +75,7 @@ __all__ = [
     "parse",
     "render",
     "reduce_concat",
-    "invert",
+    "inverse",
     "bracket_literal",
     "metrics",
     "nesting",
@@ -238,7 +238,7 @@ def reduce_concat(u: Word, v: Word) -> Word:
     return Word(out)
 
 
-def invert(w: Word) -> Word:
+def inverse(w: Word) -> Word:
     return Word([inv_factor(f) for f in reversed(w)])
 
 

@@ -25,6 +25,7 @@ from avgroups.words import (
 )
 from avgroups.normalform import is_normal, oracle_normalize
 from avgroups.avgroup import (
+    DrawTooLarge,
     GenParams,
     diamond,
     inverse,
@@ -347,6 +348,29 @@ def test_a_grammar_word_that_is_not_normal_is_refused(monkeypatch):
     monkeypatch.setattr(avgroup_module, "is_normal", lambda w: False)
     with pytest.raises(RuntimeError, match="word generator failed to produce a normal word"):
         random_normal_word(GenParams(seed=1))
+
+
+def _all_letters(w: Word) -> int:
+    return sum(1 + (_all_letters(f.content) if type(f) is Br else 0) for f in w)
+
+
+def test_a_draw_past_the_letter_budget_is_refused(monkeypatch):
+    p = GenParams(3, 6, seed=9)
+    for make in (random_raw_word, random_normal_word):
+        w = make(p)
+        n = _all_letters(w)
+        assert n > 5 and metrics(w).depth > 1, make.__name__
+        # a draw makes at least the letters its word keeps
+        monkeypatch.setattr(avgroup_module, "MAX_DRAW_LETTERS", n - 1)
+        with pytest.raises(DrawTooLarge, match=f"^a word draw would make more than {n - 1} "):
+            make(p)
+        # the grammar keeps every letter it draws, so n are just enough
+        if make is random_normal_word:
+            monkeypatch.setattr(avgroup_module, "MAX_DRAW_LETTERS", n)
+            assert make(p) == w
+        monkeypatch.undo()
+        assert make(p) == w
+    assert issubclass(DrawTooLarge, ValueError)
 
 
 # --- reference copies: the product as a deque walk over every letter of v,

@@ -237,6 +237,18 @@ def test_check_refuses_alphabet_names_that_are_not_generators(capsys):
     assert code == 0 and len(out.splitlines()) == 7
 
 
+def test_a_bad_alphabet_name_is_reported_before_the_flag_checks(capsys):
+    assert run(capsys, "check", "--alphabet", "x,X", "--trials", "0") == (
+        2, "", "error: --alphabet: bad generator name 'X'\n")
+
+
+def test_an_oversized_word_draw_is_one_error_line_and_exit_2(capsys):
+    # at breadth 100,000 and depth 3 a draw expects well over a billion letters
+    assert run(capsys, "check", "--max-breadth", "100000", "--max-depth", "3",
+               "--trials", "1", "--suite", "assoc") == (
+        2, "", "error: a word draw would make more than 100000 letters\n")
+
+
 def test_eval(capsys, z2_file):
     assert run(capsys, "eval", "[x]", "--group", z2_file, "--map", "x=1") == (0, "0\n", "")
     # relation soundness: merged and unmerged spellings evaluate alike

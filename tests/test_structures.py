@@ -17,15 +17,12 @@ from avgroups.structures import (
     check_disemigroup,
     check_pointed_consequences,
     check_rack,
-    compose_operators,
     cyclic_group,
-    disemigroup_ops,
     idempotent_endo_operator,
     klein_four_group,
     load_group_file,
     rack_op,
     search_averaging_ops,
-    shift_operator,
     sym3,
     sym3_sign_retraction,
     validate_averaging,
@@ -176,12 +173,6 @@ def test_constructor_errors_carry_the_full_witness():
         "associativity: FAIL fails at (a, a, a)")
     assert message(AveragingGroupHandle, cyclic_group(2), (1, 1)) == \
         "averaging: FAIL fails at (0, 0)"
-    assert message(compose_operators, cyclic_group(2), (0, 1), (1, 1)) == \
-        "averaging: FAIL fails at (0, 0)"
-    assert message(compose_operators, sym3(), (0,) * 6, (1, 0, 0, 0, 1, 1)) == \
-        "operators do not commute: fail at 'e'"
-    assert message(shift_operator, sym3(), "(12)") == \
-        "shift element '(12)' is not central: fails against '(13)'"
     assert message(idempotent_endo_operator, cyclic_group(4), (0, 2, 0, 2)) == \
         "not idempotent: fails at 1"
     assert message(idempotent_endo_operator, cyclic_group(4), (0, 0, 1, 0)) == \
@@ -198,16 +189,6 @@ def test_handle_validates_on_construction():
         AveragingGroupHandle(z2, (1, 1))
 
 
-def test_shift_operator_requires_centrality():
-    h = shift_operator(cyclic_group(6), "2")
-    assert h.op_table == (2, 3, 4, 5, 0, 1)
-    h0 = shift_operator(cyclic_group(6), 0)
-    assert h0.is_pointed()
-    with pytest.raises(TableError) as exc:
-        shift_operator(sym3(), "(12)")
-    assert "not central" in str(exc.value)
-
-
 def test_idempotent_endo_operator():
     s3 = sym3()
     h = idempotent_endo_operator(s3, sym3_sign_retraction())
@@ -220,28 +201,6 @@ def test_idempotent_endo_operator():
     with pytest.raises(TableError) as exc:
         idempotent_endo_operator(cyclic_group(4), (0, 0, 1, 0))
     assert "not a homomorphism" in str(exc.value)
-
-
-def test_compose_operators():
-    z6 = cyclic_group(6)
-    shift = lambda z: tuple((z + x) % 6 for x in range(6))
-    h = compose_operators(z6, shift(2), shift(3))
-    assert h.op_table == shift(5)
-    # composing an idempotent operator with itself changes nothing
-    s3 = sym3()
-    A = sym3_sign_retraction()
-    assert compose_operators(s3, A, A).op_table == A
-    # a non-commuting pair of averaging operators is rejected
-    ops = search_averaging_ops(s3)
-    pair = next(((a, b) for a, b in itertools.combinations(ops, 2)
-                 if any(a[b[x]] != b[a[x]] for x in range(6))), None)
-    assert pair is not None
-    with pytest.raises(TableError) as exc:
-        compose_operators(s3, *pair)
-    assert "do not commute" in str(exc.value)
-    # non-averaging factors are rejected before anything else
-    with pytest.raises(TableError):
-        compose_operators(cyclic_group(2), (1, 1), (0, 1))
 
 
 def test_search_on_small_cyclic_groups():
@@ -392,9 +351,6 @@ def test_pointed_consequences():
 
 def test_disemigroup_identities():
     z2s = AveragingGroupHandle(cyclic_group(2), (1, 0))
-    left, right = disemigroup_ops(z2s)
-    assert left(0, 0) == 1   # 0 + A(0)
-    assert right(1, 1) == 1  # A(1) + 1
     rep = check_disemigroup(z2s)
     five = rep.entries[:5]
     assert all(ok for _, ok, _ in five)

@@ -29,7 +29,7 @@ from avgroups.words import (
     are_inverse,
     bracket_literal,
     eval_operated,
-    invert,
+    inverse,
     is_folded,
     is_reduced,
     make_br,
@@ -238,7 +238,7 @@ def test_cached_spellings_are_placed_and_lettered_per_call():
             assert str(exc.value) == f"'@' is only valid after ']' (at position {pos})"
     u = parse("x y^2 [x]@2 x^-1")
     assert reduce_concat(u, parse("x [x]@2^-1 y^-2 x^-1")) == ONE
-    assert parse("x y^2 [x]@2 x^-1") == u and reduce_concat(u, invert(u)) == ONE
+    assert parse("x y^2 [x]@2 x^-1") == u and reduce_concat(u, inverse(u)) == ONE
     # the cache is bounded and holds text and numbers, never letters
     assert _spell.cache_parameters()["maxsize"] == 512
     pieces = set()
@@ -511,10 +511,10 @@ def test_reduce_concat_cascades_at_the_seam():
 
 def test_invert_is_an_involution_and_antihomomorphism():
     w = parse("x [y z^-1]@2 w^-1")
-    assert render(invert(w)) == "w [y z^-1]@2^-1 x^-1"
-    assert invert(invert(w)) == w
+    assert render(inverse(w)) == "w [y z^-1]@2^-1 x^-1"
+    assert inverse(inverse(w)) == w
     u, v = parse("x [y]"), parse("[z]@2 x")
-    assert invert(reduce_concat(u, v)) == reduce_concat(invert(v), invert(u))
+    assert inverse(reduce_concat(u, v)) == reduce_concat(inverse(v), inverse(u))
 
 
 def test_predicates():
