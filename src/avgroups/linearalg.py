@@ -20,16 +20,13 @@ Lie index.  Past them the checks use the convolution product `_conv`, which
 checks no index, and pass lazy chunks to the witness kernel.  The
 algebra laws' chunks are built from the linear map and its basis images, so
 `check_hopf_equivalence` reads and extends the operator once, and one set
-of basis images serves both algebra laws, whose verdicts it reads through
-`_holds`.
+of basis images serves both algebra laws.
 
-There one pair refutes and rows confirm: an operator that fails the group
-law is refuted on the algebra at the group law's first failing basis pair,
-where a set map's algebra sides are the group sides' basis vectors, and one
-that passes is confirmed a row at a time, through b* = sum_h 2^h e_h, whose
-bitmask coefficients keep every pair of the row apart.  That reading is
-exact only while P and `_conv` are linear, which the seeded pairs and
-samples check, so they stay.  The reports still read the per-pair chunks.
+There one pair refutes and one pair confirms, on either side of the group
+verdict: the group law's first failing basis pair, or a star pair whose
+bitmask coefficients keep every basis pair apart.  That reading is exact
+only while P and `_conv` are linear, which the seeded pairs and samples
+check, so they stay.  The reports still read the per-pair chunks.
 """
 
 from fractions import Fraction
@@ -43,9 +40,9 @@ from .structures import (
     TableError,
     _as_int,
     _averaging_sides,
-    _holds,
     _law,
     _load_json,
+    _witness,
     as_operator,
 )
 
@@ -53,8 +50,8 @@ from .structures import (
 def _frac(v) -> Fraction:
     if isinstance(v, float):
         raise TableError("rational values must be exact (int or 'p/q' string)")
-    if isinstance(v, bool):
-        # an int subclass: JSON true/false would pass for 1 and 0
+    if isinstance(v, bool) or isinstance(v, str) and ("e" in v or "E" in v):
+        # JSON true/false would pass for 1 and 0; Fraction expands "1e9999999"
         raise TableError(f"not a rational value: {v!r}")
     try:
         return Fraction(str(v)) if isinstance(v, str) else Fraction(v)
@@ -181,16 +178,6 @@ def _averaging_chunks(P, images, m):
              for _ in (0,)))
 
 
-def _averaging_rows(P, images, m):
-    """Lazy chunks of the same law, one per basis row: the pairs (e_g, e_h)
-    for every h at once, read as the single pair (e_g, b*) with
-    b* = sum_h 2^h e_h.  Exact for a set map P only: see check_hopf_equivalence."""
-    star = {h: 1 << h for h in range(len(images))}
-    p_star = P(star)
-    return (((_conv(pa, p_star, m),), (P(_conv(pa, star, m)),), (P(_conv({g: 1}, p_star, m)),))
-            for g, pa in enumerate(images))
-
-
 def check_averaging_algebra(g: FiniteGroupTable, A) -> CheckReport:
     """P(a)P(b) = P(P(a)b) = P(aP(b)) on the group algebra.
 
@@ -260,32 +247,26 @@ def check_coalgebra_map(g: FiniteGroupTable, A) -> CheckReport:
 def check_hopf_equivalence(g: FiniteGroupTable, A):
     """Group-level and algebra-level averaging verdicts, asserted equal.
 
-    Returns (group_ok, algebra_ok).  The two verdicts must coincide; if
-    they ever disagree that is a bug in one of the checkers, so the
-    function raises instead of returning the pair.  The verdicts are the
-    reports' laws, read without naming a witness: the operator is read once,
-    and its set-map extension P and its basis images P(e_i) = e_{A(i)}, read
-    off the table, serve both algebra laws.
+    Returns (group_ok, algebra_ok); if the verdicts ever disagree, one of
+    the checkers is wrong, so the function raises instead.  The operator is
+    read once; its set-map extension P and basis images P(e_i) = e_{A(i)}
+    serve both algebra laws.
 
-    One pair refutes, rows confirm.  When the group law fails first at
-    (x, y), the algebra law is read at (e_x, e_y) alone: for a set map its
-    sides there are e_{A(x)A(y)}, e_{A(A(x)y)} and e_{A(xA(y))}, so it fails
-    too, before any basis image or seeded chunk is built.  Only a broken P
-    or `_conv` lets that pair hold; the algebra law is then read pair by pair
-    from (0, 0), as on any other map.  When the group law holds, the algebra
-    law is read one row g at a time, as the pair (e_g, b*) with
-    b* = sum_h 2^h e_h: three products and two applications of P per row
-    instead of per pair.  For a set map that is exact.  Each basis pair's
-    side is one basis vector, so the coefficient of e_x in a row's side is
-    the bitmask of the h whose side is e_x, and two rows are equal exactly
-    when their sides agree at every pair.  The reading leans on P and
-    `_conv` being linear; the 100 seeded pairs and 20 seeded coalgebra
-    samples check exactly that, so they stay.
+    One pair refutes, one pair confirms.  When the group law fails first at
+    (x, y), the algebra law is read at (e_x, e_y), whose sides for a set map
+    are e_{A(x)A(y)}, e_{A(A(x)y)} and e_{A(xA(y))}; only a broken P or
+    `_conv` lets it hold, and then the function raises.  When the group law
+    holds, the algebra law is read at the star pair
+    (sum_g 2^(g n) e_g, sum_h 2^h e_h): each basis pair's side is one basis
+    vector, so a star side's coefficient of e_z is the bitmask, over bits
+    g n + h, of the pairs (g, h) whose side is e_z, and the star pair holds
+    exactly when every basis pair does.  That leans on P and `_conv` being
+    linear, which the 100 seeded pairs and 20 seeded coalgebra samples
+    check, so they stay.
     """
     A = as_operator(g, A)
     m = g.mul_table
     P = _set_map(A)
-    group_ok = True
     for x, (left, mid, right) in enumerate(_averaging_sides(m, A)):
         if left != mid or left != right:
             # the group law fails first at (x, y); so does the algebra law at (e_x, e_y)
@@ -294,17 +275,16 @@ def check_hopf_equivalence(g: FiniteGroupTable, A):
             left, mid, right = _sides(P, m, {x: 1}, {y: 1}, {A[x]: 1}, {A[y]: 1})
             if left != mid or left != right:
                 return False, False
-            group_ok = False
-            break
-    images = [{a: 1} for a in A]
-    pairs, seeded = _averaging_chunks(P, images, m)
-    algebra_ok = (_holds(_averaging_rows(P, images, m) if group_ok else pairs)
-                  and _holds(seeded) and all(map(_holds, _coalgebra_chunks(P, images))))
-    if group_ok != algebra_ok:
-        raise RuntimeError(
-            f"verdicts disagree on {A}: group {group_ok}, algebra {algebra_ok}")
-    # constant pairs: a caller that keeps many verdicts holds no tuple per call
-    return (True, True) if group_ok else (False, False)
+            raise RuntimeError(f"verdicts disagree on {A}: group False, algebra True")
+    n = len(A)
+    a, b = {x: 1 << x * n for x in range(n)}, {y: 1 << y for y in range(n)}
+    left, mid, right = _sides(P, m, a, b, P(a), P(b))
+    images = [{z: 1} for z in A]
+    chunks = (_averaging_chunks(P, images, m)[1], *_coalgebra_chunks(P, images))
+    if left != mid or left != right or any(
+            _witness(law, count, 1) is not None for law, count in zip(chunks, (100, n, n, 20))):
+        raise RuntimeError(f"verdicts disagree on {A}: group True, algebra False")
+    return True, True
 
 
 def check_antipode_averaging(g: FiniteGroupTable) -> CheckReport:

@@ -23,8 +23,7 @@ order, the kernel compares them with C list equality and decodes the first
 mismatching offset into its tuple.  Table laws pass whole tables, except the
 averaging law, which passes one lazy chunk per row; laws with expensive
 values pass lazy one-tuple chunks.  Either way a failing law stops early.
-A caller that keeps only the verdict reads the same chunks through
-`_holds`, which decodes no offset and names no element.
+A caller that keeps only the verdict asks whether the witness is None.
 """
 
 from dataclasses import dataclass
@@ -89,15 +88,6 @@ def _witness(chunks, n, arity):
     return None
 
 
-def _holds(chunks):
-    """Whether a law holds on `chunks`: `_witness(chunks, ...) is None`,
-    without decoding the witness."""
-    for lhs, *rhss in chunks:
-        if rhss.count(lhs) < len(rhss):
-            return False
-    return True
-
-
 def _law(law, chunks, n, arity, names):
     """(law, ok, detail) entry of an exhaustive check; the detail names the
     first failing tuple, as "fails at x" or "fails at (x, y, ...)"."""
@@ -126,6 +116,8 @@ class FiniteGroupTable:
         n = len(elements)
         rows = []
         for row in mul:
+            if not isinstance(row, (list, tuple)):  # a string would read digit by digit
+                raise TableError("mul table must be a square of indices in range")
             row = tuple(map(_int, row))
             if len(row) != n or any(not 0 <= v < n for v in row):
                 raise TableError("mul table must be a square of indices in range")

@@ -489,6 +489,19 @@ def test_lie_check(capsys, tmp_path):
     assert (code, out) == (2, "") and f"exceeds the limit of {MAX_LIE_DIM}" in err
 
 
+def test_hostile_data_files_are_refused_in_time(capsys, tmp_path):
+    # an exponent rational would make Fraction build ten million digits, and
+    # string rows would be read digit by digit as a valid Z2 table
+    lie, matrix, group = (tmp_path / f"{name}.json" for name in ("lie", "matrix", "group"))
+    lie.write_text(json.dumps({"dim": 1, "brackets": []}))
+    matrix.write_text(json.dumps({"dim": 1, "matrix": [["1e9999999"]]}))
+    group.write_text(json.dumps({"elements": ["e", "a"], "mul": ["01", "10"]}))
+    assert run(capsys, "lie-check", "--structure", str(lie), "--operator", str(matrix)) == \
+        (2, "", "error: not a rational value: '1e9999999'\n")
+    assert run(capsys, "hopf-check", "--group", str(group)) == \
+        (2, "", "error: mul table must be a square of indices in range\n")
+
+
 def test_shrinker_minimizes_while_preserving_failure():
     # predicate: the word still contains a bracket letter
     fails = lambda ws: "[" in render(ws[0])

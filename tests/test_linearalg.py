@@ -16,7 +16,6 @@ from avgroups.structures import (
     FiniteGroupTable,
     TableError,
     _averaging_sides,
-    _holds,
     _witness,
     cyclic_group,
     klein_four_group,
@@ -158,21 +157,6 @@ def test_hopf_equivalence_agrees_everywhere():
     assert check_hopf_equivalence(cyclic_group(2), (1, 1)) == (False, False)
 
 
-def test_rows_and_pairs_give_one_verdict_on_every_set_map():
-    # the averaging law read row by row, through b* = sum_h 2^h e_h, against
-    # the law read basis pair by basis pair
-    groups = [cyclic_group(n) for n in range(2, 7)] + [klein_four_group(), sym3()]
-    for g, want in zip(groups, (3, 4, 9, 6, 24, 17, 14)):
-        m, n, passing = g.mul_table, len(g), 0
-        for op in itertools.product(range(n), repeat=n):
-            P = linearalg._set_map(op)
-            images = [P({i: 1}) for i in range(n)]
-            verdict = _holds(linearalg._averaging_chunks(P, images, m)[0])
-            assert _holds(linearalg._averaging_rows(P, images, m)) == verdict, (g.elements, op)
-            passing += verdict
-        assert passing == want, g.elements
-
-
 def _s4_mutants():
     """S4, and four seeded one-entry mutants of each of its averaging operators."""
     p = sorted(itertools.permutations(range(4)))
@@ -185,6 +169,27 @@ def _s4_mutants():
             v = rng.choice([v for v in range(len(op)) if v != op[i]])
             mutants.append(op[:i] + (v,) + op[i + 1:])
     return g, mutants
+
+
+def test_the_star_pair_and_the_pairs_give_one_verdict_on_every_set_map():
+    # the averaging law read at the single pair (sum_g 2^(g n) e_g, sum_h 2^h e_h)
+    # against the law read basis pair by basis pair
+    groups = [(g, itertools.product(range(len(g)), repeat=len(g)))
+              for g in [cyclic_group(n) for n in range(2, 7)] + [klein_four_group(), sym3()]]
+    s4, mutants = _s4_mutants()
+    groups += [(s4, search_averaging_ops(s4)), (s4, mutants)]
+    for (g, maps), want in zip(groups, (3, 4, 9, 6, 24, 17, 14, 1546, 0)):
+        m, n, passing, disagree = g.mul_table, len(g), 0, []
+        a, b = {x: 1 << x * n for x in range(n)}, {y: 1 << y for y in range(n)}
+        for op in maps:
+            P = linearalg._set_map(op)
+            images = [P({i: 1}) for i in range(n)]
+            verdict = _witness(linearalg._averaging_chunks(P, images, m)[0], n, 2) is None
+            left, mid, right = linearalg._sides(P, m, a, b, P(a), P(b))
+            if (left == mid == right) != verdict:
+                disagree.append(op)
+            passing += verdict
+        assert disagree == [] and passing == want, (g.elements, disagree[:3], passing)
 
 
 def test_a_failing_map_is_refuted_at_one_pair(monkeypatch):
@@ -207,9 +212,9 @@ def test_a_failing_map_is_refuted_at_one_pair(monkeypatch):
     assert len(mutants) == 6184
 
 
-def test_a_break_that_holds_at_the_refuting_pair_reads_every_pair(monkeypatch):
+def test_a_break_that_holds_at_the_refuting_pair_raises(monkeypatch):
     # zero products hide the group law's first failing pair from the algebra:
-    # the map then takes the per-pair reading from (0, 0), with its outcome
+    # the verdicts disagree there, and the map raises after those three products
     calls = []
     conv = linearalg._conv
 
@@ -221,13 +226,12 @@ def test_a_break_that_holds_at_the_refuting_pair_reads_every_pair(monkeypatch):
     for g in (cyclic_group(4), klein_four_group(), sym3()):
         n = len(g)
         for op in itertools.product(range(n), repeat=n):
-            bad = _witness(_averaging_sides(g.mul_table, op), n, 2)
-            if bad is None:
+            if _witness(_averaging_sides(g.mul_table, op), n, 2) is None:
                 continue
             calls.clear()
-            assert check_hopf_equivalence(g, op) == (False, False), (g.elements, op)
-            # the refuting pair, then three products per pair up to the first failing one
-            assert len(calls) == 3 + 3 * (bad[0] * n + bad[1] + 1), (g.elements, op)
+            with pytest.raises(RuntimeError, match="group False, algebra True"):
+                check_hopf_equivalence(g, op)
+            assert len(calls) == 3, (g.elements, op)
     # with every product zero, the algebra law holds everywhere: the verdicts disagree
     monkeypatch.setattr(linearalg, "_conv", lambda a, b, m: {})
     for g in (cyclic_group(4), klein_four_group()):
@@ -450,6 +454,16 @@ def test_loaders_reject_malformed_shapes():
         load_operator_file({"dim": 2, "matrix": [True, False, False, True]})
     with pytest.raises(TableError, match="not a rational value: True"):
         load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": True}}]})
+    # nor are exponent strings: Fraction("1e9999999") would build ten million
+    # digits, which the int digit limit never sees
+    for text in ("1e9999999", "1E9999999", "-2.5e-3", "1/2e3"):
+        for load in (lambda: load_operator_file({"dim": 1, "matrix": [[text]]}),
+                     lambda: load_lie_file({"dim": 2, "brackets": [
+                         {"i": 1, "j": 2, "coeffs": {"2": text}}]}),
+                     lambda: linear_extend(cyclic_group(2), [{0: text}, {1: 1}])):
+            with pytest.raises(TableError, match=f"^not a rational value: '{text}'$"):
+                load()
+    assert linearalg.as_matrix(3, [["3/2", "1.5", "-7"]] * 3)[0] == (Fraction(3, 2),) * 2 + (-7,)
     for coeffs in (5, None, [], "x"):
         with pytest.raises(TableError):
             load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]})

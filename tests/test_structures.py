@@ -494,6 +494,11 @@ def test_load_group_file(tmp_path):
         with pytest.raises(TableError, match="indices"):
             load_group_file({"elements": ["0", "1"], "mul": [[0, entry], [1, 0]]})
     assert load_group_file({"elements": ["0", "1"], "mul": [[0, "1"], [1, 0]]})[0].mul(0, 1) == 1
+    # a string row is not a row of indices: "01" would read as [0, 1]
+    for mul in (["01", "10"], [[0, 1], "10"], "0110", [(0, 1), range(2)]):
+        with pytest.raises(TableError, match="^mul table must be a square of indices in range$"):
+            load_group_file({"elements": ["e", "a"], "mul": mul})
+    assert load_group_file({"elements": ["e", "a"], "mul": ((0, 1), (1, 0))})[0].mul(1, 1) == 0
 
 
 def test_check_report_helpers():
