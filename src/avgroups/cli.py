@@ -164,8 +164,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_search_ops(args) -> int:
     table, _ = load_group_file(args.group)
-    ops = search_averaging_ops(table, pointed_only=args.pointed,
-                               max_size=args.max_size)
+    ops = search_averaging_ops(table, pointed_only=args.pointed, max_size=args.max_size)
     kind = "pointed averaging" if args.pointed else "averaging"
     print(f"found {len(ops)} {kind} operator(s) on {len(table)} elements")
     for i, op in enumerate(ops, 1):
@@ -177,8 +176,7 @@ def _cmd_search_ops(args) -> int:
 
 def _cmd_hopf_check(args) -> int:
     table, op = load_group_file(args.group)
-    # a --max-size above the group check's default cap of 24 raises that cap
-    validate_group(table, max(args.max_size, 24)).require()
+    validate_group(table).require()
     if args.op:
         data = _load_json(args.op)
         # the file holds an 'op' block, or is the bare name map

@@ -187,12 +187,10 @@ def _replacement(redex: tuple, rule: str) -> tuple:
         (outer,) = redex
         inner = outer.content[0]
         head, tail, sign = inner.content, Word(outer.content[1:]), outer.sign
-    elif rule == "R3":
+    else:  # R3: every caller passes a rule _redexes found there
         (outer,) = redex
         inner = outer.content[-1]
         head, tail, sign = outer.content[:-1], inner.content, outer.sign
-    else:
-        raise ValueError(f"unknown rule {rule}")
     it = outer.iter + inner.iter - 1
     return (make_br(Word(head + (make_br(tail, 1, 1),)), it, sign),)
 

@@ -21,6 +21,7 @@ from avgroups.avgroup import GenParams
 from avgroups.cli import main
 from avgroups.laws import run_suites, shrink_counterexample
 from avgroups.normalform import STRATEGIES
+from avgroups.structures import MAX_GROUP_ORDER
 
 
 def run(capsys, *argv):
@@ -401,23 +402,31 @@ def test_hopf_check(capsys, z2_file, tmp_path):
         (0, "verdicts agree on all 27 operator maps\n", "")
 
 
-def test_hopf_check_max_size_raises_the_group_cap(capsys, tmp_path):
-    z30 = {"elements": [str(i) for i in range(30)],
-           "mul": [[(i + j) % 30 for j in range(30)] for i in range(30)],
-           "op": {str(i): "0" for i in range(30)}}
-    const = tmp_path / "z30.json"
-    const.write_text(json.dumps(z30))
-    assert run(capsys, "hopf-check", "--group", str(const), "--max-size", "30") == \
-        (0, "(group: ok, algebra: ok)\n", "")
-    z30["op"]["1"] = "1"
-    mutant = tmp_path / "z30m.json"
-    mutant.write_text(json.dumps(z30))
-    assert run(capsys, "hopf-check", "--group", str(mutant), "--max-size", "30") == \
+def test_hopf_check_max_size_is_only_the_exhaustive_cap(capsys, tmp_path):
+    def group_file(name, n, fixed=None):
+        # Z_n with the constant operator onto 0, except at `fixed`
+        path = tmp_path / name
+        path.write_text(json.dumps({"elements": [str(i) for i in range(n)],
+                                    "mul": [[(i + j) % n for j in range(n)] for i in range(n)],
+                                    "op": {str(i): str(i if i == fixed else 0) for i in range(n)}}))
+        return str(path)
+
+    # an op block is checked up to the group check's cap, whatever --max-size says
+    z30 = group_file("z30.json", 30)
+    for argv in ((), ("--max-size", "2"), ("--max-size", "30")):
+        assert run(capsys, "hopf-check", "--group", z30, *argv) == \
+            (0, "(group: ok, algebra: ok)\n", "")
+    assert run(capsys, "eval", "[x]", "--group", z30, "--map", "x=5") == (0, "0\n", "")
+    assert run(capsys, "hopf-check", "--group", group_file("z30m.json", 30, fixed=1)) == \
         (1, "(group: FAIL, algebra: FAIL)\naveraging: FAIL fails at (1, 1)\n", "")
-    # at 24 or below the group check keeps its cap
-    for argv in ((), ("--max-size", "24")):
-        assert run(capsys, "hopf-check", "--group", str(const), *argv) == \
-            (2, "", "error: carrier size 30 exceeds the exhaustive-check cap 24\n")
+    # past the cap every command that checks the group refuses it
+    cap = MAX_GROUP_ORDER
+    big = group_file("big.json", cap + 1)
+    refused = (2, "", f"error: carrier size {cap + 1} exceeds the exhaustive-check cap {cap}\n")
+    for argv in (("hopf-check", "--group", big),
+                 ("hopf-check", "--group", big, "--max-size", str(cap + 1)),
+                 ("eval", "x", "--group", big)):
+        assert run(capsys, *argv) == refused
 
 
 def test_module_entry_point_keeps_the_exit_contract():

@@ -474,8 +474,10 @@ def test_loaders_reject_malformed_shapes():
 
 
 # --- reference copies: dense Lie arithmetic on a cube built here from the
-# --- bracket data, and the group algebra summed from Fraction(0), as the
-# --- checks were first written ---------------------------------------------
+# --- bracket data, and the group algebra summed from Fraction(0), with the
+# --- diagonal coproduct, the sum counit and the inversion antipode written
+# --- out in _ref_coalgebra_map and _ref_antipode, as the checks were first
+# --- written ----------------------------------------------------------------
 
 def _ref_cube(d, brackets):
     """c[i][j][k] of zero-based bracket data; an absent mirror is antisymmetric."""
@@ -787,22 +789,103 @@ def _ref_averaging_algebra(g, P, spot_checks=100, seed=0):
     return tuple(entries)
 
 
-def test_averaging_algebra_reports_match_the_reference():
+def _ref_operator(op):
+    """The reference extension of a set map or of explicit basis images."""
+    return _ref_extend([{k: Fraction(1)} for k in op] if isinstance(op[0], int)
+                       else [{k: Fraction(v) for k, v in img.items()} for img in op])
+
+
+def _group_algebra_operators():
+    """(group, operator) pairs: every set map of Z2, Z3, K4 and Z4 and 40
+    explicit-image operators on each; 25 random set maps of S3, 25
+    explicit-image operators and 2 averaging maps that are no coalgebra map."""
     rng = random.Random(13)
-    passing = {True: 0, False: 0}  # by whether the operator is a set map
+    cases = []
     for g in (cyclic_group(2), cyclic_group(3), klein_four_group(), cyclic_group(4)):
         n = len(g)
-        ops = [list(op) for op in itertools.product(range(n), repeat=n)]
+        cases += [(g, list(op)) for op in itertools.product(range(n), repeat=n)]
         # explicit images: scaled and spread basis vectors
-        ops += [[{rng.randrange(n): rng.choice((1, 1, -1, 2)) for _ in range(rng.randint(1, 2))}
-                 for _ in range(n)] for _ in range(40)]
-        for op in ops:
-            P_ref = _ref_extend([{k: Fraction(1)} for k in op] if isinstance(op[0], int)
-                                else [{k: Fraction(v) for k, v in img.items()} for img in op])
-            rep = check_averaging_algebra(g, op)
-            assert rep.entries == _ref_averaging_algebra(g, P_ref), op
-            passing[isinstance(op[0], int)] += rep.ok
+        cases += [(g, [{rng.randrange(n): rng.choice((1, 1, -1, 2))
+                        for _ in range(rng.randint(1, 2))} for _ in range(n)]) for _ in range(40)]
+    s3 = sym3()
+    cases += [(s3, [rng.randrange(6) for _ in range(6)]) for _ in range(25)]
+    cases += [(s3, [{rng.randrange(6): rng.choice((1, -1, 2, Fraction(1, 2)))
+                     for _ in range(rng.randint(1, 2))} for _ in range(6)]) for _ in range(25)]
+    cases += [(s3, [{0: Fraction(1, 6)}] * 6), (s3, [{}] * 6)]
+    return cases
+
+
+def test_averaging_algebra_reports_match_the_reference():
+    passing = {True: 0, False: 0}  # by whether the operator is a set map
+    for g, op in _group_algebra_operators():
+        rep = check_averaging_algebra(g, op)
+        assert rep.entries == _ref_averaging_algebra(g, _ref_operator(op)), op
+        passing[isinstance(op[0], int)] += rep.ok
+    # every averaging map of Z2, Z3, K4 and Z4; none of S3's 14 is drawn
     assert passing[True] == 3 + 4 + 17 + 9 and passing[False] > 0
+
+
+def _ref_coalgebra_map(g, P):
+    n = len(g)
+    images = [P({i: Fraction(1)}) for i in range(n)]
+
+    def cop(x):  # the diagonal coproduct
+        return {(i, i): c for i, c in x.items()}
+
+    def eps(x):  # the sum counit
+        return sum(x.values(), Fraction(0))
+
+    def tensor_P(t):
+        out = {}
+        for (i, j), c in t.items():
+            for k, u in images[i].items():
+                for h, v in images[j].items():
+                    out[k, h] = out.get((k, h), Fraction(0)) + c * u * v
+        return {kh: v for kh, v in out.items() if v != 0}
+
+    bad_cop = next((i for i in range(n) if cop(images[i]) != tensor_P({(i, i): 1})), None)
+    bad_eps = next((i for i in range(n) if eps(images[i]) != 1), None)
+    entries = [("coproduct compatibility on basis", bad_cop is None,
+                "" if bad_cop is None else f"fails at {g.name(bad_cop)}"),
+               ("counit preservation on basis", bad_eps is None,
+                "" if bad_eps is None else f"fails at {g.name(bad_eps)}")]
+    if bad_cop is None and bad_eps is None:
+        bad = next((t for t, (x,) in enumerate(_fresh_draws(n, 1, 20, 1))
+                    if cop(P(x)) != tensor_P(cop(x)) or eps(P(x)) != eps(x)), None)
+        entries.append(("compatibility on random combinations", bad is None,
+                        "20 samples, seed 1" if bad is None else f"fails at sample {bad}, seed 1"))
+    return tuple(entries)
+
+
+def test_coalgebra_map_reports_match_the_reference():
+    seen = set()
+    for g, op in _group_algebra_operators():
+        entries = check_coalgebra_map(g, op).entries
+        assert entries == _ref_coalgebra_map(g, _ref_operator(op)), op
+        seen.update((law, ok) for law, ok, _ in entries)
+    # every outcome occurs but a failing spot check, which passing basis laws rule out
+    assert len(seen) == 5 and ("compatibility on random combinations", False) not in seen
+
+
+def _ref_antipode(g):
+    n = len(g)
+    e = next(e for e in range(n) if all(g.mul(e, x) == x for x in range(n)))
+    inv = [next(b for b in range(n) if g.mul(a, b) == e) for a in range(n)]
+    bad = next((a for a in range(n) if inv[inv[a]] != inv[a]), None)
+    if bad is not None:
+        return (("S squared equals S", False, f"fails at {g.name(bad)}; nothing to assert"),)
+    return (("S squared equals S", True, ""),) + _ref_averaging_algebra(g, _ref_operator(inv))
+
+
+def test_antipode_reports_match_the_reference():
+    z2_cubed = FiniteGroupTable([str(i) for i in range(8)],  # bitwise xor on 0..7
+                                [[i ^ j for j in range(8)] for i in range(8)])
+    asserted = 0
+    for g in [cyclic_group(n) for n in range(1, 7)] + [klein_four_group(), sym3(), z2_cubed]:
+        entries = check_antipode_averaging(g).entries
+        assert entries == _ref_antipode(g), g.elements
+        asserted += len(entries) > 1
+    assert asserted == 4  # Z1, Z2, K4 and Z2^3: every element is self-inverse
 
 
 def test_spot_check_samples_are_drawn_once_and_never_change():

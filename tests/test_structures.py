@@ -68,9 +68,11 @@ def test_validate_group_names_the_failing_triple():
 
 
 def test_validate_group_size_cap():
-    with pytest.raises(TableError):
-        validate_group(cyclic_group(25))
-    assert validate_group(cyclic_group(25), max_size=25).ok
+    cap = structures_mod.MAX_GROUP_ORDER
+    with pytest.raises(TableError, match=f"^carrier size {cap + 1} exceeds the exhaustive-check "
+                                         f"cap {cap}$"):
+        validate_group(cyclic_group(cap + 1))
+    assert validate_group(cyclic_group(cap)).ok
 
 
 def test_a_group_report_is_made_once_per_table(monkeypatch):
@@ -89,8 +91,9 @@ def test_a_group_report_is_made_once_per_table(monkeypatch):
     assert laws.count("associativity") == 2
     assert validate_group(broken).entries[-1] == ("associativity", False, "fails at (a, a, a)")
     # the cap is checked on every call, a kept report or not
+    monkeypatch.setattr(structures_mod, "MAX_GROUP_ORDER", 5)
     with pytest.raises(TableError, match="exceeds the exhaustive-check cap 5"):
-        validate_group(s3, max_size=5)
+        validate_group(s3)
 
 
 def test_validate_averaging():
@@ -224,28 +227,6 @@ def test_search_flags_and_caps():
     assert len(search_averaging_ops(sym3())) == 14
 
 
-def _exhaustive_search(t, pointed_only=False):
-    """Reference: every one of the |G|^|G| maps, tested in index order."""
-    n = len(t)
-    e = t.identity()
-    found = []
-    for op in itertools.product(range(n), repeat=n):
-        if pointed_only and op[e] != e:
-            continue
-        if all(t.mul(op[g], op[k]) == op[t.mul(op[g], k)] == op[t.mul(g, op[k])]
-               for g, k in itertools.product(range(n), repeat=2)):
-            found.append(op)
-    return found
-
-
-def test_search_returns_the_exhaustive_list_in_order():
-    groups = [cyclic_group(n) for n in range(2, 7)] + [klein_four_group(), sym3()]
-    for t in groups:
-        for pointed in (False, True):
-            assert search_averaging_ops(t, pointed_only=pointed) == \
-                _exhaustive_search(t, pointed), (t.elements, pointed)
-
-
 def test_search_beyond_the_default_cap():
     with pytest.raises(TableError, match="exceeds the search cap 24"):
         search_averaging_ops(cyclic_group(25))
@@ -259,6 +240,33 @@ def test_search_beyond_the_default_cap():
         assert (len(ops), len(pointed_ops)) == (plain, pointed)
         assert ops == sorted(ops) and pointed_ops == [op for op in ops if op[0] == 0]
         assert all(validate_averaging(t, op).ok for op in ops)
+
+
+# --- references: each check's law read off the table, tuple by tuple, in
+# --- itertools.product order ------------------------------------------------
+
+# Z1-Z6, K4, S3, and Z2^3 as bitwise xor on 0..7
+GROUPS = [cyclic_group(n) for n in range(1, 7)] + [
+    klein_four_group(), sym3(),
+    FiniteGroupTable([str(i) for i in range(8)], [[i ^ j for j in range(8)] for i in range(8)])]
+
+
+def _random_tables(rng, count):
+    """Tables of 2 to 6 elements; most have an identity, few are associative."""
+    tables = []
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        mul = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.85:
+            e = rng.randrange(n)
+            for x in range(n):
+                mul[e][x] = mul[x][e] = x
+        tables.append(FiniteGroupTable([f"g{i}" for i in range(n)], mul))
+    return tables
+
+
+def _fails_at(t, bad):
+    return "" if bad is None else f"fails at ({', '.join(t.name(x) for x in bad)})"
 
 
 def _reference_identity(t):
@@ -295,8 +303,7 @@ def _reference_validate_group(t):
         entries.append(("inverses", False, str(exc)))
     bad = next(((a, b, c) for a, b, c in itertools.product(range(len(t)), repeat=3)
                 if t.mul(t.mul(a, b), c) != t.mul(a, t.mul(b, c))), None)
-    entries.append(("associativity", bad is None, "" if bad is None else
-                    f"fails at ({t.name(bad[0])}, {t.name(bad[1])}, {t.name(bad[2])})"))
+    entries.append(("associativity", bad is None, _fails_at(t, bad)))
     return CheckReport(tuple(entries))
 
 
@@ -320,7 +327,8 @@ def test_cached_identity_and_inverses_match_the_table():
             for x in range(n):
                 mul[e][x] = mul[x][e] = x
         tables.append(FiniteGroupTable([f"g{i}" for i in range(n)], mul))
-    errors = {"identity": 0, "inverses": 0}
+    tables += _random_tables(random.Random(15), 240) + GROUPS
+    errors = {"identity": 0, "inverses": 0, "associativity": 0}
     for t in tables:
         identity = _outcome(_reference_identity, t)
         inverses = _outcome(_reference_inverses, t)
@@ -329,11 +337,62 @@ def test_cached_identity_and_inverses_match_the_table():
         for a in range(len(t)):
             assert _outcome(t.inv, a) == (
                 inverses if inverses[0] == "error" else ("value", inverses[1][a]))
-        assert validate_group(t).entries == _reference_validate_group(t).entries
+        entries = validate_group(t).entries
+        assert entries == _reference_validate_group(t).entries
         errors["identity"] += identity[0] == "error"
         errors["inverses"] += inverses[0] == "error"
-    # both failures occur among the sampled tables
+        errors["associativity"] += entries[-1][0] == "associativity" and not entries[-1][1]
+    # every failure occurs among the sampled tables
     assert errors["identity"] > 10 and errors["inverses"] > errors["identity"] + 10
+    assert errors["associativity"] > 150, errors
+
+
+def _reference_validate_averaging(t, op):
+    n = len(t)
+    bad = next(((g, h) for g, h in itertools.product(range(n), repeat=2)
+                if not t.mul(op[g], op[h]) == op[t.mul(op[g], h)] == op[t.mul(g, op[h])]), None)
+    return (("averaging", bad is None, _fails_at(t, bad)),)
+
+
+def test_validate_averaging_matches_the_reference():
+    rng = random.Random(16)
+    passing = failing = 0
+    for t in GROUPS + _random_tables(random.Random(17), 40):
+        n = len(t)
+        maps = [[rng.randrange(n) for _ in range(n)] for _ in range(30)]
+        if n <= 6 and t in GROUPS:
+            maps += search_averaging_ops(t)
+        for op in maps:
+            entries = validate_averaging(t, op).entries
+            assert entries == _reference_validate_averaging(t, op), (t.elements, op)
+            passing += entries[0][1]
+            failing += not entries[0][1]
+    assert passing > 50 and failing > 500
+
+
+def _reference_idempotent_endo(t, phi):
+    n = len(t)
+    bad = next(((a, b) for a, b in itertools.product(range(n), repeat=2)
+                if phi[t.mul(a, b)] != t.mul(phi[a], phi[b])), None)
+    if bad is not None:
+        raise TableError(f"not a homomorphism: {_fails_at(t, bad)}")
+    bad = next((a for a in range(n) if phi[phi[a]] != phi[a]), None)
+    if bad is not None:
+        raise TableError(f"not idempotent: fails at {t.name(bad)}")
+    return AveragingGroupHandle(t, phi)
+
+
+def test_idempotent_endo_operator_matches_the_reference():
+    rng = random.Random(18)
+    errors = set()
+    for t in GROUPS:
+        n = len(t)
+        for phi in [[rng.randrange(n) for _ in range(n)] for _ in range(40)]:
+            want = _outcome(lambda: _reference_idempotent_endo(t, phi).op_table)
+            assert _outcome(lambda: idempotent_endo_operator(t, phi).op_table) == want, phi
+            if want[0] == "error":
+                errors.add(want[1].split(":")[0])
+    assert errors == {"not a homomorphism", "not idempotent"}
 
 
 def test_pointed_consequences():
@@ -394,10 +453,6 @@ def _reference_pointed_consequences(h):
              "" if bad3 is None else f"fails at ({t.name(bad3[0])}, {t.name(bad3[1])})"))
 
 
-def _triple(t, bad):
-    return "" if bad is None else f"fails at ({', '.join(t.name(x) for x in bad)})"
-
-
 def _reference_disemigroup(h):
     t, n = h.table, len(h.table)
     left = lambda g, k: h.mul(g, h.op(k))
@@ -413,7 +468,7 @@ def _reference_disemigroup(h):
     for name, law in laws:
         bad = next((fgk for fgk in itertools.product(range(n), repeat=3) if not law(*fgk)),
                    None)
-        entries.append((name, bad is None, _triple(t, bad)))
+        entries.append((name, bad is None, _fails_at(t, bad)))
     e = t.identity()
     bad = next((g for g in range(n) if left(g, e) != g or right(e, g) != g), None)
     detail = ""
@@ -431,7 +486,7 @@ def _reference_rack(h):
     bad = next(((f, g, k) for f, g, k in itertools.product(range(n), repeat=3)
                 if r(f, r(g, k)) != r(r(f, g), r(f, k))), None)
     bij = next((g for g in range(n) if len({r(g, k) for k in range(n)}) != n), None)
-    return (("pointed", True, ""), ("self-distributivity", bad is None, _triple(t, bad)),
+    return (("pointed", True, ""), ("self-distributivity", bad is None, _fails_at(t, bad)),
             ("translation bijectivity", bij is None,
              "" if bij is None else f"L_{t.name(bij)} is not a bijection"))
 
@@ -499,6 +554,11 @@ def test_load_group_file(tmp_path):
         with pytest.raises(TableError, match="^mul table must be a square of indices in range$"):
             load_group_file({"elements": ["e", "a"], "mul": mul})
     assert load_group_file({"elements": ["e", "a"], "mul": ((0, 1), (1, 0))})[0].mul(1, 1) == 0
+    # element names are strings or integers, and an integer keeps its decimal text
+    for elements in ([None, True], ["e", False], [[1], "a"], [{"a": 1}, "b"], ["e", 1.5]):
+        with pytest.raises(TableError, match="^element names must be strings or integers$"):
+            load_group_file({"elements": elements, "mul": [[0, 1], [1, 0]]})
+    assert load_group_file({"elements": [0, 1], "mul": [[0, 1], [1, 0]]})[0].elements == ("0", "1")
 
 
 def test_check_report_helpers():
