@@ -327,8 +327,7 @@ def test_cached_identity_and_inverses_match_the_table():
             for x in range(n):
                 mul[e][x] = mul[x][e] = x
         tables.append(FiniteGroupTable([f"g{i}" for i in range(n)], mul))
-    tables += _random_tables(random.Random(15), 240) + GROUPS
-    errors = {"identity": 0, "inverses": 0, "associativity": 0}
+    errors = {"identity": 0, "inverses": 0}
     for t in tables:
         identity = _outcome(_reference_identity, t)
         inverses = _outcome(_reference_inverses, t)
@@ -337,14 +336,20 @@ def test_cached_identity_and_inverses_match_the_table():
         for a in range(len(t)):
             assert _outcome(t.inv, a) == (
                 inverses if inverses[0] == "error" else ("value", inverses[1][a]))
-        entries = validate_group(t).entries
-        assert entries == _reference_validate_group(t).entries
+        assert validate_group(t).entries == _reference_validate_group(t).entries
         errors["identity"] += identity[0] == "error"
         errors["inverses"] += inverses[0] == "error"
-        errors["associativity"] += entries[-1][0] == "associativity" and not entries[-1][1]
-    # every failure occurs among the sampled tables
+    # both failures occur among the sampled tables
     assert errors["identity"] > 10 and errors["inverses"] > errors["identity"] + 10
-    assert errors["associativity"] > 150, errors
+
+
+def test_validate_group_matches_the_reference():
+    failing = 0
+    for t in _random_tables(random.Random(15), 240) + GROUPS:
+        entries = validate_group(t).entries
+        assert entries == _reference_validate_group(t).entries, (t.elements, t.mul_table)
+        failing += entries[-1][0] == "associativity" and not entries[-1][1]
+    assert failing > 150, failing
 
 
 def _reference_validate_averaging(t, op):
