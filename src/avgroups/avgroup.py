@@ -73,12 +73,11 @@ _new = tuple.__new__  # the C constructor of letters (see avgroups.words)
 
 
 def _seam_merge(a: Br, b: Br) -> Br:
-    """Merge two same-sign bracket letters into one letter."""
-    if a.sign > 0:
-        content = diamond(a.content, single(make_br(b.content, 1, 1)))
-        return make_br(content, a.iter + b.iter - 1, 1)
-    content = diamond(b.content, single(make_br(a.content, 1, 1)))
-    return make_br(content, a.iter + b.iter - 1, -1)
+    """Merge two same-sign bracket letters into one; a negative pair merges swapped."""
+    if a.sign < 0:
+        a, b = b, a
+    content = diamond(a.content, single(make_br(b.content, 1, 1)))
+    return make_br(content, a.iter + b.iter - 1, a.sign)
 
 
 def diamond(u: Word, v: Word) -> Word:

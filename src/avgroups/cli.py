@@ -153,7 +153,7 @@ def _cmd_eval(args) -> int:
     if args.map:
         for part in args.map.split(","):
             name, eq, value = part.partition("=")
-            if not eq or not name.strip():
+            if not eq or not name.strip() or name.strip() in assignment:
                 print(f"error: bad --map entry {part!r}", file=sys.stderr)
                 return 2
             assignment[name.strip()] = handle.element(value.strip())
@@ -186,11 +186,9 @@ def _cmd_hopf_check(args) -> int:
         if n > args.max_size:
             raise TableError(
                 f"carrier size {n} exceeds the exhaustive cap {args.max_size}")
-        count = 0
         for cand in itertools.product(range(n), repeat=n):
             check_hopf_equivalence(table, cand)
-            count += 1
-        print(f"verdicts agree on all {count} operator maps")
+        print(f"verdicts agree on all {n ** n} operator maps")
         return 0
     group_ok, algebra_ok = check_hopf_equivalence(table, op)
     word = {True: "ok", False: "FAIL"}

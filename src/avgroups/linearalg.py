@@ -120,7 +120,7 @@ def linear_extend(g: FiniteGroupTable, A):
                 raise TableError(f"support index {k!r} outside the carrier")
         images = [_norm({k: _coeff(v) for k, v in img.items()}) for img in seq]
         return functools.partial(_apply, images)
-    return _set_map(as_operator(g, seq))
+    return _set_map(as_operator(g, A if isinstance(A, str) else seq))  # a str is refused
 
 
 def _set_map(target: tuple):

@@ -51,9 +51,7 @@ when its content returns.
 
 outermost-rightmost checks a level before its contents, and from the right
 (pair, R3, R2 at each letter), so its choice is the last redex of the scan.
-It searches from the root at every step but skips the subwords it found
-clean: a rewrite rebuilds only the path to its redex, so they are the same
-objects, still clean, in every later step that reaches them.
+It searches from the root at every step.
 
 A step is a rule and a path to its redex; ``_replacement``, the rule table,
 maps a redex's letters to their replacement.  The engines record steps only
@@ -154,7 +152,7 @@ def _redexes(fs: tuple) -> list:
     return found
 
 
-def _find_outermost_rightmost(w: Word, path: tuple, clean: dict):
+def _find_outermost_rightmost(w: Word, path: tuple):
     # the rightmost check order mirrors the leftmost one: take the last redex
     found = _redexes(w)
     if found:
@@ -162,11 +160,10 @@ def _find_outermost_rightmost(w: Word, path: tuple, clean: dict):
         return path + (i,), rule
     for i in range(len(w) - 1, -1, -1):
         f = w[i]
-        if type(f) is Br and id(f.content) not in clean:
-            found = _find_outermost_rightmost(f.content, path + (i,), clean)
+        if type(f) is Br:
+            found = _find_outermost_rightmost(f.content, path + (i,))
             if found is not None:
                 return found
-    clean[id(w)] = w
     return None
 
 
@@ -275,9 +272,8 @@ def _fold_in(fs, i, f, done, path, run):
 
 def _outermost_rightmost(w: Word, step_limit: int, trace: list | None) -> Word:
     """Normal form of `w` outermost-rightmost, searching from the root at every step."""
-    clean: dict = {}  # id -> subword searched clean, kept alive so its id is not reused
     for taken in range(step_limit + 1):
-        found = _find_outermost_rightmost(w, (), clean)
+        found = _find_outermost_rightmost(w, ())
         if found is None:
             return w
         if taken == step_limit:

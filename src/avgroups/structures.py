@@ -118,14 +118,17 @@ class FiniteGroupTable:
             raise TableError("empty carrier")
         n = len(elements)
         rows = []
-        for row in mul:
-            if not isinstance(row, (list, tuple)):  # a string would read digit by digit
-                raise TableError("mul table must be a square of indices in range")
-            row = tuple(map(_int, row))
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise TableError("mul table must be a square of indices in range")
-            rows.append(row)
-        if len(rows) != n:
+        try:  # rows are read in order, and the first malformed one is refused
+            for row in mul:
+                # a row must be a list: a string would read digit by digit
+                row = tuple(map(_int, row)) if isinstance(row, (list, tuple)) else ()
+                if len(row) != n or any(not 0 <= v < n for v in row):
+                    rows = None
+                    break
+                rows.append(row)
+        except (ValueError, TypeError) as exc:
+            raise TableError(f"'mul' must be a row-major table of element indices: {exc}") from None
+        if rows is None or len(rows) != n:
             raise TableError("mul table must be a square of indices in range")
         self.elements = elements
         self.mul_table = tuple(rows)
@@ -134,19 +137,11 @@ class FiniteGroupTable:
         self._identity = next(
             (e for e in range(n)
              if all(rows[e][x] == x and rows[x][e] == x for x in range(n))), None)
-        # each element's first two-sided inverse; on failure, the first
-        # element that has none
-        self._inverses = self._no_inverse = None
-        if self._identity is not None:
-            e, inv = self._identity, []
-            for a in range(n):
-                b = next((b for b in range(n) if rows[a][b] == e and rows[b][a] == e), None)
-                if b is None:
-                    self._no_inverse = a
-                    break
-                inv.append(b)
-            else:
-                self._inverses = tuple(inv)
+        # each element's first two-sided inverse, or None (all None with no identity)
+        e = self._identity
+        self._inverses = tuple(
+            next((b for b, v in enumerate(row) if v == e and rows[b][a] == e), None)
+            for a, row in enumerate(rows))
         self._report = None  # validate_group's report, made on first use
 
     def __len__(self):
@@ -170,9 +165,9 @@ class FiniteGroupTable:
         return self._identity
 
     def inverses(self):
-        if self._inverses is None:
+        if None in self._inverses:
             self.identity()
-            raise TableError(f"element {self.name(self._no_inverse)!r} has no inverse")
+            raise TableError(f"element {self.name(self._inverses.index(None))!r} has no inverse")
         return self._inverses
 
     def inv(self, a: int) -> int:
@@ -225,6 +220,8 @@ def _group_report(t: FiniteGroupTable) -> CheckReport:
 
 def as_operator(t: FiniteGroupTable, op) -> tuple:
     """Normalize an operator to an index tuple, total on the carrier."""
+    if isinstance(op, str):  # a string would read digit by digit
+        raise TableError("operator must map every element to an element")
     op = tuple(op)
     if set(map(type, op)) != {int}:  # plain ints need no conversion
         op = tuple(_as_int(v, "operator entry") for v in op)
@@ -304,15 +301,6 @@ class IntShiftGroup:
 
     def op(self, a: int) -> int:
         return a + self.z
-
-    def element(self, name) -> int:
-        return int(name)
-
-    def name(self, i: int) -> str:
-        return str(i)
-
-    def is_pointed(self) -> bool:
-        return self.z == 0
 
 
 def idempotent_endo_operator(t: FiniteGroupTable, phi) -> AveragingGroupHandle:
@@ -537,12 +525,7 @@ def load_group_file(source):
         raise TableError("group file needs 'elements' and 'mul'")
     if not isinstance(data["elements"], (list, tuple)):
         raise TableError("'elements' must be a list of element names")
-    try:
-        table = FiniteGroupTable(data["elements"], data["mul"])
-    except TableError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise TableError(f"'mul' must be a row-major table of element indices: {exc}") from None
+    table = FiniteGroupTable(data["elements"], data["mul"])
     op = None
     if data.get("op") is not None:
         op = op_from_names(table, data["op"])

@@ -7,7 +7,6 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from avgroups.words import (
     ONE,
@@ -208,13 +207,14 @@ def test_written_forms_can_alias_one_element():
     assert eval_operated(lhs, zs, asg) == eval_operated(rhs, zs, asg) == -15
 
 
-@settings(max_examples=120, derandomize=True)
-@given(st.integers(0, 2**31 - 3))
-def test_law_properties_on_random_seeds(seed):
-    u, v, w = (random_normal_word(GenParams(seed=seed + j)) for j in range(3))
-    _holds("assoc", u, v, w)
-    _holds("averaging", u, v)
-    _holds("closure", u, v)
+def test_law_properties_on_random_seeds():
+    # 120 triples drawn from seeds seed, seed + 1 and seed + 2, the last at
+    # the top of the seed range
+    for seed in [*range(0, 357, 3), 2**31 - 3]:
+        u, v, w = (random_normal_word(GenParams(seed=seed + j)) for j in range(3))
+        _holds("assoc", u, v, w)
+        _holds("averaging", u, v)
+        _holds("closure", u, v)
 
 
 # --- reference copies of the word generators, drawing through

@@ -294,6 +294,13 @@ def test_eval_validation_failures(capsys, tmp_path):
     numbered.write_text(json.dumps({"elements": 5, "mul": [[0]], "op": {}}))
     want = "error: 'elements' must be a list of element names\n"
     assert run(capsys, "eval", "x", "--group", str(numbered), "--map", "x=0") == (2, "", want)
+    # a generator named twice is refused at its second entry, not overwritten
+    ea = tmp_path / "ea.json"
+    ea.write_text(json.dumps({"elements": ["e", "a"], "mul": [[0, 1], [1, 0]],
+                              "op": {"e": "e", "a": "a"}}))
+    want = "error: bad --map entry 'x=e'\n"
+    assert run(capsys, "eval", "x", "--group", str(ea), "--map", "x=a,x=e") == (2, "", want)
+    assert run(capsys, "eval", "x", "--group", str(ea), "--map", "x=a,y=e") == (0, "a\n", "")
     badlie = tmp_path / "badlie.json"
     badlie.write_text(json.dumps({"dim": 2, "brackets": {"[1,2]": {"2": "1"}}}))
     goodop = tmp_path / "goodop.json"

@@ -12,6 +12,7 @@ import pytest
 
 from avgroups import linearalg
 from avgroups.structures import (
+    AveragingGroupHandle,
     CheckFailed,
     FiniteGroupTable,
     TableError,
@@ -85,6 +86,16 @@ def test_linear_extend():
         for check in (linear_extend, check_coalgebra_map, check_averaging_algebra):
             with pytest.raises(TableError, match=f"support index {stray} outside the carrier"):
                 check(z2, images)
+
+
+def test_string_operators_are_refused():
+    # "10" would read digit by digit as the valid operator (1, 0) of Z2
+    z2 = cyclic_group(2)
+    for entry in (validate_averaging, AveragingGroupHandle, check_hopf_equivalence,
+                  check_averaging_algebra):
+        for op in ("10", "01", ""):
+            with pytest.raises(TableError, match="^operator must map every element to an element$"):
+                entry(z2, op)
 
 
 def test_explicit_images_must_all_be_coefficient_maps():

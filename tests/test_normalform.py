@@ -1,7 +1,6 @@
 """Normality predicate and the rewriting oracle."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from avgroups.words import (
     Br,
@@ -190,7 +189,7 @@ def test_is_normal_exactly_when_neither_finder_finds_a_redex():
                     innermost_clean = oracle_normalize(w, STRATEGIES[0], step_limit=0) is w
                 except OracleStepLimit:
                     innermost_clean = False
-                clean = innermost_clean and _find_outermost_rightmost(w, (), {}) is None
+                clean = innermost_clean and _find_outermost_rightmost(w, ()) is None
                 assert is_normal(w) == clean, render(w)
                 normal += clean
                 total += 1
@@ -227,17 +226,16 @@ def test_unknown_strategy_rejected():
         oracle_normalize(parse("[x] [y]"), strategy="bogus")
 
 
-@settings(max_examples=150, derandomize=True)
-@given(st.integers(0, 2**31))
-def test_oracle_output_is_always_normal(seed):
-    r = random_raw_word(GenParams(seed=seed, max_depth=4))
-    assert ORACLE_RAW_LAW(r), render(r)
-    n = oracle_normalize(r)
-    assert oracle_normalize(bracket_literal(n)) == oracle_normalize(bracket_literal(r))
+def test_oracle_output_is_always_normal():
+    for seed in [*range(149), 2**31]:  # 150 words, the last at the top of the seed range
+        r = random_raw_word(GenParams(seed=seed, max_depth=4))
+        assert ORACLE_RAW_LAW(r), render(r)
+        n = oracle_normalize(r)
+        assert oracle_normalize(bracket_literal(n)) == oracle_normalize(bracket_literal(r))
 
 
-# --- reference: the search from the root at every step, with no memo, its
-# own redex predicates, and a rule application written out rule by rule -----
+# --- reference: the search from the root at every step, its own redex
+# predicates, and a rule application written out rule by rule ---------------
 
 
 def _reference_inverse(a, b):
@@ -389,7 +387,7 @@ def _seeded_words():
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_memoized_search_takes_the_reference_steps(strategy):
+def test_engines_take_the_reference_steps(strategy):
     rewritten = steps_taken = 0
     for w in _seeded_words():
         want, want_steps = _reference_normalize(w, strategy)

@@ -42,6 +42,13 @@ def test_table_construction_checks_shape_only():
         FiniteGroupTable(["e", "a"], [[0, 5], [1, 0]])
     with pytest.raises(TableError):
         FiniteGroupTable([], [])
+    # a malformed mul is refused by the table itself, with load_group_file's text
+    for mul, why in (([["x"]], "invalid literal for int() with base 10: 'x'"),
+                     ([[1.5]], "1.5 is not an integer"),
+                     (5, "'int' object is not iterable")):
+        with pytest.raises(TableError) as info:
+            FiniteGroupTable(["e"], mul)
+        assert str(info.value) == f"'mul' must be a row-major table of element indices: {why}"
     with pytest.raises(TableError):
         t.index("zz")
     with pytest.raises(TableError, match=r"^cyclic group needs n >= 1$"):
@@ -521,8 +528,6 @@ def test_int_shift_group_protocol():
     zs = IntShiftGroup(5)
     assert zs.identity() == 0
     assert zs.mul(2, 3) == 5 and zs.inv(4) == -4 and zs.op(1) == 6
-    assert zs.element("-3") == -3 and zs.name(7) == "7"
-    assert IntShiftGroup(0).is_pointed() and not zs.is_pointed()
 
 
 def test_load_group_file(tmp_path):
