@@ -53,7 +53,6 @@ from .words import (
     inverse,
     make_br,
     make_gen,
-    single,
 )
 
 __all__ = [
@@ -76,7 +75,7 @@ def _seam_merge(a: Br, b: Br) -> Br:
     """Merge two same-sign bracket letters into one; a negative pair merges swapped."""
     if a.sign < 0:
         a, b = b, a
-    content = diamond(a.content, single(make_br(b.content, 1, 1)))
+    content = diamond(a.content, Word((make_br(b.content, 1, 1),)))
     return make_br(content, a.iter + b.iter - 1, a.sign)
 
 

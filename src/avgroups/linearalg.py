@@ -87,10 +87,6 @@ def _apply(images, v: dict) -> dict:
     return _combine((x, images[j]) for j, x in v.items())
 
 
-def ga_basis(i: int) -> dict:
-    return {i: 1}
-
-
 def _conv(a: dict, b: dict, m) -> dict:
     """The convolution product over the table rows m, on supports in the carrier."""
     out: dict = {}
@@ -158,7 +154,7 @@ def _samples(n: int, seed: int, count: int, per_sample: int) -> tuple:
 def _extension(g: FiniteGroupTable, A):
     """The linear map P of A and its basis images P(e_i)."""
     P = linear_extend(g, A)
-    return P, [P(ga_basis(i)) for i in range(len(g))]
+    return P, [P({i: 1}) for i in range(len(g))]
 
 
 def _sides(P, m, a, b, pa, pb):
@@ -477,13 +473,13 @@ def load_lie_file(source) -> LieAlgebraSpec:
     return LieAlgebraSpec.from_brackets(dim, brackets)
 
 
-def load_operator_file(source, dim: int = None):
+def load_operator_file(source, dim: int):
     """Read {"dim": d, "matrix": [...]} with row-major rational strings."""
     data = _load_json(source)
     if not isinstance(data, dict) or "matrix" not in data:
         raise TableError("operator file needs 'dim' and 'matrix'")
-    d = _as_int(data.get("dim", dim or 0), "'dim'")
-    if dim is not None and d != dim:
+    d = _as_int(data.get("dim", dim), "'dim'")
+    if d != dim:
         raise TableError(f"operator dimension {d} does not match algebra dimension {dim}")
     flat = data["matrix"]
     if not isinstance(flat, (list, tuple)):

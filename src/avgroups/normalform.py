@@ -55,7 +55,8 @@ It searches from the root at every step.
 
 A step is a rule and a path to its redex; ``_replacement``, the rule table,
 maps a redex's letters to their replacement.  The engines record steps only
-when traced.  ``oracle_steps`` rebuilds each word with ``_apply_at``; it and
+when traced, and raise OracleStepLimit past ``STEP_LIMIT`` steps (read at
+each call).  ``oracle_steps`` rebuilds each word with ``_apply_at``; it and
 ``replay_trace`` render a :class:`RewriteStep` from the word before the
 step, since rebuilding the path can fold the rewritten level away.
 """
@@ -77,7 +78,7 @@ __all__ = [
 ]
 
 STRATEGIES = ("innermost-leftmost", "outermost-rightmost")
-DEFAULT_STEP_LIMIT = 10**6
+STEP_LIMIT = 10**6
 
 
 def is_normal(w: Word) -> bool:
@@ -211,12 +212,12 @@ def _apply_at(w: Word, path: tuple, rule: str) -> Word:
 _LIMIT = "no normal form within {} steps; this signals suspected non-termination"
 
 
-def _innermost_leftmost(w: Word, step_limit: int, trace: list | None) -> Word:
+def _innermost_leftmost(w: Word, trace: list | None) -> Word:
     """Normal form of `w` by the engine the module docstring describes.
 
     Each step's (rule, path) goes to `trace` unless it is None.
     """
-    run = [0, step_limit, trace]  # steps taken, the limit, the trace
+    run = [0, STEP_LIMIT, trace]  # steps taken, the limit, the trace
     return _settle(w, None, None if trace is None else (), False, run)
 
 
@@ -270,14 +271,14 @@ def _fold_in(fs, i, f, done, path, run):
             return fs
 
 
-def _outermost_rightmost(w: Word, step_limit: int, trace: list | None) -> Word:
+def _outermost_rightmost(w: Word, trace: list | None) -> Word:
     """Normal form of `w` outermost-rightmost, searching from the root at every step."""
-    for taken in range(step_limit + 1):
+    for taken in range(STEP_LIMIT + 1):
         found = _find_outermost_rightmost(w, ())
         if found is None:
             return w
-        if taken == step_limit:
-            raise OracleStepLimit(_LIMIT.format(step_limit))
+        if taken == STEP_LIMIT:
+            raise OracleStepLimit(_LIMIT.format(STEP_LIMIT))
         path, rule = found
         w = _apply_at(w, path, rule)
         if trace is not None:
@@ -314,25 +315,23 @@ def _step(w: Word, rule: str, path: tuple) -> RewriteStep:
     return RewriteStep(rule, path, render(Word(redex)), render(after))
 
 
-def oracle_steps(w: Word, strategy: str = "innermost-leftmost",
-                 step_limit: int = DEFAULT_STEP_LIMIT):
+def oracle_steps(w: Word, strategy: str = "innermost-leftmost"):
     """Yield (word, step) after each rewrite; `step` describes the rule applied.
 
     The engine runs to the normal form first, so a step limit raises before
     any step is yielded.
     """
     trace: list = []
-    _ENGINES[strategy](w, step_limit, trace)
+    _ENGINES[strategy](w, trace)
     for rule, path in trace:
         cur = _apply_at(w, path, rule)
         yield cur, _step(w, rule, path)
         w = cur
 
 
-def oracle_normalize(w: Word, strategy: str = "innermost-leftmost",
-                     step_limit: int = DEFAULT_STEP_LIMIT):
+def oracle_normalize(w: Word, strategy: str = "innermost-leftmost"):
     """Normal form of `w` under the rewriting rules; `oracle_steps` has the trace."""
-    return _ENGINES[strategy](w, step_limit, None)
+    return _ENGINES[strategy](w, None)
 
 
 def replay_trace(w: Word, steps) -> Word:

@@ -178,6 +178,8 @@ class FiniteGroupTable:
 # triples: at 128 (Z128) that took 0.07 s and 34 MB of index lists on a
 # 2-core CPython 3.11 host, and S5 (120 elements) took 0.06 s.
 MAX_GROUP_ORDER = 128
+# Default cap on the carrier search_averaging_ops lists (search-ops --max-size).
+MAX_SEARCH_ORDER = 24
 
 
 def validate_group(t: FiniteGroupTable) -> CheckReport:
@@ -403,7 +405,7 @@ def check_rack(h: AveragingGroupHandle) -> CheckReport:
 
 
 def search_averaging_ops(t: FiniteGroupTable, pointed_only: bool = False,
-                         max_size: int = 24):
+                         max_size: int = MAX_SEARCH_ORDER):
     """All averaging operator tables on a group, in lexicographic order.
 
     The tables are built from the module's structure theorem, not searched

@@ -67,7 +67,6 @@ __all__ = [
     "ONE",
     "make_gen",
     "make_br",
-    "single",
     "are_inverse",
     "inv_factor",
     "is_reduced",
@@ -150,10 +149,6 @@ def make_br(content: Word, it: int = 1, sign: int = 1) -> Br:
         it += f.iter
         content = f.content
     return _new(Br, (content, it, sign))
-
-
-def single(f: Factor) -> Word:
-    return Word((f,))
 
 
 def inv_factor(f: Factor) -> Factor:
@@ -243,7 +238,7 @@ def inverse(w: Word) -> Word:
 
 
 def bracket_literal(w: Word) -> Word:
-    return single(make_br(w, 1, 1))
+    return Word((make_br(w, 1, 1),))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import avgroups.avgroup as avgroup_mod
 import avgroups.laws as laws_mod
 import avgroups.normalform as normalform_mod
-from avgroups.words import Br, parse, render, single
+from avgroups.words import Br, Word, parse, render
 from avgroups.normalform import is_normal
 from avgroups.avgroup import (
     GenParams,
@@ -256,8 +256,8 @@ def _seam_merge_off_by_one(m):
 def _literal(w):
     fs = w
     if len(fs) == 1 and isinstance(fs[0], Br) and fs[0].sign > 0:
-        return single(Br(fs[0].content, fs[0].iter + 1, 1))
-    return single(Br(w, 1, 1))
+        return Word((Br(fs[0].content, fs[0].iter + 1, 1),))
+    return Word((Br(w, 1, 1),))
 
 
 def _literal_iter(w, n):

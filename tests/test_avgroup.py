@@ -20,7 +20,6 @@ from avgroups.words import (
     metrics,
     parse,
     render,
-    single,
 )
 from avgroups.normalform import is_normal, oracle_normalize
 from avgroups.avgroup import (
@@ -379,9 +378,9 @@ def test_a_draw_past_the_letter_budget_is_refused(monkeypatch):
 
 def _ref_seam_merge(a, b):
     if a.sign > 0:
-        content = _ref_diamond(a.content, single(make_br(b.content, 1, 1)))
+        content = _ref_diamond(a.content, Word((make_br(b.content, 1, 1),)))
         return make_br(content, a.iter + b.iter - 1, 1)
-    content = _ref_diamond(b.content, single(make_br(a.content, 1, 1)))
+    content = _ref_diamond(b.content, Word((make_br(a.content, 1, 1),)))
     return make_br(content, a.iter + b.iter - 1, -1)
 
 
@@ -407,9 +406,9 @@ def _ref_op_apply(w):
     fs = w
     if len(fs) == 1 and isinstance(fs[0], Br) and fs[0].sign > 0:
         f = fs[0]
-        return single(Br(f.content, f.iter + 1, 1))
+        return Word((Br(f.content, f.iter + 1, 1),))
     if len(fs) <= 1:
-        return single(make_br(w, 1, 1))
+        return Word((make_br(w, 1, 1),))
     first, last = fs[0], fs[-1]
     if isinstance(first, Br) and first.sign > 0:
         inner = _ref_op_apply(Word(fs[1:]))
@@ -417,7 +416,7 @@ def _ref_op_apply(w):
     if isinstance(last, Br) and last.sign > 0 and last.iter >= 2:
         inner = _ref_op_apply(last.content)
         return _ref_op_iter(_ref_diamond(Word(fs[:-1]), inner), last.iter)
-    return single(make_br(w, 1, 1))
+    return Word((make_br(w, 1, 1),))
 
 
 def _ref_op_iter(w, n):
@@ -528,11 +527,11 @@ def test_equal_contents_built_apart_cancel_at_any_depth(depth):
     d, d2 = nested(), nested()
     w = Word((Br(d, 1, 1), Br(d2, 1, -1)))
     assert not is_normal(w)
-    assert diamond(single(Br(d, 1, 1)), single(Br(d2, 1, -1))) == ONE
+    assert diamond(Word((Br(d, 1, 1),)), Word((Br(d2, 1, -1),))) == ONE
     # one letter apart at the bottom: no cancellation, and a merge-free seam
     d3 = Word((Gen("z", 1),))
     for _ in range(depth):
         d3 = Word((Gen("x", 1), Br(d3, 1, 1)))
     assert is_normal(Word((Br(d, 1, 1), Br(d3, 1, -1))))
-    assert len(diamond(single(Br(d, 1, 1)), single(Br(d3, 1, -1)))) == 2
+    assert len(diamond(Word((Br(d, 1, 1),)), Word((Br(d3, 1, -1),)))) == 2
 

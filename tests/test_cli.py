@@ -3,6 +3,7 @@ shrinking, the README's examples and the top-level names."""
 
 import ast
 import inspect
+import itertools
 import json
 import os
 import random
@@ -20,7 +21,6 @@ from avgroups.words import MAX_NESTING, metrics, parse, render
 from avgroups.avgroup import GenParams
 from avgroups.cli import main
 from avgroups.laws import run_suites, shrink_counterexample
-from avgroups.normalform import STRATEGIES
 from avgroups.structures import MAX_GROUP_ORDER
 
 
@@ -60,6 +60,44 @@ def test_normalize_trace_and_via_ops(capsys):
     assert out.splitlines() == ["step 1 R1 at 0: [x] [y] -> [x [y]]", "[x [y]]"]
     code, out, _ = run(capsys, "normalize", "--via-ops", "[[x]@2 y] [z]")
     assert (code, out) == (0, "[x [y [z]]]@2\n")
+
+
+def test_normalize_flags_are_each_honoured_or_refused(capsys):
+    # all 16 combinations of the three modes and --strategy: the modes
+    # exclude each other, and --strategy applies only to the oracle's modes
+    word, other = "[[1]^-1 [1]^-1] [1]", "outermost-rightmost"
+    honoured = {
+        (): "[[1]@2^-1 [1]]\n",
+        ("--strategy",): "[[1]^-1]\n",
+        ("--trace",): ("step 1 R1- at 0/0: [1]^-1 [1]^-1 -> [1]@2^-1\n"
+                       "step 2 R1 at 0: [[1]@2^-1] [1] -> [[1]@2^-1 [1]]\n"
+                       "[[1]@2^-1 [1]]\n"),
+        ("--trace", "--strategy"): (
+            "step 1 R1 at 0: [[1]^-1 [1]^-1] [1] -> [[1]^-1 [1]^-1 [1]]\n"
+            "step 2 R0 at 0/1: [1]^-1 [1] -> 1\n"
+            "[[1]^-1]\n"),
+        ("--check-only",): "not normal\n",
+        ("--via-ops",): "[[1]@2^-1 [1]]\n",
+    }
+    refused = 0
+    for on in itertools.product((False, True), repeat=4):
+        flags = tuple(f for f, set_ in zip(("--check-only", "--via-ops", "--trace",
+                                            "--strategy"), on) if set_)
+        argv = [a for f in flags for a in ((f, other) if f == "--strategy" else (f,))]
+        code, out, err = run(capsys, "normalize", *argv, word)
+        if flags in honoured:
+            assert (code, out, err) == (int(flags == ("--check-only",)), honoured[flags], ""), flags
+            continue
+        refused += 1
+        assert (code, out) == (2, ""), flags
+        if sum(on[:3]) > 1:
+            assert "not allowed with argument" in err.splitlines()[-1], flags
+        else:
+            assert err == "error: --strategy does not apply to --check-only or --via-ops\n"
+    assert refused == 10
+    # a refused --strategy is refused before the word is read
+    assert run(capsys, "normalize", "--via-ops", "--strategy", other, "[x") == \
+        (2, "", "error: --strategy does not apply to --check-only or --via-ops\n")
 
 
 def test_mul_op_inv(capsys):
@@ -213,10 +251,8 @@ def test_an_unknown_suite_is_refused():
 
 
 def test_an_oracle_step_limit_is_one_error_line_and_exit_1(capsys, monkeypatch):
-    import avgroups.cli as cli_mod
-    real = cli_mod.oracle_normalize
-    monkeypatch.setattr(cli_mod, "oracle_normalize",
-                        lambda w, strategy=STRATEGIES[0]: real(w, strategy, step_limit=1))
+    import avgroups.normalform as normalform_mod
+    monkeypatch.setattr(normalform_mod, "STEP_LIMIT", 1)
     assert run(capsys, "normalize", "[x]^3") == (1, "", (
         "error: no normal form within 1 steps; "
         "this signals suspected non-termination\n"))
@@ -403,13 +439,17 @@ def test_hopf_check(capsys, z2_file, tmp_path):
     code, out, _ = run(capsys, "hopf-check", "--group", str(noop))
     assert code == 0 and out == "verdicts agree on all 4 operator maps\n"
     z3 = cyclic_file(tmp_path, 3)
-    assert run(capsys, "hopf-check", "--group", z3, "--max-size", "2") == \
-        (2, "", "error: carrier size 3 exceeds the exhaustive cap 2\n")
     assert run(capsys, "hopf-check", "--group", z3) == \
         (0, "verdicts agree on all 27 operator maps\n", "")
+    # the exhaustive cap is a constant: past it a group is refused at once
+    z8 = cyclic_file(tmp_path, 8)
+    assert run(capsys, "hopf-check", "--group", z8) == \
+        (2, "", "error: carrier size 8 exceeds the exhaustive cap 7\n")
+    code, out, err = run(capsys, "hopf-check", "--group", z3, "--max-size", "3")
+    assert (code, out) == (2, "") and "unrecognized arguments: --max-size 3" in err
 
 
-def test_hopf_check_max_size_is_only_the_exhaustive_cap(capsys, tmp_path):
+def test_hopf_check_exhaustive_cap_bounds_only_the_exhaustive_mode(capsys, tmp_path):
     def group_file(name, n, fixed=None):
         # Z_n with the constant operator onto 0, except at `fixed`
         path = tmp_path / name
@@ -418,11 +458,9 @@ def test_hopf_check_max_size_is_only_the_exhaustive_cap(capsys, tmp_path):
                                     "op": {str(i): str(i if i == fixed else 0) for i in range(n)}}))
         return str(path)
 
-    # an op block is checked up to the group check's cap, whatever --max-size says
+    # an op block is checked up to the group check's cap, past the exhaustive one
     z30 = group_file("z30.json", 30)
-    for argv in ((), ("--max-size", "2"), ("--max-size", "30")):
-        assert run(capsys, "hopf-check", "--group", z30, *argv) == \
-            (0, "(group: ok, algebra: ok)\n", "")
+    assert run(capsys, "hopf-check", "--group", z30) == (0, "(group: ok, algebra: ok)\n", "")
     assert run(capsys, "eval", "[x]", "--group", z30, "--map", "x=5") == (0, "0\n", "")
     assert run(capsys, "hopf-check", "--group", group_file("z30m.json", 30, fixed=1)) == \
         (1, "(group: FAIL, algebra: FAIL)\naveraging: FAIL fails at (1, 1)\n", "")
@@ -430,9 +468,7 @@ def test_hopf_check_max_size_is_only_the_exhaustive_cap(capsys, tmp_path):
     cap = MAX_GROUP_ORDER
     big = group_file("big.json", cap + 1)
     refused = (2, "", f"error: carrier size {cap + 1} exceeds the exhaustive-check cap {cap}\n")
-    for argv in (("hopf-check", "--group", big),
-                 ("hopf-check", "--group", big, "--max-size", str(cap + 1)),
-                 ("eval", "x", "--group", big)):
+    for argv in (("hopf-check", "--group", big), ("eval", "x", "--group", big)):
         assert run(capsys, *argv) == refused
 
 
@@ -673,7 +709,7 @@ def _readme_python_blocks():
 def test_readme_python_blocks_run_and_show_their_values():
     # in order, in one namespace; an expression statement ends in a comment
     # holding the literal it evaluates to
-    namespace = {}
+    namespace, checked = {}, 0
     for block in _readme_python_blocks():
         lines = block.splitlines()
         for stmt in ast.parse(block).body:
@@ -684,6 +720,9 @@ def test_readme_python_blocks_run_and_show_their_values():
             assert shown.startswith("# "), lines[stmt.end_lineno - 1]
             got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
             assert got == ast.literal_eval(shown[2:]), lines[stmt.end_lineno - 1]
+            checked += 1
+    # a comment on an assignment is prose; every expression line shows a value
+    assert checked == 17
 
 
 def test_readme_cli_lines_keep_their_exit_codes(capsys):
@@ -701,7 +740,7 @@ def test_readme_cli_lines_keep_their_exit_codes(capsys):
         if argv[:2] == ["normalize", "--trace"]:
             assert out == "step 1 R1 at 0: [x] [y] -> [x [y]]\n[x [y]]\n"
         ran += 1
-    assert ran == 10
+    assert ran == 11
 
 
 def _imported_from_avgroups(source):

@@ -38,7 +38,6 @@ from avgroups.linearalg import (
     check_leibniz,
     coproduct,
     counit,
-    ga_basis,
     leibniz_bracket,
     linear_extend,
     load_lie_file,
@@ -76,13 +75,13 @@ def test_linear_extend():
     assert P(x) == {0: Fraction(3), 1: Fraction(2)}
     assert P({}) == {}
     # explicit basis images work too
-    Q = linear_extend(z2, [{0: 1, 1: 1}, ga_basis(1)])
-    assert Q(ga_basis(0)) == {0: Fraction(1), 1: Fraction(1)}
+    Q = linear_extend(z2, [{0: 1, 1: 1}, {1: 1}])
+    assert Q({0: 1}) == {0: Fraction(1), 1: Fraction(1)}
     with pytest.raises(TableError):
-        linear_extend(z2, [ga_basis(0)])
+        linear_extend(z2, [{0: 1}])
     # explicit images stay in the carrier
     for stray in (5, -1):
-        images = [{stray: 1}, ga_basis(1)]
+        images = [{stray: 1}, {1: 1}]
         for check in (linear_extend, check_coalgebra_map, check_averaging_algebra):
             with pytest.raises(TableError, match=f"support index {stray} outside the carrier"):
                 check(z2, images)
@@ -137,7 +136,7 @@ def test_coalgebra_map_check():
     for op in itertools.product(range(3), repeat=3):
         assert check_coalgebra_map(z3, op).ok
     # spreading one basis vector over two breaks both compatibilities
-    spread = [{0: 1, 1: 1}, ga_basis(1), ga_basis(2)]
+    spread = [{0: 1, 1: 1}, {1: 1}, {2: 1}]
     rep = check_coalgebra_map(z3, spread)
     assert not rep.ok
     assert any("coproduct" in n and not ok for n, ok, _ in rep.entries)
@@ -313,7 +312,7 @@ def test_coalgebra_and_antipode_reports_keep_their_text():
     assert check_antipode_averaging(sym3()).entries == \
         (("S squared equals S", False, "fails at (123); nothing to assert"),)
     z3 = cyclic_group(3)
-    rest = [ga_basis(1), ga_basis(2)]
+    rest = [{1: 1}, {2: 1}]
     spread = [{0: 1, 1: 1}] + rest
     assert check_coalgebra_map(z3, spread).entries == (
         ("coproduct compatibility on basis", False, "fails at 0"),
@@ -322,7 +321,7 @@ def test_coalgebra_and_antipode_reports_keep_their_text():
     assert check_coalgebra_map(z3, half).entries == (
         ("coproduct compatibility on basis", False, "fails at 0"),
         ("counit preservation on basis", True, ""))
-    dropped = [ga_basis(0), {}, ga_basis(2)]
+    dropped = [{0: 1}, {}, {2: 1}]
     assert check_coalgebra_map(z3, dropped).entries == (
         ("coproduct compatibility on basis", True, ""),
         ("counit preservation on basis", False, "fails at 1"))
@@ -410,14 +409,14 @@ def test_file_loaders(tmp_path):
     assert L.brackets == SOLVABLE.brackets
     op = tmp_path / "op.json"
     op.write_text(json.dumps({"dim": 2, "matrix": ["1", "0", "0", "0"]}))
-    M = load_operator_file(str(op))
+    M = load_operator_file(str(op), 2)
     assert M == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
-    nested = load_operator_file({"dim": 2, "matrix": [["1/2", "0"], ["0", "1"]]})
+    nested = load_operator_file({"dim": 2, "matrix": [["1/2", "0"], ["0", "1"]]}, 2)
     assert nested[0][0] == Fraction(1, 2)
     with pytest.raises(TableError):
-        load_operator_file({"dim": 2, "matrix": ["1", "0"]})
+        load_operator_file({"dim": 2, "matrix": ["1", "0"]}, 2)
     with pytest.raises(TableError):
-        load_operator_file({"dim": 2, "matrix": [0.5, 0, 0, 0]})
+        load_operator_file({"dim": 2, "matrix": [0.5, 0, 0, 0]}, 2)
     with pytest.raises(TableError):
         load_lie_file({"dim": 2, "brackets": [{"i": 5, "j": 1, "coeffs": {}}]})
     with pytest.raises(TableError) as exc:
@@ -453,22 +452,22 @@ def test_loaders_reject_malformed_shapes():
         load_lie_file({"dim": 2, "brackets": [
             {"i": 1, "j": 2, "coeffs": {"2": "one"}}]})
     with pytest.raises(TableError):
-        load_operator_file({"dim": 2, "matrix": "1 0 0 0"})
+        load_operator_file({"dim": 2, "matrix": "1 0 0 0"}, 2)
     with pytest.raises(TableError):
-        load_operator_file({"dim": 2, "matrix": [["1", "0"], "bad row"]})
+        load_operator_file({"dim": 2, "matrix": [["1", "0"], "bad row"]}, 2)
     with pytest.raises(TableError):
-        load_operator_file({"dim": 2, "matrix": [["1", "0"], ["0", "x"]]})
+        load_operator_file({"dim": 2, "matrix": [["1", "0"], ["0", "x"]]}, 2)
     with pytest.raises(TableError):
-        load_operator_file({"dim": True, "matrix": []})
+        load_operator_file({"dim": True, "matrix": []}, 2)
     # JSON booleans are not rationals, as they are not group-table indices
     with pytest.raises(TableError, match="not a rational value: True"):
-        load_operator_file({"dim": 2, "matrix": [True, False, False, True]})
+        load_operator_file({"dim": 2, "matrix": [True, False, False, True]}, 2)
     with pytest.raises(TableError, match="not a rational value: True"):
         load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": True}}]})
     # nor are exponent strings: Fraction("1e9999999") would build ten million
     # digits, which the int digit limit never sees
     for text in ("1e9999999", "1E9999999", "-2.5e-3", "1/2e3"):
-        for load in (lambda: load_operator_file({"dim": 1, "matrix": [[text]]}),
+        for load in (lambda: load_operator_file({"dim": 1, "matrix": [[text]]}, 1),
                      lambda: load_lie_file({"dim": 2, "brackets": [
                          {"i": 1, "j": 2, "coeffs": {"2": text}}]}),
                      lambda: linear_extend(cyclic_group(2), [{0: text}, {1: 1}])):
@@ -742,7 +741,8 @@ def test_int_coefficients_stay_ints_and_mix_exactly_with_fractions():
                     outs = [ab, P(a), Q(a), coproduct(a)]
                     assert all(type(v) is int for out in outs for v in out.values())
                     assert type(counit(a)) is int and type(counit(Q(a))) is int
-    assert type(ga_basis(3)[3]) is int
+    # an index table's basis images are the int vectors e_A(i)
+    assert all(type(v) is int for img in linearalg._extension(g, op)[1] for v in img.values())
 
 
 def test_lie_values_written_as_ints_or_fractions_give_identical_reports():

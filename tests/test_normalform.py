@@ -15,7 +15,6 @@ from avgroups.words import (
     parse,
     reduce_concat,
     render,
-    single,
 )
 import avgroups.normalform as normalform_mod
 from avgroups.normalform import (
@@ -177,22 +176,25 @@ def test_two_strategies_agree_and_are_idempotent():
         assert ORACLE_RAW_LAW(r), render(r)
 
 
-def test_is_normal_exactly_when_neither_finder_finds_a_redex():
-    normal = total = 0
+def test_is_normal_exactly_when_neither_finder_finds_a_redex(monkeypatch):
+    words = []
     for depth, breadth in ((3, 4), (5, 6), (7, 8)):
         for seed in range(400):
             p = GenParams(seed=seed, max_depth=depth, max_breadth=breadth)
-            for w in (random_raw_word(p), random_normal_word(p),
-                      random_normal_word(p, via_oracle=True)):
-                # the innermost engine takes no step exactly when a limit of 0 holds
-                try:
-                    innermost_clean = oracle_normalize(w, STRATEGIES[0], step_limit=0) is w
-                except OracleStepLimit:
-                    innermost_clean = False
-                clean = innermost_clean and _find_outermost_rightmost(w, ()) is None
-                assert is_normal(w) == clean, render(w)
-                normal += clean
-                total += 1
+            words += (random_raw_word(p), random_normal_word(p),
+                      random_normal_word(p, via_oracle=True))
+    # the innermost engine takes no step exactly when a limit of 0 holds
+    monkeypatch.setattr(normalform_mod, "STEP_LIMIT", 0)
+    normal = total = 0
+    for w in words:
+        try:
+            innermost_clean = oracle_normalize(w, STRATEGIES[0]) is w
+        except OracleStepLimit:
+            innermost_clean = False
+        clean = innermost_clean and _find_outermost_rightmost(w, ()) is None
+        assert is_normal(w) == clean, render(w)
+        normal += clean
+        total += 1
     # both verdicts occur: 3,105 of the 3,600 words are normal
     assert normal >= 3000 and total - normal >= 400
 
@@ -214,11 +216,13 @@ def test_is_normal_exactly_when_no_level_has_a_redex():
     assert normal >= 5000 and total - normal >= 500, (normal, total)
 
 
-def test_step_limit_raises():
+def test_step_limit_raises(monkeypatch):
+    monkeypatch.setattr(normalform_mod, "STEP_LIMIT", 0)
     with pytest.raises(OracleStepLimit):
-        oracle_normalize(parse("[x] [y]"), step_limit=0)
+        oracle_normalize(parse("[x] [y]"))
+    monkeypatch.setattr(normalform_mod, "STEP_LIMIT", 1)
     with pytest.raises(OracleStepLimit):
-        list(oracle_steps(parse("[[x]@2 y] [z]"), step_limit=1))
+        list(oracle_steps(parse("[[x]@2 y] [z]")))
 
 
 def test_unknown_strategy_rejected():
@@ -281,7 +285,7 @@ def _reference_apply_local(fs, i, rule):
             a.iter + b.iter - 1,
             1,
         )
-        return fs[:i] + (merged,) + fs[i + 2 :], Word(fs[i : i + 2]), single(merged)
+        return fs[:i] + (merged,) + fs[i + 2 :], Word(fs[i : i + 2]), Word((merged,))
     if rule == "R1-":
         a, b = fs[i], fs[i + 1]
         merged = make_br(
@@ -289,7 +293,7 @@ def _reference_apply_local(fs, i, rule):
             a.iter + b.iter - 1,
             -1,
         )
-        return fs[:i] + (merged,) + fs[i + 2 :], Word(fs[i : i + 2]), single(merged)
+        return fs[:i] + (merged,) + fs[i + 2 :], Word(fs[i : i + 2]), Word((merged,))
     if rule == "R2":
         f = fs[i]
         head = f.content[0]
@@ -299,7 +303,7 @@ def _reference_apply_local(fs, i, rule):
             f.iter + head.iter - 1,
             f.sign,
         )
-        return fs[:i] + (new,) + fs[i + 1 :], single(f), single(new)
+        return fs[:i] + (new,) + fs[i + 1 :], Word((f,)), Word((new,))
     if rule == "R3":
         f = fs[i]
         last = f.content[-1]
@@ -308,7 +312,7 @@ def _reference_apply_local(fs, i, rule):
             f.iter + last.iter - 1,
             f.sign,
         )
-        return fs[:i] + (new,) + fs[i + 1 :], single(f), single(new)
+        return fs[:i] + (new,) + fs[i + 1 :], Word((f,)), Word((new,))
     raise ValueError(f"unknown rule {rule}")
 
 
@@ -474,14 +478,16 @@ def test_bracket_power_steps_build_a_fixed_number_of_brackets(monkeypatch):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_step_limit_fires_one_step_short(strategy):
+def test_step_limit_fires_one_step_short(strategy, monkeypatch):
     for seed in range(10):
         w = random_raw_word(GenParams(seed=seed, max_depth=5, max_breadth=6))
         want, steps = _reference_normalize(w, strategy)
         if not steps:
             continue
-        assert oracle_normalize(w, strategy, step_limit=len(steps)) == want
+        monkeypatch.setattr(normalform_mod, "STEP_LIMIT", len(steps))
+        assert oracle_normalize(w, strategy) == want
+        monkeypatch.setattr(normalform_mod, "STEP_LIMIT", len(steps) - 1)
         with pytest.raises(OracleStepLimit):
-            oracle_normalize(w, strategy, step_limit=len(steps) - 1)
+            oracle_normalize(w, strategy)
         with pytest.raises(OracleStepLimit):
-            list(oracle_steps(w, strategy, step_limit=len(steps) - 1))
+            list(oracle_steps(w, strategy))

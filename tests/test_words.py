@@ -38,7 +38,6 @@ from avgroups.words import (
     parse,
     reduce_concat,
     render,
-    single,
 )
 from avgroups.avgroup import GenParams, random_normal_word, random_raw_word
 from avgroups.structures import IntShiftGroup
@@ -520,7 +519,7 @@ def test_predicates():
     raw = Word((Gen("x", 1), Gen("x", -1)))
     assert not is_reduced(raw)
     assert is_reduced(parse("x y x^-1"))
-    unfolded = Word((Br._make((single(Br(ONE, 1, 1)), 1, 1)),))
+    unfolded = Word((Br._make((Word((Br(ONE, 1, 1),)), 1, 1)),))
     assert not is_folded(unfolded)
     assert is_folded(parse("[[x]^-1]"))
 
@@ -594,7 +593,7 @@ def test_the_level_walker_answers_on_deep_words():
     assert metrics(w) == WordMetrics(2, depth, depth, 3 * depth, frozenset({"x"}))
     assert not is_reduced(nest(Word((x, Gen("x", -1)))))
     # Br(...) would fold the unfolded letter into the bracket around it
-    assert not is_folded(nest(Word((x, Br._make((single(Br(ONE, 1, 1)), 1, 1))))))
+    assert not is_folded(nest(Word((x, Br._make((Word((Br(ONE, 1, 1),)), 1, 1))))))
 
 
 def test_bracket_literal_wraps_and_folds():
