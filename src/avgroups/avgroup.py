@@ -49,26 +49,12 @@ from .words import (
     ONE,
     Br,
     Word,
+    _new,
     are_inverse,
     inverse,
     make_br,
     make_gen,
 )
-
-__all__ = [
-    "diamond",
-    "op_apply",
-    "op_iter",
-    "inverse",
-    "free_target",
-    "GenParams",
-    "DrawTooLarge",
-    "MAX_DRAW_LETTERS",
-    "random_normal_word",
-    "random_raw_word",
-]
-
-_new = tuple.__new__  # the C constructor of letters (see avgroups.words)
 
 
 def _seam_merge(a: Br, b: Br) -> Br:
@@ -141,7 +127,7 @@ def op_iter(w: Word, n: int) -> Word:
 # one, with each generator sent to itself, it is the identity map.
 
 
-class _FreeTarget:
+class FreeTarget:
     """The free averaging group presented through its own operations."""
 
     @staticmethod
@@ -159,10 +145,6 @@ class _FreeTarget:
     @staticmethod
     def op(a: Word) -> Word:
         return op_apply(a)
-
-
-def free_target() -> _FreeTarget:
-    return _FreeTarget()
 
 
 # --- random words ------------------------------------------------------------

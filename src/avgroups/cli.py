@@ -31,7 +31,7 @@ from .normalform import (
     oracle_normalize,
     oracle_steps,
 )
-from .avgroup import (DrawTooLarge, GenParams, _alphabet_letters, diamond, free_target,
+from .avgroup import (DrawTooLarge, FreeTarget, GenParams, _alphabet_letters, diamond,
                       inverse, op_iter)
 from .structures import (
     AveragingGroupHandle,
@@ -57,6 +57,10 @@ from .laws import SUITE_NAMES, run_suites
 
 # --- subcommands ----------------------------------------------------------------
 
+class UsageError(ValueError):
+    """The arguments do not make one request; main prints it as an error line, exit 2."""
+
+
 class ResultTooDeep(ValueError):
     """A result nests brackets deeper than MAX_NESTING, so parse would refuse its text."""
 
@@ -73,8 +77,7 @@ def _text(w: Word) -> str:
 
 def _cmd_normalize(args) -> int:
     if args.strategy and (args.check_only or args.via_ops):
-        print("error: --strategy does not apply to --check-only or --via-ops", file=sys.stderr)
-        return 2
+        raise UsageError("--strategy does not apply to --check-only or --via-ops")
     w = parse(args.word)
     if args.check_only:
         ok = is_normal(w)
@@ -82,7 +85,7 @@ def _cmd_normalize(args) -> int:
         return 0 if ok else 1
     if args.via_ops:
         itself = {a: parse(a) for a in metrics(w).generators}
-        print(_text(eval_operated(w, free_target(), itself)))
+        print(_text(eval_operated(w, FreeTarget, itself)))
         return 0
     # the result is checked before any step is rendered: a refused result
     # prints nothing, so its steps would be rendered for nothing
@@ -115,8 +118,7 @@ def _cmd_mul(args) -> int:
 
 def _cmd_op(args) -> int:
     if args.iter < 1:
-        print("error: --iter must be at least 1", file=sys.stderr)
-        return 2
+        raise UsageError("--iter must be at least 1")
     w = _normalized_input(args.word)
     print(_text(op_iter(w, args.iter)))
     return 0
@@ -134,13 +136,11 @@ def _cmd_check(args) -> int:
         # the generators' own name check, ahead of the flag checks
         _alphabet_letters(params.alphabet)
     except ValueError as exc:
-        print(f"error: --alphabet: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--alphabet: {exc}") from None
     for flag, value, least in (("--trials", args.trials, 1), ("--max-depth", args.max_depth, 0),
                                ("--max-breadth", args.max_breadth, 0)):
         if value < least:
-            print(f"error: {flag} must be at least {least}", file=sys.stderr)
-            return 2
+            raise UsageError(f"{flag} must be at least {least}")
     t0 = time.perf_counter()
     code, lines = run_suites(args.suite, args.trials, params)
     for line in lines:
@@ -159,8 +159,7 @@ def _cmd_eval(args) -> int:
         for part in args.map.split(","):
             name, eq, value = part.partition("=")
             if not eq or not name.strip() or name.strip() in assignment:
-                print(f"error: bad --map entry {part!r}", file=sys.stderr)
-                return 2
+                raise UsageError(f"bad --map entry {part!r}")
             assignment[name.strip()] = handle.element(value.strip())
     w = parse(args.word)
     print(handle.name(eval_operated(w, handle, assignment)))
@@ -309,7 +308,7 @@ def main(argv=None) -> int:
         # a table, operator or Lie spec failed its axioms: the report is the finding
         print("\n".join(exc.report.lines()))
         return 1
-    except (TableError, ResultTooDeep, DrawTooLarge) as exc:
+    except (UsageError, TableError, ResultTooDeep, DrawTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleStepLimit as exc:

@@ -15,7 +15,6 @@ from .words import (
     Br,
     ONE,
     Word,
-    bracket_literal,
     eval_operated,
     is_reduced,
     make_br,
@@ -26,9 +25,9 @@ from .words import (
 )
 from .normalform import STRATEGIES, is_normal, oracle_normalize
 from .avgroup import (
+    FreeTarget,
     GenParams,
     diamond,
-    free_target,
     inverse,
     op_apply,
     op_iter,
@@ -130,7 +129,7 @@ def _law_closure(u, v):
 
 def _law_oracle_agreement(u, v):
     return (diamond(u, v) == oracle_normalize(reduce_concat(u, v))
-            and op_apply(u) == oracle_normalize(bracket_literal(u)))
+            and op_apply(u) == oracle_normalize(Word((Br(u, 1, 1),))))
 
 
 def _law_oracle_raw(r):
@@ -166,7 +165,7 @@ def law_table(alphabet):
     targets = [(IntShiftGroup(5), {a: i + 2 for i, a in enumerate(alphabet)}),
                (z4, {a: (i + 1) % 4 for i, a in enumerate(alphabet)}),
                (s3, {a: (2 * i + 1) % 6 for i, a in enumerate(alphabet)})]
-    free, itself = free_target(), {a: parse(a) for a in alphabet}
+    itself = {a: parse(a) for a in alphabet}
     return [
         ("assoc", "associativity", 3, "normal", _law_assoc),
         ("assoc", "identity", 3, "normal", _law_identity),
@@ -178,7 +177,7 @@ def law_table(alphabet):
         ("oracle", "oracle idempotence and confluence", 1, "raw", _law_oracle_raw),
         ("hom", "evaluation homomorphisms", 2, "normal", law_commutes(targets)),
         ("hom", "self-target evaluation", 1, "normal",
-         lambda u: eval_operated(u, free, itself) == u),
+         lambda u: eval_operated(u, FreeTarget, itself) == u),
     ]
 
 

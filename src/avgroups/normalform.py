@@ -67,16 +67,6 @@ from dataclasses import dataclass
 
 from .words import Br, Gen, Word, are_inverse, make_br, render
 
-__all__ = [
-    "is_normal",
-    "oracle_normalize",
-    "oracle_steps",
-    "replay_trace",
-    "RewriteStep",
-    "OracleStepLimit",
-    "STRATEGIES",
-]
-
 STRATEGIES = ("innermost-leftmost", "outermost-rightmost")
 STEP_LIMIT = 10**6
 

@@ -319,6 +319,13 @@ def idempotent_endo_operator(t: FiniteGroupTable, phi) -> AveragingGroupHandle:
     return AveragingGroupHandle(t, phi)
 
 
+def _conjugations(t: FiniteGroupTable, A) -> list:
+    """g |> k = A(g) k A(g)^-1 as rack_op reads it, at r[g][k]."""
+    m, inv = t.mul_table, t.inverses()
+    cols = list(zip(*m))
+    return [[cols[inv[a]][x] for x in m[a]] for a in A]
+
+
 def check_pointed_consequences(h: AveragingGroupHandle) -> CheckReport:
     """Idempotence, inverse preservation, and Ad-equivariance of A.
 
@@ -330,17 +337,15 @@ def check_pointed_consequences(h: AveragingGroupHandle) -> CheckReport:
     if A[e] != e:
         return CheckReport((("pointed", False,
                              f"A(e) = {t.name(A[e])!r}; consequences inapplicable"),))
-    n, m, inv = len(t), t.mul_table, t.inverses()
+    n, inv = len(t), t.inverses()
     ia = [inv[a] for a in A]  # A(g)^-1
-    cols = list(zip(*m))
-    # the row of A(g) and the column of A(g)^-1, for each g
-    conj = [(m[a], cols[b]) for a, b in zip(A, ia)]
+    r = _conjugations(t, A)
     return CheckReport((
         ("pointed", True, ""),
         _law("idempotence", (([A[a] for a in A], list(A)),), n, 1, t.name),
         _law("inverse preservation", ((ia, [A[b] for b in ia]),), n, 1, t.name),
-        _law("Ad-equivariance", (([col[row[b]] for row, col in conj for b in A],
-                                  [A[col[x]] for row, col in conj for x in row]),),
+        _law("Ad-equivariance", (([A[v] for row in r for v in row],     # A(g |> k)
+                                  [row[b] for row in r for b in A]),),  # g |> A(k)
              n, 2, t.name),
     ))
 
@@ -389,9 +394,8 @@ def check_rack(h: AveragingGroupHandle) -> CheckReport:
         return CheckReport((("pointed", False,
                              f"A(e) = {h.name(h.op(e))!r}; rack inapplicable"),))
     t, A = h.table, h.op_table
-    n, m, inv = len(t), t.mul_table, t.inverses()
-    cols = list(zip(*m))
-    r = [[cols[inv[a]][x] for x in m[a]] for a in A]  # g |> k, as rack_op
+    n = len(t)
+    r = _conjugations(t, A)
     gk = [v for row in r for v in row]
     bad = _witness((([len(set(row)) for row in r], [n] * n),), n, 1)
     return CheckReport((
@@ -482,12 +486,8 @@ def cyclic_group(n: int) -> FiniteGroupTable:
 
 
 def klein_four_group() -> FiniteGroupTable:
-    """Z_2 x Z_2 with the classical e,a,b,c naming."""
-    names = ["e", "a", "b", "c"]
-    pairs = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    idx = {p: i for i, p in enumerate(pairs)}
-    mul = [[idx[((p[0] + q[0]) % 2, (p[1] + q[1]) % 2)] for q in pairs] for p in pairs]
-    return FiniteGroupTable(names, mul)
+    """Z_2 x Z_2 with the classical e,a,b,c naming: index i is the pair (i & 1, i >> 1)."""
+    return FiniteGroupTable(["e", "a", "b", "c"], [[i ^ j for j in range(4)] for i in range(4)])
 
 
 _S3_PERMS = (

@@ -58,33 +58,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-__all__ = [
-    "Gen",
-    "Br",
-    "Word",
-    "Factor",
-    "WordMetrics",
-    "ONE",
-    "make_gen",
-    "make_br",
-    "are_inverse",
-    "inv_factor",
-    "is_reduced",
-    "is_folded",
-    "parse",
-    "render",
-    "reduce_concat",
-    "inverse",
-    "bracket_literal",
-    "metrics",
-    "nesting",
-    "eval_operated",
-    "WordSyntaxError",
-    "UnassignedGenerator",
-    "MAX_NESTING",
-    "MAX_POWER_LETTERS",
-]
-
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 # Letters and words are tuples with no per-instance __dict__: words are built
@@ -106,12 +79,6 @@ class Br(namedtuple("Br", "content iter sign")):
 
     def __new__(cls, content, iter, sign):
         return make_br(content, iter, sign)
-
-
-# A PEP 604 union, not typing.Union: typing caches each Union[...] it builds
-# for the life of the process, and through the classes' methods that cache
-# would keep every earlier import of this module alive.
-Factor = Gen | Br
 
 
 class Word(tuple):
@@ -151,13 +118,13 @@ def make_br(content: Word, it: int = 1, sign: int = 1) -> Br:
     return _new(Br, (content, it, sign))
 
 
-def inv_factor(f: Factor) -> Factor:
+def inv_factor(f: Gen | Br) -> Gen | Br:
     if type(f) is Gen:
         return _new(Gen, (f.name, -f.sign))
     return _new(Br, (f.content, f.iter, -f.sign))
 
 
-def are_inverse(a: Factor, b: Factor) -> bool:
+def are_inverse(a: Gen | Br, b: Gen | Br) -> bool:
     if type(a) is not type(b) or a.sign != -b.sign:
         return False
     if type(a) is Gen:
@@ -218,7 +185,7 @@ def is_folded(w: Word) -> bool:
                    for fs, nest, _ in _levels(w) if nest)
 
 
-def _push_reduced(stack: list, f: Factor) -> None:
+def _push_reduced(stack: list, f: Gen | Br) -> None:
     if stack and are_inverse(stack[-1], f):
         stack.pop()
     else:
@@ -235,10 +202,6 @@ def reduce_concat(u: Word, v: Word) -> Word:
 
 def inverse(w: Word) -> Word:
     return Word([inv_factor(f) for f in reversed(w)])
-
-
-def bracket_literal(w: Word) -> Word:
-    return Word((make_br(w, 1, 1),))
 
 
 @dataclass(frozen=True)
@@ -530,7 +493,7 @@ def eval_operated(w: Word, target, assignment: Mapping[str, object]):
     `target` provides identity(), mul(a, b), inv(a) and op(a).
     """
 
-    def eval_factor(f: Factor):
+    def eval_factor(f: Gen | Br):
         if isinstance(f, Gen):
             try:
                 e = assignment[f.name]

@@ -8,7 +8,6 @@ from avgroups.words import (
     ONE,
     Word,
     _levels,
-    bracket_literal,
     eval_operated,
     is_folded,
     make_br,
@@ -235,7 +234,7 @@ def test_oracle_output_is_always_normal():
         r = random_raw_word(GenParams(seed=seed, max_depth=4))
         assert ORACLE_RAW_LAW(r), render(r)
         n = oracle_normalize(r)
-        assert oracle_normalize(bracket_literal(n)) == oracle_normalize(bracket_literal(r))
+        assert oracle_normalize(Word((Br(n, 1, 1),))) == oracle_normalize(Word((Br(r, 1, 1),)))
 
 
 # --- reference: the search from the root at every step, its own redex

@@ -129,6 +129,14 @@ def test_every_operator_is_a_bimodule_map_onto_its_image(name):
         # A(hg) = hA(g) and A(gk) = A(g)k, so A(hgk) = hA(g)k
         assert all(op[m[h][g]] == m[h][op[g]] and op[m[g][h]] == m[op[g]][h]
                    for h in H for g in range(n))
+        # c = A(e) is central in H, and A^k(g) = A(g)c^(k-1) for 1 <= k <= |G|
+        c = op[e]
+        assert all(m[c][h] == m[h][c] for h in H)
+        for g in range(n):
+            ak = agc = op[g]  # A^k(g) and A(g)c^(k-1), from k = 1
+            for _ in range(n - 1):
+                ak, agc = op[ak], m[agc][c]
+                assert ak == agc, (op, g)
 
 
 def test_a_table_that_is_not_a_group_is_refused_with_its_report():

@@ -26,7 +26,6 @@ from avgroups.words import (
     WordMetrics,
     WordSyntaxError,
     are_inverse,
-    bracket_literal,
     eval_operated,
     inverse,
     is_folded,
@@ -597,8 +596,8 @@ def test_the_level_walker_answers_on_deep_words():
 
 
 def test_bracket_literal_wraps_and_folds():
-    assert bracket_literal(parse("x y")) == parse("[x y]")
-    assert bracket_literal(parse("[x]@2")) == parse("[x]@3")
+    assert Word((Br(parse("x y"), 1, 1),)) == parse("[x y]")
+    assert Word((Br(parse("[x]@2"), 1, 1),)) == parse("[x]@3")
 
 
 def test_built_brackets_fold_like_parsed_ones():
