@@ -130,21 +130,10 @@ def op_iter(w: Word, n: int) -> Word:
 class FreeTarget:
     """The free averaging group presented through its own operations."""
 
-    @staticmethod
-    def identity() -> Word:
-        return ONE
-
-    @staticmethod
-    def mul(a: Word, b: Word) -> Word:
-        return diamond(a, b)
-
-    @staticmethod
-    def inv(a: Word) -> Word:
-        return inverse(a)
-
-    @staticmethod
-    def op(a: Word) -> Word:
-        return op_apply(a)
+    identity = staticmethod(Word)  # the empty word, ONE
+    mul = staticmethod(diamond)
+    inv = staticmethod(inverse)
+    op = staticmethod(op_apply)
 
 
 # --- random words ------------------------------------------------------------

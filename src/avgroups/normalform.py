@@ -275,7 +275,10 @@ def _outermost_rightmost(w: Word, trace: list | None) -> Word:
             trace.append((rule, path))
 
 
-_ENGINES = dict(zip(STRATEGIES, (_innermost_leftmost, _outermost_rightmost)))
+def _engine(strategy: str):
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    return _innermost_leftmost if strategy == STRATEGIES[0] else _outermost_rightmost
 
 
 def _redex(w: Word, rule: str, path: tuple) -> tuple:
@@ -312,7 +315,7 @@ def oracle_steps(w: Word, strategy: str = "innermost-leftmost"):
     any step is yielded.
     """
     trace: list = []
-    _ENGINES[strategy](w, trace)
+    _engine(strategy)(w, trace)
     for rule, path in trace:
         cur = _apply_at(w, path, rule)
         yield cur, _step(w, rule, path)
@@ -321,7 +324,7 @@ def oracle_steps(w: Word, strategy: str = "innermost-leftmost"):
 
 def oracle_normalize(w: Word, strategy: str = "innermost-leftmost"):
     """Normal form of `w` under the rewriting rules; `oracle_steps` has the trace."""
-    return _ENGINES[strategy](w, None)
+    return _engine(strategy)(w, None)
 
 
 def replay_trace(w: Word, steps) -> Word:

@@ -254,7 +254,9 @@ class AveragingGroupHandle:
 
     The evaluation protocol works on element indices: identity(), mul(),
     inv(), op().  The table passed validate_group, so its identity and
-    inverses exist and are read straight from it.
+    inverses exist and are read straight from it.  The operator passed
+    validate_averaging, so A(A(g)h) = A(g)A(h) at h = e gives the structure
+    theorem's A^n(g) = A(g)c^(n-1) with c = A(e), which op(g, n) computes.
     """
 
     def __init__(self, table: FiniteGroupTable, op):
@@ -273,8 +275,15 @@ class AveragingGroupHandle:
     def inv(self, a: int) -> int:
         return self.table._inverses[a]
 
-    def op(self, a: int) -> int:
-        return self.op_table[a]
+    def op(self, a: int, n: int = 1) -> int:
+        a = self.op_table[a]
+        if n > 1:  # times c^(n-1), by repeated squaring of c
+            m, c, n = self.table.mul_table, self.op_table[self.table._identity], n - 1
+            while n:
+                if n & 1:
+                    a = m[a][c]
+                c, n = m[c][c], n >> 1
+        return a
 
     def element(self, name) -> int:
         return self.table.index(name)
@@ -301,8 +310,8 @@ class IntShiftGroup:
     def inv(self, a: int) -> int:
         return -a
 
-    def op(self, a: int) -> int:
-        return a + self.z
+    def op(self, a: int, n: int = 1) -> int:
+        return a + n * self.z
 
 
 def idempotent_endo_operator(t: FiniteGroupTable, phi) -> AveragingGroupHandle:

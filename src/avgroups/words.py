@@ -490,7 +490,8 @@ class UnassignedGenerator(KeyError):
 def eval_operated(w: Word, target, assignment: Mapping[str, object]):
     """Image of `w` under the operated-group map extending `assignment`.
 
-    `target` provides identity(), mul(a, b), inv(a) and op(a).
+    `target` provides identity(), mul(a, b), inv(a) and op(a, n), which is
+    A^n(a) for n >= 1: a bracket `[c]@n` costs one op call.
     """
 
     def eval_factor(f: Gen | Br):
@@ -500,9 +501,7 @@ def eval_operated(w: Word, target, assignment: Mapping[str, object]):
             except KeyError:
                 raise UnassignedGenerator(f.name) from None
             return target.inv(e) if f.sign < 0 else e
-        e = eval_word(f.content)
-        for _ in range(f.iter):
-            e = target.op(e)
+        e = target.op(eval_word(f.content), f.iter)
         return target.inv(e) if f.sign < 0 else e
 
     def eval_word(v: Word):

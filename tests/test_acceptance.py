@@ -287,7 +287,7 @@ def _oracle_without_r2(m):
 def _evaluation_ignores_the_operator(m):
     real = laws_mod.eval_operated
     m.setattr(laws_mod, "eval_operated", lambda w, t, asg: real(
-        w, SimpleNamespace(identity=t.identity, mul=t.mul, inv=t.inv, op=lambda a: a), asg))
+        w, SimpleNamespace(identity=t.identity, mul=t.mul, inv=t.inv, op=lambda a, n=1: a), asg))
 
 
 MUTANTS = (_seam_merge_off_by_one, _operator_is_a_literal_wrap,

@@ -60,6 +60,9 @@ def test_normalize_trace_and_via_ops(capsys):
     assert out.splitlines() == ["step 1 R1 at 0: [x] [y] -> [x [y]]", "[x [y]]"]
     code, out, _ = run(capsys, "normalize", "--via-ops", "[[x]@2 y] [z]")
     assert (code, out) == (0, "[x [y [z]]]@2\n")
+    word = "[x [y]@99999999]@100000001"
+    assert run(capsys, "normalize", "--via-ops", word) == run(capsys, "normalize", word) == \
+        (0, "[x [y]]@199999999\n", "")
 
 
 def test_normalize_flags_are_each_honoured_or_refused(capsys):
@@ -288,6 +291,9 @@ def test_an_oversized_word_draw_is_one_error_line_and_exit_2(capsys):
 
 def test_eval(capsys, z2_file):
     assert run(capsys, "eval", "[x]", "--group", z2_file, "--map", "x=1") == (0, "0\n", "")
+    # a bracket's count is one op call, not one per application: A^n(1) = 1 + n
+    assert run(capsys, "eval", "[x]@100000000", "--group", z2_file, "--map", "x=1") == \
+        (0, "1\n", "")
     # relation soundness: merged and unmerged spellings evaluate alike
     a = run(capsys, "eval", "[x][y]", "--group", z2_file, "--map", "x=1,y=0")
     b = run(capsys, "eval", "[x [y]]", "--group", z2_file, "--map", "x=1,y=0")

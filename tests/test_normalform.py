@@ -1,5 +1,7 @@
 """Normality predicate and the rewriting oracle."""
 
+import re
+
 import pytest
 
 from avgroups.words import (
@@ -225,8 +227,11 @@ def test_step_limit_raises(monkeypatch):
 
 
 def test_unknown_strategy_rejected():
-    with pytest.raises(KeyError):
+    known = re.escape(str(STRATEGIES))
+    with pytest.raises(ValueError, match=f"unknown strategy 'bogus'; expected one of {known}"):
         oracle_normalize(parse("[x] [y]"), strategy="bogus")
+    with pytest.raises(ValueError, match=known):
+        list(oracle_steps(parse("[x] [y]"), strategy="bogus"))
 
 
 def test_oracle_output_is_always_normal():

@@ -5,6 +5,7 @@ theorem they rest on."""
 import pytest
 
 from avgroups.structures import (
+    AveragingGroupHandle,
     CheckFailed,
     FiniteGroupTable,
     cyclic_group,
@@ -129,14 +130,20 @@ def test_every_operator_is_a_bimodule_map_onto_its_image(name):
         # A(hg) = hA(g) and A(gk) = A(g)k, so A(hgk) = hA(g)k
         assert all(op[m[h][g]] == m[h][op[g]] and op[m[g][h]] == m[op[g]][h]
                    for h in H for g in range(n))
-        # c = A(e) is central in H, and A^k(g) = A(g)c^(k-1) for 1 <= k <= |G|
-        c = op[e]
+        # c = A(e) is central in H, and A^k(g) = A(g)c^(k-1) for 1 <= k <= |G|;
+        # the handle's op(g, k) is A^k(g), and A^k depends on k only modulo
+        # the order r of c
+        c, r, cr = op[e], 1, op[e]
+        while cr != e:
+            r, cr = r + 1, m[cr][c]
         assert all(m[c][h] == m[h][c] for h in H)
+        h = AveragingGroupHandle(t, op)
         for g in range(n):
             ak = agc = op[g]  # A^k(g) and A(g)c^(k-1), from k = 1
-            for _ in range(n - 1):
-                ak, agc = op[ak], m[agc][c]
-                assert ak == agc, (op, g)
+            for k in range(1, n + 1):
+                if k > 1:
+                    ak, agc = op[ak], m[agc][c]
+                assert ak == agc == h.op(g, k) == h.op(g, k + 10**6 * r), (op, g, k)
 
 
 def test_a_table_that_is_not_a_group_is_refused_with_its_report():

@@ -631,6 +631,7 @@ def test_eval_operated_in_integer_shift_group():
     assert eval_operated(ONE, zs, {}) == 0
     assert eval_operated(parse("x^-1"), zs, {"x": 4}) == -4
     assert eval_operated(parse("[x]^-1"), zs, {"x": 4}) == -9
+    assert eval_operated(parse("[x]@1000000000"), zs, {"x": 2}) == 2 + 5 * 10**9
 
 
 def test_eval_operated_missing_assignment():
