@@ -100,6 +100,8 @@ def diamond(u: Word, v: Word) -> Word:
 
 def op_apply(w: Word, n: int = 1) -> Word:
     """A^n(w) for n >= 1: one bracket letter, whose count carries n - 1."""
+    if n < 1:
+        raise ValueError("iteration count must be >= 1")
     if len(w) == 1:
         f = w[0]
         if type(f) is Br and f.sign > 0:

@@ -36,7 +36,6 @@ from .avgroup import (DrawTooLarge, FreeTarget, GenParams, _alphabet_letters, di
 from .structures import (
     AveragingGroupHandle,
     CheckFailed,
-    MAX_SEARCH_ORDER,
     TableError,
     _load_json,
     load_group_file,
@@ -168,7 +167,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_search_ops(args) -> int:
     table, _ = load_group_file(args.group)
-    ops = search_averaging_ops(table, pointed_only=args.pointed, max_size=args.max_size)
+    ops = search_averaging_ops(table, pointed_only=args.pointed)
     kind = "pointed averaging" if args.pointed else "averaging"
     print(f"found {len(ops)} {kind} operator(s) on {len(table)} elements")
     for i, op in enumerate(ops, 1):
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--group", required=True)
     s.add_argument("--pointed", action="store_true",
                    help="only operators fixing the identity")
-    s.add_argument("--max-size", type=int, default=MAX_SEARCH_ORDER)
     s.set_defaults(func=_cmd_search_ops)
 
     h = sub.add_parser("hopf-check",

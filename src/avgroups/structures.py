@@ -29,6 +29,7 @@ A caller that keeps only the verdict asks whether the witness is None.
 from dataclasses import dataclass
 import itertools
 import json
+import math
 
 
 class TableError(ValueError):
@@ -178,8 +179,7 @@ class FiniteGroupTable:
 # triples: at 128 (Z128) that took 0.07 s and 34 MB of index lists on a
 # 2-core CPython 3.11 host, and S5 (120 elements) took 0.06 s.
 MAX_GROUP_ORDER = 128
-# Default cap on the carrier search_averaging_ops lists (search-ops --max-size).
-MAX_SEARCH_ORDER = 24
+MAX_LISTED = 100_000  # most operators listed; A5's 983,174 would take 0.5 GB
 
 
 def validate_group(t: FiniteGroupTable) -> CheckReport:
@@ -283,6 +283,8 @@ class AveragingGroupHandle:
                 if n & 1:
                     a = m[a][c]
                 c, n = m[c][c], n >> 1
+        elif n < 1:
+            raise ValueError("iteration count must be >= 1")
         return a
 
     def element(self, name) -> int:
@@ -417,50 +419,30 @@ def check_rack(h: AveragingGroupHandle) -> CheckReport:
     ))
 
 
-def search_averaging_ops(t: FiniteGroupTable, pointed_only: bool = False,
-                         max_size: int = MAX_SEARCH_ORDER):
+def search_averaging_ops(t: FiniteGroupTable, pointed_only: bool = False):
     """All averaging operator tables on a group, in lexicographic order.
 
     The tables are built from the module's structure theorem, not searched
     for: A is fixed by its image H, a subgroup; by c = A(e), central in H
     (c = e when `pointed_only`), with A(h) = hc on H; and by one value A(g)
     in H for each H x H double coset HgH of G - H, at its smallest index g,
-    among the values that every pair (h, k) with hgk = g fixes, since A(hgk)
-    = hA(g)k.  Each table is built once: H = A(G) and c = A(e) are read back
-    from it, and A(g) is one of its entries.  Each table is confirmed by the
-    theorem's converse: its image is H, and A(sg) = sA(g) and A(gs) = A(g)s
-    for every g and every generator s that closed H.  A table that fails goes
-    to validate_averaging, so a flaw in the construction raises CheckFailed
-    instead of returning a wrong table.  A table that is not a group raises
-    validate_group's report, since the construction needs the group axioms.
+    among the values that every pair (h, k) with hgk = g fixes, since A(hgk) =
+    hA(g)k.  Each table is built once, as H = A(G), c = A(e) and A(g) are read
+    back from it.  Each H's product of choice counts is summed as the subgroup
+    is reached: past MAX_LISTED the search raises TableError before it builds
+    any table.  Each table is confirmed by the theorem's converse: its image is
+    H, and A(sg) = sA(g) and A(gs) = A(g)s for every g and every generator s
+    that closed H.  A table that fails goes to validate_averaging, so a flaw in
+    the construction raises CheckFailed instead of returning a wrong table.  A
+    table that is not a group raises validate_group's report.
     """
-    n = len(t)
-    if n > max_size:
-        raise TableError(f"carrier size {n} exceeds the search cap {max_size}")
     validate_group(t).require()
-    e, m = t.identity(), t.mul_table
+    n, e, m = len(t), t.identity(), t.mul_table
     # every subgroup: each H and g outside it give <H, g>, closed from e
     # under right products by g and the generators that built H
-    subgroups, seen = [(frozenset((e,)), ())], set()
-    for H, gens in subgroups:
-        for g in range(n):
-            if g not in H:
-                gens_g, K, todo = gens + (g,), {e}, [e]
-                for x in todo:
-                    row = m[x]
-                    for s in gens_g:
-                        if row[s] not in K:
-                            K.add(row[s])
-                            todo.append(row[s])
-                K = frozenset(K)
-                if K not in seen:
-                    seen.add(K)
-                    subgroups.append((K, gens_g))
-    cols, found = list(zip(*m)), []
+    subgroups, seen, kept, total = [(frozenset((e,)), ())], set(), [], 0
     for hset, gens in subgroups:
         H = sorted(hset)
-        # the translations g -> sg and g -> gs by each generator s of H
-        shifts = [m[s] for s in gens] + [cols[s] for s in gens]
         # (cells, their values under each choice): H itself for each c, then
         # each double coset HgH for each allowed A(g)
         cosets = [(H, [[m[h][c] for h in H] for c in ([e] if pointed_only else H)
@@ -475,6 +457,27 @@ def search_averaging_ops(t: FiniteGroupTable, pointed_only: bool = False,
                 cosets.append((list(cells), [[m[m[h][a]][k] for h, k in cells.values()]
                                              for a in H
                                              if all(m[m[h][a]][k] == a for h, k in stab)]))
+        total += math.prod(len(values) for _, values in cosets)
+        if total > MAX_LISTED:
+            raise TableError(f"more than {MAX_LISTED:,} operators on {n} elements to list")
+        kept.append((hset, gens, cosets))
+        for g in range(n):
+            if g not in hset:
+                gens_g, K, todo = gens + (g,), {e}, [e]
+                for x in todo:
+                    row = m[x]
+                    for s in gens_g:
+                        if row[s] not in K:
+                            K.add(row[s])
+                            todo.append(row[s])
+                K = frozenset(K)
+                if K not in seen:
+                    seen.add(K)
+                    subgroups.append((K, gens_g))
+    cols, found = list(zip(*m)), []
+    for hset, gens, cosets in kept:
+        # the translations g -> sg and g -> gs by each generator s of H
+        shifts = [m[s] for s in gens] + [cols[s] for s in gens]
         order = [x for cells, _ in cosets for x in cells]
         where = sorted(range(n), key=order.__getitem__)  # order[where[g]] == g
         for choice in itertools.product(*(values for _, values in cosets)):

@@ -62,6 +62,11 @@ def test_operator_examples():
     assert render(op_apply(parse("[x [y]]@2"))) == "[x [y]]@3"
     assert render(op_apply(parse("[z]^-1"))) == "[[z]^-1]"
     assert render(op_apply(parse("[x]@3 y [z]@2"))) == "[x [y [z]]]@4"
+    assert render(op_apply(parse("[x]@3 y [z]@2"), 3)) == "[x [y [z]]]@6"
+    # A^n for n >= 1 only: A^0 and A^-2 have no bracket to carry them
+    for text, n in (("x", 0), ("[x]", -2), ("[x]@3 y [z]@2", 0)):
+        with pytest.raises(ValueError, match=r"^iteration count must be >= 1$"):
+            op_apply(parse(text), n)
 
 
 def test_operator_case_split():

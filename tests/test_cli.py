@@ -422,14 +422,20 @@ def test_search_ops(capsys, z2_file, tmp_path):
     ]
     code, out, _ = run(capsys, "search-ops", "--group", z2_file, "--pointed")
     assert code == 0 and out.splitlines()[0].startswith("found 2 pointed")
-    z25 = cyclic_file(tmp_path, 25)
-    assert run(capsys, "search-ops", "--group", z25) == \
-        (2, "", "error: carrier size 25 exceeds the search cap 24\n")
     z7 = cyclic_file(tmp_path, 7)
     code, out, _ = run(capsys, "search-ops", "--group", z7)
     assert code == 0 and out.splitlines()[0] == "found 8 averaging operator(s) on 7 elements"
-    assert run(capsys, "search-ops", "--group", z7, "--max-size", "6") == \
-        (2, "", "error: carrier size 7 exceeds the search cap 6\n")
+    # no size flag: a carrier lists or is refused by the size of its listing
+    z29 = cyclic_file(tmp_path, 29)
+    code, out, _ = run(capsys, "search-ops", "--group", z29)
+    assert code == 0 and out.splitlines()[0] == "found 30 averaging operator(s) on 29 elements"
+    z2_5 = tmp_path / "z2_5.json"
+    z2_5.write_text(json.dumps({"elements": [str(i) for i in range(32)],
+                                "mul": [[i ^ j for j in range(32)] for i in range(32)]}))
+    assert run(capsys, "search-ops", "--group", str(z2_5)) == \
+        (2, "", "error: more than 100,000 operators on 32 elements to list\n")
+    code, out, err = run(capsys, "search-ops", "--group", z7, "--max-size", "6")
+    assert (code, out) == (2, "") and "unrecognized arguments: --max-size 6" in err
 
 
 def test_hopf_check(capsys, z2_file, tmp_path):

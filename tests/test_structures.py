@@ -195,6 +195,12 @@ def test_handle_validates_on_construction():
     assert h.identity() == 0 and h.mul(1, 1) == 0 and h.inv(1) == 1 and h.op(0) == 1
     assert h.element("1") == 1 and h.name(1) == "1"
     assert not h.is_pointed()
+    # A^n for n >= 1 only: the Z4 translation's A^0(0) would be 0, not A(0)
+    z4 = AveragingGroupHandle(cyclic_group(4), (1, 2, 3, 0))
+    assert [z4.op(0, n) for n in (1, 2, 5)] == [1, 2, 1]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=r"^iteration count must be >= 1$"):
+            z4.op(0, n)
     with pytest.raises(TableError):
         AveragingGroupHandle(z2, (1, 1))
 
@@ -229,16 +235,27 @@ def test_search_on_small_cyclic_groups():
 def test_search_flags_and_caps():
     z2 = cyclic_group(2)
     assert search_averaging_ops(z2, pointed_only=True) == [(0, 0), (0, 1)]
-    with pytest.raises(TableError):
-        search_averaging_ops(cyclic_group(25))
     assert len(search_averaging_ops(sym3())) == 14
+    # the listing is bounded by its own size, summed before any table is built:
+    # Z2^5 (xor on 0..31) and S5 hold more than MAX_LISTED operators, pointed
+    # ones too
+    z2_5 = FiniteGroupTable(range(32), [[i ^ j for j in range(32)] for i in range(32)])
+    perms = sorted(itertools.permutations(range(5)))
+    s5 = FiniteGroupTable(range(120), [[perms.index(tuple(p[i] for i in q)) for q in perms]
+                                       for p in perms])
+    for t in (z2_5, s5):
+        for pointed in (False, True):
+            with pytest.raises(TableError, match=rf"^more than 100,000 operators on {len(t)} "
+                                                 "elements to list$"):
+                search_averaging_ops(t, pointed_only=pointed)
 
 
-def test_search_beyond_the_default_cap():
-    with pytest.raises(TableError, match="exceeds the search cap 24"):
-        search_averaging_ops(cyclic_group(25))
-    with pytest.raises(TableError, match="exceeds the search cap 6"):
-        search_averaging_ops(cyclic_group(7), max_size=6)
+def test_search_past_24_elements():
+    # carriers with few operators list at any size the group check takes
+    for n, plain, pointed in ((25, 3151, 627), (29, 30, 2)):
+        t = cyclic_group(n)
+        assert len(search_averaging_ops(t)) == plain
+        assert len(search_averaging_ops(t, pointed_only=True)) == pointed
     # counts found independently: Z7 has 8 and 2, Z8 has 41 and 14
     for n, plain, pointed in ((7, 8, 2), (8, 41, 14)):
         t = cyclic_group(n)
