@@ -10,6 +10,7 @@ final line so outputs stay byte-comparable.
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 
@@ -37,9 +38,7 @@ from .structures import (
     AveragingGroupHandle,
     CheckFailed,
     TableError,
-    _load_json,
     load_group_file,
-    op_from_names,
     search_averaging_ops,
     validate_averaging,
     validate_group,
@@ -184,10 +183,6 @@ MAX_EXHAUSTIVE_ORDER = 7
 def _cmd_hopf_check(args) -> int:
     table, op = load_group_file(args.group)
     validate_group(table).require()
-    if args.op:
-        data = _load_json(args.op)
-        # the file holds an 'op' block, or is the bare name map
-        op = op_from_names(table, data.get("op", data) if isinstance(data, dict) else data)
     if op is None:
         n = len(table)
         if n > MAX_EXHAUSTIVE_ORDER:
@@ -275,10 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("hopf-check",
                        help="group-level vs algebra-level averaging verdicts")
-    h.add_argument("--group", required=True)
-    h.add_argument("--op", default=None,
-                   help="JSON operator file; defaults to the group file's 'op', "
-                        "or exhaustive agreement when absent")
+    h.add_argument("--group", required=True, help="JSON group file; all maps when no 'op'")
     h.set_defaults(func=_cmd_hopf_check)
 
     l = sub.add_parser("lie-check", help="averaging and Leibniz checks")
@@ -296,6 +288,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush holds
+        print("error: standard output was closed", file=sys.stderr)
+        return 2
     except WordSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

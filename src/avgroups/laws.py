@@ -101,11 +101,11 @@ def _law_assoc(u, v, w):
     return diamond(diamond(u, v), w) == diamond(u, diamond(v, w))
 
 
-def _law_identity(u, v, w):
+def _law_identity(u):
     return diamond(u, ONE) == u and diamond(ONE, u) == u
 
 
-def _law_inverse(u, v, w):
+def _law_inverse(u):
     return diamond(u, inverse(u)) == ONE and diamond(inverse(u), u) == ONE
 
 
@@ -168,8 +168,8 @@ def law_table(alphabet):
     itself = {a: parse(a) for a in alphabet}
     return [
         ("assoc", "associativity", 3, "normal", _law_assoc),
-        ("assoc", "identity", 3, "normal", _law_identity),
-        ("assoc", "inverses", 3, "normal", _law_inverse),
+        ("assoc", "identity", 1, "normal", _law_identity),
+        ("assoc", "inverses", 1, "normal", _law_inverse),
         ("averaging", "averaging law", 2, "normal", _law_averaging),
         ("derived", "iterated averaging laws", 2, "normal", _law_derived),
         ("closure", "closure of outputs", 2, "normal", _law_closure),

@@ -3,12 +3,14 @@
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import avgroups.structures as structures_mod
 from avgroups.structures import (
     AveragingGroupHandle,
+    CheckFailed,
     CheckReport,
     FiniteGroupTable,
     IntShiftGroup,
@@ -248,6 +250,19 @@ def test_search_flags_and_caps():
             with pytest.raises(TableError, match=rf"^more than 100,000 operators on {len(t)} "
                                                  "elements to list$"):
                 search_averaging_ops(t, pointed_only=pointed)
+
+
+def test_a_listed_table_that_fails_the_converse_is_refused(monkeypatch):
+    # one value of the search's first choice changed: on Z3, H = {0} and its
+    # double cosets {1} and {2} give (0, 0, 0), which becomes (0, 1, 0); that
+    # table's image is not H, so it goes to the averaging check and is refused
+    def product(*value_lists):
+        for i, choice in enumerate(itertools.product(*value_lists)):
+            yield (choice[0], [1]) + choice[2:] if i == 0 else choice
+
+    monkeypatch.setattr(structures_mod, "itertools", SimpleNamespace(product=product))
+    with pytest.raises(CheckFailed, match=r"^averaging: FAIL fails at \(1, 1\)$"):
+        search_averaging_ops(cyclic_group(3))
 
 
 def test_search_past_24_elements():
