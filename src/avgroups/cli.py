@@ -48,7 +48,6 @@ from .linearalg import (
     check_hopf_equivalence,
     check_leibniz,
     load_lie_file,
-    load_operator_file,
 )
 from .laws import SUITE_NAMES, run_suites
 
@@ -201,8 +200,9 @@ def _cmd_hopf_check(args) -> int:
 
 
 def _cmd_lie_check(args) -> int:
-    L = load_lie_file(args.structure)
-    M = load_operator_file(args.operator, L.dim)
+    L, M = load_lie_file(args.structure)
+    if M is None:
+        raise TableError("Lie file has no 'matrix'")
     code = 0
     for rep in (check_averaging_lie(L, M), check_leibniz(L, M)):
         for line in rep.lines():
@@ -274,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(func=_cmd_hopf_check)
 
     l = sub.add_parser("lie-check", help="averaging and Leibniz checks")
-    l.add_argument("--structure", required=True, help="JSON structure-constant file")
-    l.add_argument("--operator", required=True, help="JSON matrix file")
+    l.add_argument("--structure", required=True, help="JSON Lie file with 'matrix'")
     l.set_defaults(func=_cmd_lie_check)
     return p
 

@@ -386,6 +386,8 @@ def _columns(M):
 
 
 def as_matrix(dim: int, M):
+    if not isinstance(M, (list, tuple)):
+        raise TableError("operator matrix must be a list of rows")
     rows = []
     for row in M:
         if not isinstance(row, (list, tuple)):
@@ -436,16 +438,18 @@ def check_leibniz(L: LieAlgebraSpec, M) -> CheckReport:
     return CheckReport((_law("left Leibniz on basis triples", sides, d, 3, _e),))
 
 
-def load_lie_file(source) -> LieAlgebraSpec:
-    """Read {"dim": d, "brackets": [{"i":1,"j":2,"coeffs":{"2":"1"}}]} data.
+def load_lie_file(source):
+    """Read {"dim": d, "brackets": [{"i":1,"j":2,"coeffs":{"2":"1"}}], "matrix": [[...]]}.
 
     Indices are one-based in the file; rationals are "p/q" strings or
     integers.  Pairs without an explicit mirror are completed
-    antisymmetrically.
+    antisymmetrically; no brackets is the abelian algebra.  Returns (spec,
+    matrix or None): the optional "matrix" is the operator's rows, read
+    once the spec is built, so an oversized dim is refused first.
     """
     data = _load_json(source)
     if not isinstance(data, dict) or "dim" not in data:
-        raise TableError("Lie file needs 'dim' and 'brackets'")
+        raise TableError("Lie file needs 'dim'")
     dim = _as_int(data["dim"], "'dim'")
     entries = data.get("brackets", ())
     if not isinstance(entries, (list, tuple)):
@@ -470,22 +474,6 @@ def load_lie_file(source) -> LieAlgebraSpec:
         if (i, j) in brackets:
             raise TableError(f"duplicate bracket entry for (e{i+1}, e{j+1})")
         brackets[(i, j)] = coeffs
-    return LieAlgebraSpec.from_brackets(dim, brackets)
-
-
-def load_operator_file(source, dim: int):
-    """Read {"dim": d, "matrix": [...]} with row-major rational strings."""
-    data = _load_json(source)
-    if not isinstance(data, dict) or "matrix" not in data:
-        raise TableError("operator file needs 'dim' and 'matrix'")
-    d = _as_int(data.get("dim", dim), "'dim'")
-    if d != dim:
-        raise TableError(f"operator dimension {d} does not match algebra dimension {dim}")
-    flat = data["matrix"]
-    if not isinstance(flat, (list, tuple)):
-        raise TableError("'matrix' must be a list")
-    if flat and isinstance(flat[0], (list, tuple)):
-        return as_matrix(d, flat)
-    if len(flat) != d * d:
-        raise TableError("flat matrix must have dim*dim entries")
-    return as_matrix(d, [flat[r * d:(r + 1) * d] for r in range(d)])
+    spec = LieAlgebraSpec.from_brackets(dim, brackets)
+    M = data.get("matrix")
+    return spec, None if M is None else as_matrix(spec.dim, M)

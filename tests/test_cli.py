@@ -358,11 +358,9 @@ def test_eval_validation_failures(capsys, tmp_path):
     assert run(capsys, "eval", "x", "--group", str(ea), "--map", "x=a,x=e") == (2, "", want)
     assert run(capsys, "eval", "x", "--group", str(ea), "--map", "x=a,y=e") == (0, "a\n", "")
     badlie = tmp_path / "badlie.json"
-    badlie.write_text(json.dumps({"dim": 2, "brackets": {"[1,2]": {"2": "1"}}}))
-    goodop = tmp_path / "goodop.json"
-    goodop.write_text(json.dumps({"dim": 2, "matrix": [[1, 0], [0, 0]]}))
-    code, _, err = run(capsys, "lie-check", "--structure", str(badlie),
-                       "--operator", str(goodop))
+    badlie.write_text(json.dumps({"dim": 2, "brackets": {"[1,2]": {"2": "1"}},
+                                  "matrix": [[1, 0], [0, 0]]}))
+    code, _, err = run(capsys, "lie-check", "--structure", str(badlie))
     assert code == 2 and "brackets" in err
 
 
@@ -391,15 +389,15 @@ def test_failed_reports_print_in_full_and_exit_1(capsys, tmp_path):
     assert run(capsys, "search-ops", "--group", noid) == \
         (1, "identity: FAIL table has no two-sided identity\n", "")
     assert run(capsys, "hopf-check", "--group", nongroup) == (1, NOT_A_GROUP_REPORT, "")
-    zero3 = write("zero3.json", {"dim": 3, "matrix": [0] * 9})
     nojac = write("nojac.json", {"dim": 3, "brackets": [
-        {"i": 1, "j": 2, "coeffs": {"1": "1"}}, {"i": 1, "j": 3, "coeffs": {"3": "1"}}]})
-    assert run(capsys, "lie-check", "--structure", nojac, "--operator", zero3) == \
+        {"i": 1, "j": 2, "coeffs": {"1": "1"}}, {"i": 1, "j": 3, "coeffs": {"3": "1"}}],
+        "matrix": [[0] * 3] * 3})
+    assert run(capsys, "lie-check", "--structure", nojac) == \
         (1, "antisymmetry: ok\nJacobi: FAIL fails at (e1, e2, e3)\n", "")
-    zero2 = write("zero2.json", {"dim": 2, "matrix": [0] * 4})
     skew = write("skew.json", {"dim": 2, "brackets": [
-        {"i": 1, "j": 2, "coeffs": {"2": "1"}}, {"i": 2, "j": 1, "coeffs": {"2": "1"}}]})
-    assert run(capsys, "lie-check", "--structure", skew, "--operator", zero2) == \
+        {"i": 1, "j": 2, "coeffs": {"2": "1"}}, {"i": 2, "j": 1, "coeffs": {"2": "1"}}],
+        "matrix": [[0] * 2] * 2})
+    assert run(capsys, "lie-check", "--structure", skew) == \
         (1, "antisymmetry: FAIL fails at (e1, e2)\nJacobi: FAIL fails at (e1, e1, e2)\n", "")
 
 
@@ -546,24 +544,28 @@ def test_hopf_check_rejects_malformed_operator_files(capsys, tmp_path):
 
 
 def test_lie_check(capsys, tmp_path):
-    lie = tmp_path / "lie.json"
-    lie.write_text(json.dumps(
-        {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]}))
-    p1 = tmp_path / "p1.json"
-    p1.write_text(json.dumps({"dim": 2, "matrix": ["1", "0", "0", "0"]}))
-    p2 = tmp_path / "p2.json"
-    p2.write_text(json.dumps({"dim": 2, "matrix": ["0", "0", "0", "1"]}))
-    code, out, _ = run(capsys, "lie-check", "--structure", str(lie), "--operator", str(p1))
-    assert code == 0
-    assert out.splitlines() == ["averaging on basis pairs: ok",
-                                "left Leibniz on basis triples: ok"]
-    code, out, _ = run(capsys, "lie-check", "--structure", str(lie), "--operator", str(p2))
-    assert code == 1 and "fails at (e1, e2)" in out
-    # a dimension past the cap is refused before any dim^2 table is built
-    big = tmp_path / "big.json"
-    big.write_text(json.dumps({"dim": MAX_LIE_DIM + 1, "brackets": []}))
-    code, out, err = run(capsys, "lie-check", "--structure", str(big), "--operator", str(p1))
+    # the operator is the Lie file's own "matrix", as the group file carries "op"
+    def check(matrix=None, dim=2):
+        data = {"dim": dim, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]}
+        lie = tmp_path / "lie.json"
+        lie.write_text(json.dumps(data if matrix is None else {**data, "matrix": matrix}))
+        return run(capsys, "lie-check", "--structure", str(lie))
+
+    assert check([["1", "0"], ["0", "0"]]) == \
+        (0, "averaging on basis pairs: ok\nleft Leibniz on basis triples: ok\n", "")
+    assert check([[0, 0], [0, 1]]) == \
+        (1, "averaging on basis pairs: FAIL fails at (e1, e2)\n"
+            "left Leibniz on basis triples: FAIL fails at (e2, e1, e1)\n", "")
+    assert check() == (2, "", "error: Lie file has no 'matrix'\n")
+    assert check(["1", "0", "0", "0"]) == (2, "", "error: operator matrix rows must be lists\n")
+    assert check(1.5) == (2, "", "error: operator matrix must be a list of rows\n")
+    # a dimension past the cap is refused before the matrix or any dim^2 table
+    code, out, err = check([[1, 0], [0, 0]], dim=MAX_LIE_DIM + 1)
     assert (code, out) == (2, "") and f"exceeds the limit of {MAX_LIE_DIM}" in err
+    # the one file is the only flag: a second operator file is a usage error
+    lie = str(tmp_path / "lie.json")
+    code, out, err = run(capsys, "lie-check", "--structure", lie, "--operator", lie)
+    assert (code, out) == (2, "") and "unrecognized arguments: --operator" in err
 
 
 def test_a_closed_stdout_is_not_a_file_error(tmp_path):
@@ -590,11 +592,10 @@ def test_a_closed_stdout_is_not_a_file_error(tmp_path):
 def test_hostile_data_files_are_refused_in_time(capsys, tmp_path):
     # an exponent rational would make Fraction build ten million digits, and
     # string rows would be read digit by digit as a valid Z2 table
-    lie, matrix, group = (tmp_path / f"{name}.json" for name in ("lie", "matrix", "group"))
-    lie.write_text(json.dumps({"dim": 1, "brackets": []}))
-    matrix.write_text(json.dumps({"dim": 1, "matrix": [["1e9999999"]]}))
+    lie, group = (tmp_path / f"{name}.json" for name in ("lie", "group"))
+    lie.write_text(json.dumps({"dim": 1, "brackets": [], "matrix": [["1e9999999"]]}))
     group.write_text(json.dumps({"elements": ["e", "a"], "mul": ["01", "10"]}))
-    assert run(capsys, "lie-check", "--structure", str(lie), "--operator", str(matrix)) == \
+    assert run(capsys, "lie-check", "--structure", str(lie)) == \
         (2, "", "error: not a rational value: '1e9999999'\n")
     assert run(capsys, "hopf-check", "--group", str(group)) == \
         (2, "", "error: mul table must be a square of indices in range\n")
@@ -665,16 +666,15 @@ def test_hostile_files_keep_the_exit_contract(capsys, tmp_path):
     files = {
         "group": {"elements": ["0", "1", "2"], "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
                   "op": {"0": "1", "1": "2", "2": "0"}},
-        "lie": {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]},
-        "matrix": {"dim": 2, "matrix": [["1", "0"], ["0", "0"]]},
+        "lie": {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}],
+                "matrix": [["1", "0"], ["0", "0"]]},
     }
     paths = {name: str(tmp_path / f"{name}.json") for name in files}
     commands = {
         "group": [["eval", "[x] x^-1", "--group", paths["group"], "--map", "x=1"],
                   ["search-ops", "--group", paths["group"]],
                   ["hopf-check", "--group", paths["group"]]],
-        "lie": [["lie-check", "--structure", paths["lie"], "--operator", paths["matrix"]]],
-        "matrix": [["lie-check", "--structure", paths["lie"], "--operator", paths["matrix"]]],
+        "lie": [["lie-check", "--structure", paths["lie"]]],
     }
     cases = [(name, path, value) for name, data in files.items()
              for path in _value_paths(data) for value in HOSTILE_VALUES]

@@ -41,7 +41,6 @@ from avgroups.linearalg import (
     leibniz_bracket,
     linear_extend,
     load_lie_file,
-    load_operator_file,
     validate_lie,
 )
 
@@ -66,6 +65,11 @@ def test_lie_operator_rows_must_match_the_dimension():
     L = LieAlgebraSpec.from_brackets(2, {})
     with pytest.raises(TableError, match=r"^operator matrix must match the algebra dimension$"):
         check_averaging_lie(L, [[1, 0], [0, 1], [0, 0]])
+    # a matrix that is no list is a typed error, not a TypeError from iterating it
+    for M in (5, None, 1.5):
+        for check in (check_averaging_lie, check_leibniz):
+            with pytest.raises(TableError, match="^operator matrix must be a list of rows$"):
+                check(L, M)
 
 
 def test_linear_extend():
@@ -405,18 +409,17 @@ def test_file_loaders(tmp_path):
     lie = tmp_path / "lie.json"
     lie.write_text(json.dumps(
         {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]}))
-    L = load_lie_file(str(lie))
-    assert L.brackets == SOLVABLE.brackets
-    op = tmp_path / "op.json"
-    op.write_text(json.dumps({"dim": 2, "matrix": ["1", "0", "0", "0"]}))
-    M = load_operator_file(str(op), 2)
-    assert M == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
-    nested = load_operator_file({"dim": 2, "matrix": [["1/2", "0"], ["0", "1"]]}, 2)
-    assert nested[0][0] == Fraction(1, 2)
-    with pytest.raises(TableError):
-        load_operator_file({"dim": 2, "matrix": ["1", "0"]}, 2)
-    with pytest.raises(TableError):
-        load_operator_file({"dim": 2, "matrix": [0.5, 0, 0, 0]}, 2)
+    L, M = load_lie_file(str(lie))
+    assert L.brackets == SOLVABLE.brackets and M is None
+    # the operator is the file's optional "matrix", nested rows only
+    lie.write_text(json.dumps({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}],
+                               "matrix": [["1/2", "0"], ["0", 1]]}))
+    L, M = load_lie_file(str(lie))
+    assert L.brackets == SOLVABLE.brackets and M == ((Fraction(1, 2), 0), (0, 1))
+    for matrix in (["1", "0", "0", "0"], [0.5, 0, 0, 0], [["1", "0"]], [["1", "0"], ["0"]],
+                   [["1", "0"], ["0", "0"], ["0", "0"]], [[0.5, 0], [0, 0]]):
+        with pytest.raises(TableError):
+            load_lie_file({"dim": 2, "matrix": matrix})
     with pytest.raises(TableError):
         load_lie_file({"dim": 2, "brackets": [{"i": 5, "j": 1, "coeffs": {}}]})
     with pytest.raises(TableError) as exc:
@@ -428,7 +431,7 @@ def test_file_loaders(tmp_path):
             {"i": 1, "j": 2, "coeffs": {"2": "1"}},
             {"i": 1, "j": 2, "coeffs": {"2": "2"}}]})
     # explicit mirrors are honored, missing ones are filled antisymmetrically
-    both = load_lie_file({"dim": 2, "brackets": [
+    both, _ = load_lie_file({"dim": 2, "brackets": [
         {"i": 1, "j": 2, "coeffs": {"2": "1"}},
         {"i": 2, "j": 1, "coeffs": {"2": "-1"}}]})
     assert both.brackets == SOLVABLE.brackets
@@ -451,29 +454,35 @@ def test_loaders_reject_malformed_shapes():
     with pytest.raises(TableError):
         load_lie_file({"dim": 2, "brackets": [
             {"i": 1, "j": 2, "coeffs": {"2": "one"}}]})
+    with pytest.raises(TableError, match="^operator matrix must be a list of rows$"):
+        load_lie_file({"dim": 2, "matrix": "1 0 0 0"})
+    with pytest.raises(TableError, match="^operator matrix rows must be lists$"):
+        load_lie_file({"dim": 2, "matrix": [["1", "0"], "bad row"]})
     with pytest.raises(TableError):
-        load_operator_file({"dim": 2, "matrix": "1 0 0 0"}, 2)
+        load_lie_file({"dim": 2, "matrix": [["1", "0"], ["0", "x"]]})
     with pytest.raises(TableError):
-        load_operator_file({"dim": 2, "matrix": [["1", "0"], "bad row"]}, 2)
-    with pytest.raises(TableError):
-        load_operator_file({"dim": 2, "matrix": [["1", "0"], ["0", "x"]]}, 2)
-    with pytest.raises(TableError):
-        load_operator_file({"dim": True, "matrix": []}, 2)
+        load_lie_file({"dim": True, "matrix": []})
     # JSON booleans are not rationals, as they are not group-table indices
     with pytest.raises(TableError, match="not a rational value: True"):
-        load_operator_file({"dim": 2, "matrix": [True, False, False, True]}, 2)
+        load_lie_file({"dim": 2, "matrix": [[True, False], [False, True]]})
     with pytest.raises(TableError, match="not a rational value: True"):
         load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": True}}]})
     # nor are exponent strings: Fraction("1e9999999") would build ten million
     # digits, which the int digit limit never sees
     for text in ("1e9999999", "1E9999999", "-2.5e-3", "1/2e3"):
-        for load in (lambda: load_operator_file({"dim": 1, "matrix": [[text]]}, 1),
+        for load in (lambda: load_lie_file({"dim": 1, "matrix": [[text]]}),
                      lambda: load_lie_file({"dim": 2, "brackets": [
                          {"i": 1, "j": 2, "coeffs": {"2": text}}]}),
                      lambda: linear_extend(cyclic_group(2), [{0: text}, {1: 1}])):
             with pytest.raises(TableError, match=f"^not a rational value: '{text}'$"):
                 load()
     assert linearalg.as_matrix(3, [["3/2", "1.5", "-7"]] * 3)[0] == (Fraction(3, 2),) * 2 + (-7,)
+    # only 'dim' is required: no brackets is the abelian algebra
+    for data in ({"brackets": []}, {"matrix": [[1]]}, {}):
+        with pytest.raises(TableError, match="^Lie file needs 'dim'$"):
+            load_lie_file(data)
+    L, M = load_lie_file({"dim": 2})
+    assert L.brackets == LieAlgebraSpec.from_brackets(2, {}).brackets and M is None
     for coeffs in (5, None, [], "x"):
         with pytest.raises(TableError):
             load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]})
