@@ -9,7 +9,6 @@ final line so outputs stay byte-comparable.
 
 import argparse
 import itertools
-import json
 import os
 import sys
 import time
@@ -313,7 +312,7 @@ def main(argv=None) -> int:
         print("error: the words this input leads to nest too deep to work on "
               "(recursion limit reached)", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
 

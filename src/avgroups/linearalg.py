@@ -304,9 +304,10 @@ def _bilinear(table, u: dict, v: dict) -> dict:
     return _combine((ua * vb, table[a][b]) for a, ua in u.items() for b, vb in v.items())
 
 
-# Largest Lie algebra dimension from_brackets accepts.  validate_lie walks
-# dim^3 basis triples: at dim 64 that took 1.7 s on a 2-core CPython 3.11 host,
-# and a file naming dim 100000 would otherwise allocate 10^10 pair maps.
+# Largest Lie algebra dimension from_brackets accepts; a file naming dim 100000
+# would otherwise allocate 10^10 pair maps.  validate_lie and check_leibniz cost
+# dim^3 * (nonzeros per bracket)^2: about 1 s for a sparse dim 64, but 5 s each
+# for a dense dim 24 with string coefficients (README, "JSON file formats").
 MAX_LIE_DIM = 64
 
 
@@ -323,7 +324,8 @@ class LieAlgebraSpec:
 
         A pair whose mirror is absent gets the antisymmetric counterpart
         filled in; explicitly given mirrors are kept as written.  Every
-        index must be an int in 0..dim-1, and dim at most MAX_LIE_DIM.
+        index must be an int in 0..dim-1, and dim at most MAX_LIE_DIM; a
+        refusal names the basis vector one-based, as reports do.
         """
         dim = _as_int(dim, "Lie algebra dimension")
         if dim < 1:
@@ -332,8 +334,10 @@ class LieAlgebraSpec:
             raise TableError(f"Lie algebra dimension {dim} exceeds the limit of {MAX_LIE_DIM}")
 
         def index(v):
-            if type(v) is not int or not 0 <= v < dim:
-                raise TableError(f"basis index must be an int in 0..{dim - 1}, got {v!r}")
+            if type(v) is not int:
+                raise TableError(f"basis index must be an int, got {v!r}")
+            if not 0 <= v < dim:
+                raise TableError(f"no basis vector {_e(v)} in dimension {dim}")
             return v
 
         if not isinstance(brackets, dict):
@@ -442,7 +446,9 @@ def load_lie_file(source):
     """Read {"dim": d, "brackets": [{"i":1,"j":2,"coeffs":{"2":"1"}}], "matrix": [[...]]}.
 
     Indices are one-based in the file; rationals are "p/q" strings or
-    integers.  Pairs without an explicit mirror are completed
+    integers.  from_brackets checks the dimension, every index and every
+    coefficient; only a repeated pair, which its dict cannot hold, is
+    refused here.  Pairs without an explicit mirror are completed
     antisymmetrically; no brackets is the abelian algebra.  Returns (spec,
     matrix or None): the optional "matrix" is the operator's rows, read
     once the spec is built, so an oversized dim is refused first.
@@ -450,30 +456,19 @@ def load_lie_file(source):
     data = _load_json(source)
     if not isinstance(data, dict) or "dim" not in data:
         raise TableError("Lie file needs 'dim'")
-    dim = _as_int(data["dim"], "'dim'")
     entries = data.get("brackets", ())
     if not isinstance(entries, (list, tuple)):
         raise TableError("'brackets' must be a list of {'i','j','coeffs'} entries")
     brackets = {}
     for entry in entries:
-        if not isinstance(entry, dict) or "i" not in entry or "j" not in entry:
+        if (not isinstance(entry, dict) or "i" not in entry or "j" not in entry
+                or not isinstance(entry.get("coeffs", {}), dict)):
             raise TableError(f"malformed bracket entry {entry!r}")
-        i = _as_int(entry["i"], "'i'") - 1
-        j = _as_int(entry["j"], "'j'") - 1
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise TableError(f"bracket index out of range in {entry!r}")
-        raw = entry.get("coeffs", {})
-        if not isinstance(raw, dict):
-            raise TableError(f"malformed bracket entry {entry!r}")
-        coeffs = {}
-        for k, v in raw.items():
-            k = _as_int(k, "coefficient index") - 1
-            if not 0 <= k < dim:
-                raise TableError(f"coefficient index out of range in {entry!r}")
-            coeffs[k] = _coeff(v)
-        if (i, j) in brackets:
-            raise TableError(f"duplicate bracket entry for (e{i+1}, e{j+1})")
-        brackets[(i, j)] = coeffs
-    spec = LieAlgebraSpec.from_brackets(dim, brackets)
+        pair = _as_int(entry["i"], "'i'") - 1, _as_int(entry["j"], "'j'") - 1
+        if pair in brackets:
+            raise TableError(f"duplicate bracket entry for ({_e(pair[0])}, {_e(pair[1])})")
+        brackets[pair] = {_as_int(k, "coefficient index") - 1: v
+                          for k, v in entry.get("coeffs", {}).items()}
+    spec = LieAlgebraSpec.from_brackets(data["dim"], brackets)
     M = data.get("matrix")
     return spec, None if M is None else as_matrix(spec.dim, M)

@@ -551,7 +551,10 @@ def _load_json(source):
     if isinstance(source, dict):
         return source
     with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nests
+            raise TableError(f"{source} is not readable JSON: {exc}") from None
 
 
 def _int(v) -> int:

@@ -601,6 +601,27 @@ def test_hostile_data_files_are_refused_in_time(capsys, tmp_path):
         (2, "", "error: mul table must be a square of indices in range\n")
 
 
+def test_unreadable_data_files_exit_2(tmp_path):
+    # bytes that are not UTF-8, an integer past CPython's 4,300-digit limit,
+    # and arrays nested past the recursion limit: json.load raises
+    # UnicodeDecodeError, ValueError and RecursionError, and each is one
+    # error line naming the file, on every subcommand that reads one
+    files = {"utf": b'\xff\xfe{', "digits": b'{"dim": ' + b"9" * 5000 + b"}",
+             "deep": b"[" * 100000 + b"]" * 100000}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        for argv in (["eval", "--group", str(path), "x"], ["search-ops", "--group", str(path)],
+                     ["hopf-check", "--group", str(path)], ["lie-check", "--structure", str(path)]):
+            proc = subprocess.run([sys.executable, "-m", "avgroups.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert (proc.returncode, proc.stdout) == (2, ""), (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr, argv
+            assert proc.stderr.startswith(f"error: {path} is not readable JSON: "), proc.stderr
+            assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_shrinker_minimizes_while_preserving_failure():
     # predicate: the word still contains a bracket letter
     fails = lambda ws: "[" in render(ws[0])

@@ -353,11 +353,15 @@ def test_lie_spec_and_validation():
     # from_brackets is the one constructor: no dense cube is read
     with pytest.raises(TypeError):
         LieAlgebraSpec(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])
-    # every index is an int in 0..dim-1: -1 must not read as the last one
+    # every index is an int in 0..dim-1: -1 must not read as the last one;
+    # the refusal names the basis vector one-based, as reports do
     for bad in (-1, 2, 5, "1", 1.0, True, None):
+        message = (f"no basis vector e{bad + 1} in dimension 2" if type(bad) is int
+                   else f"basis index must be an int, got {bad!r}")
         for brackets in ({(0, 1): {bad: 1}}, {(bad, 1): {0: 1}}, {(0, bad): {0: 1}}):
-            with pytest.raises(TableError, match=r"basis index must be an int in 0\.\.1"):
+            with pytest.raises(TableError) as exc:
                 LieAlgebraSpec.from_brackets(2, brackets)
+            assert str(exc.value) == message
     # malformed shapes and oversized dimensions are typed errors too
     for brackets in ({(0, 1): 5}, {0: {1: 1}}, {(0, 1, 2): {1: 1}}, {(0,): {1: 1}},
                      [((0, 1), {1: 1})]):
@@ -420,12 +424,16 @@ def test_file_loaders(tmp_path):
                    [["1", "0"], ["0", "0"], ["0", "0"]], [[0.5, 0], [0, 0]]):
         with pytest.raises(TableError):
             load_lie_file({"dim": 2, "matrix": matrix})
-    with pytest.raises(TableError):
-        load_lie_file({"dim": 2, "brackets": [{"i": 5, "j": 1, "coeffs": {}}]})
-    with pytest.raises(TableError) as exc:
-        load_lie_file({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]})
-    assert str(exc.value) == ("coefficient index out of range in "
-                              "{'i': 1, 'j': 2, 'coeffs': {'3': '1'}}")
+    # the file's one-based indices are refused by from_brackets, in its words:
+    # a file index 0 is e0, not the last basis vector
+    for entry, name in (({"i": 5, "j": 1, "coeffs": {}}, "e5"),
+                        ({"i": 1, "j": 2, "coeffs": {"3": "1"}}, "e3"),
+                        ({"i": 0, "j": 2, "coeffs": {"2": "1"}}, "e0"),
+                        ({"i": 1, "j": 0, "coeffs": {"2": "1"}}, "e0"),
+                        ({"i": 1, "j": 2, "coeffs": {"0": "1"}}, "e0")):
+        with pytest.raises(TableError) as exc:
+            load_lie_file({"dim": 2, "brackets": [entry]})
+        assert str(exc.value) == f"no basis vector {name} in dimension 2"
     with pytest.raises(TableError):
         load_lie_file({"dim": 2, "brackets": [
             {"i": 1, "j": 2, "coeffs": {"2": "1"}},
