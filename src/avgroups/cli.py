@@ -202,13 +202,9 @@ def _cmd_lie_check(args) -> int:
     L, M = load_lie_file(args.structure)
     if M is None:
         raise TableError("Lie file has no 'matrix'")
-    code = 0
-    for rep in (check_averaging_lie(L, M), check_leibniz(L, M)):
-        for line in rep.lines():
-            print(line)
-        if not rep.ok:
-            code = 1
-    return code
+    reps = check_averaging_lie(L, M), check_leibniz(L, M)
+    print("\n".join(line for rep in reps for line in rep.lines()))
+    return 0 if all(rep.ok for rep in reps) else 1
 
 
 # --- parser and entry -----------------------------------------------------------

@@ -3,9 +3,10 @@
 Vectors are finitely supported maps from a basis index to an exact
 coefficient, a plain int or a Fraction; zero coefficients never appear in
 the support.  Integral data stays in ints (basis vectors, set-map
-extensions, the seeded spot-check samples, integer structure constants and
-matrix entries); a Fraction enters only where a caller supplies a value
-that is not an int, and int-Fraction arithmetic stays exact.
+extensions, the seeded spot-check samples, structure constants and matrix
+entries): `_coeff` reads "3", "6/2", Fraction(3) and 3 as the int 3, so a
+Fraction enters only where a value is not integral; int-Fraction arithmetic
+stays exact.
 
 The group algebra carries the diagonal coproduct, the sum counit, and the
 inversion antipode, which together feed the operator checks: an operator
@@ -47,21 +48,20 @@ from .structures import (
 )
 
 
-def _frac(v) -> Fraction:
+def _coeff(v):
+    """An exact coefficient: an int where the value is integral, else a Fraction."""
+    if type(v) is int:
+        return v
     if isinstance(v, float):
         raise TableError("rational values must be exact (int or 'p/q' string)")
     if isinstance(v, bool) or isinstance(v, str) and ("e" in v or "E" in v):
         # JSON true/false would pass for 1 and 0; Fraction expands "1e9999999"
         raise TableError(f"not a rational value: {v!r}")
     try:
-        return Fraction(str(v)) if isinstance(v, str) else Fraction(v)
+        q = Fraction(v)
     except (ValueError, ZeroDivisionError, TypeError):
         raise TableError(f"not a rational value: {v!r}") from None
-
-
-def _coeff(v):
-    """An exact coefficient: an int stays an int, anything else is read by _frac."""
-    return v if type(v) is int else _frac(v)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _norm(coeffs: dict) -> dict:
@@ -203,15 +203,12 @@ def counit(a: dict):
     return sum(a.values(), 0)
 
 
-def _tensor_square(a: dict, b: dict) -> dict:
-    return _norm({(i, j): ci * cj for i, ci in a.items() for j, cj in b.items()})
-
-
 def _coalgebra_chunks(P, images):
     """Chunks of the coalgebra-map laws: the coproduct on the basis, the
     counit on the basis, then one lazy chunk for the seeded samples."""
     # cop(x) is diagonal: P tensor P only meets the squares (P tensor P)(e_i tensor e_i)
-    squares = [_tensor_square(img, img) for img in images]
+    squares = [_norm({(i, j): ci * cj for i, ci in img.items() for j, cj in img.items()})
+               for img in images]
 
     def sides(x, px):
         return ((coproduct(px), counit(px)),
@@ -306,8 +303,8 @@ def _bilinear(table, u: dict, v: dict) -> dict:
 
 # Largest Lie algebra dimension from_brackets accepts; a file naming dim 100000
 # would otherwise allocate 10^10 pair maps.  validate_lie and check_leibniz cost
-# dim^3 * (nonzeros per bracket)^2: about 1 s for a sparse dim 64, but 5 s each
-# for a dense dim 24 with string coefficients (README, "JSON file formats").
+# dim^3 * (nonzeros per bracket)^2: about 1 s for a sparse dim 64, and 0.25 s
+# each for a dense dim 24, however its coefficients are written (README).
 MAX_LIE_DIM = 64
 
 
@@ -447,11 +444,11 @@ def load_lie_file(source):
 
     Indices are one-based in the file; rationals are "p/q" strings or
     integers.  from_brackets checks the dimension, every index and every
-    coefficient; only a repeated pair, which its dict cannot hold, is
-    refused here.  Pairs without an explicit mirror are completed
-    antisymmetrically; no brackets is the abelian algebra.  Returns (spec,
-    matrix or None): the optional "matrix" is the operator's rows, read
-    once the spec is built, so an oversized dim is refused first.
+    coefficient; only a repeated pair or coefficient index, which its dicts
+    cannot hold, is refused here.  Pairs without an explicit mirror are
+    completed antisymmetrically; no brackets is the abelian algebra.
+    Returns (spec, matrix or None): the optional "matrix" is the operator's
+    rows, read once the spec is built, so an oversized dim is refused first.
     """
     data = _load_json(source)
     if not isinstance(data, dict) or "dim" not in data:
@@ -467,8 +464,10 @@ def load_lie_file(source):
         pair = _as_int(entry["i"], "'i'") - 1, _as_int(entry["j"], "'j'") - 1
         if pair in brackets:
             raise TableError(f"duplicate bracket entry for ({_e(pair[0])}, {_e(pair[1])})")
-        brackets[pair] = {_as_int(k, "coefficient index") - 1: v
-                          for k, v in entry.get("coeffs", {}).items()}
+        coeffs = entry.get("coeffs", {})
+        brackets[pair] = {_as_int(k, "coefficient index") - 1: v for k, v in coeffs.items()}
+        if len(brackets[pair]) < len(coeffs):  # "2" and "02" both spell e2
+            raise TableError(f"coefficient index repeated in ({_e(pair[0])}, {_e(pair[1])})")
     spec = LieAlgebraSpec.from_brackets(data["dim"], brackets)
     M = data.get("matrix")
     return spec, None if M is None else as_matrix(spec.dim, M)

@@ -539,20 +539,37 @@ def load_group_file(source):
         raise TableError("group file needs 'elements' and 'mul'")
     if not isinstance(data["elements"], (list, tuple)):
         raise TableError("'elements' must be a list of element names")
-    table = FiniteGroupTable(data["elements"], data["mul"])
-    op = None
-    if data.get("op") is not None:
-        op = op_from_names(table, data["op"])
-    return table, op
+    table, raw = FiniteGroupTable(data["elements"], data["mul"]), data.get("op")
+    if raw is None:
+        return table, None
+    if not isinstance(raw, dict):
+        raise TableError("'op' must map element names to element names")
+    op = [None] * len(table)
+    for k, v in raw.items():
+        op[table.index(k)] = table.index(v)
+    if None in op:
+        missing = [table.name(i) for i, v in enumerate(op) if v is None]
+        raise TableError(f"'op' is not total; missing {missing}")
+    return table, tuple(op)
 
 
 def _load_json(source):
-    """JSON data from a path; a dict is already data."""
+    """JSON data from a path, each object's keys named once; a dict is already data."""
+    def unique(pairs):  # json.load would keep the last of two values for one key
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise TableError(f"{source} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     if isinstance(source, dict):
         return source
     with open(source, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
+        except TableError:
+            raise
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nests
             raise TableError(f"{source} is not readable JSON: {exc}") from None
 
@@ -573,16 +590,3 @@ def _as_int(v, what) -> int:
         return _int(v)
     except (TypeError, ValueError):
         raise TableError(f"{what} must be an integer, got {v!r}") from None
-
-
-def op_from_names(table: FiniteGroupTable, raw) -> tuple:
-    """Index table of an operator given as {element name: element name}."""
-    if not isinstance(raw, dict):
-        raise TableError("'op' must map element names to element names")
-    op_list = [None] * len(table)
-    for k, v in raw.items():
-        op_list[table.index(k)] = table.index(v)
-    if any(v is None for v in op_list):
-        missing = [table.name(i) for i, v in enumerate(op_list) if v is None]
-        raise TableError(f"'op' is not total; missing {missing}")
-    return tuple(op_list)

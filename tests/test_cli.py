@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import avgroups
-from avgroups.linearalg import MAX_LIE_DIM
+from avgroups.linearalg import MAX_LIE_DIM, load_lie_file
 from avgroups.words import MAX_NESTING, metrics, parse, render
 from avgroups.avgroup import GenParams
 from avgroups.cli import main
@@ -568,6 +568,51 @@ def test_lie_check(capsys, tmp_path):
     assert (code, out) == (2, "") and "unrecognized arguments: --operator" in err
 
 
+def _dense_sl2(k, seed=1):
+    """sl2^k in the basis b_i = sum_a T[a][i] e_a, T unit upper-triangular with
+    entries above the diagonal drawn from {0, 0, 1, -1}: every constant of
+    [b_i, b_j] = T^-1 [T e_i, T e_j] is an int, and most pairs are dense."""
+    n, rng = 3 * k, random.Random(seed)
+    T = [[int(a == i) if a >= i else rng.choice((0, 0, 1, -1)) for i in range(n)]
+         for a in range(n)]
+    sl2 = {}  # e, f, h = b, b + 1, b + 2: [e, f] = h, [h, e] = 2e, [h, f] = -2f
+    for b in range(0, n, 3):
+        for x, y, z, v in ((b, b + 1, b + 2, 1), (b + 2, b, b, 2), (b + 2, b + 1, b + 1, -2)):
+            sl2[x, y], sl2[y, x] = {z: v}, {z: -v}
+    brackets = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        v = [0] * n
+        for (a, b), cell in sl2.items():
+            for z, c in cell.items():
+                v[z] += T[a][i] * T[b][j] * c
+        for r in reversed(range(n)):  # T x = v by back substitution, in place
+            v[r] -= sum(T[r][m] * v[m] for m in range(r + 1, n))
+        if any(v):
+            brackets[i, j] = {r: c for r, c in enumerate(v) if c}
+    return n, brackets
+
+
+def test_a_dense_lie_file_reads_the_same_in_strings_and_ints(capsys, tmp_path):
+    # integral values written as strings are read as ints, so both spellings
+    # print the same report and run in int arithmetic
+    n, brackets = _dense_sl2(4)
+    assert n == 12 and sum(map(len, brackets.values())) > 10 * 4 * 6  # sl2^4 has 24
+    outs = []
+    for spell in (int, str):
+        lie = tmp_path / f"{spell.__name__}.json"
+        lie.write_text(json.dumps({
+            "dim": n, "matrix": [[spell(int(i == j)) for j in range(n)] for i in range(n)],
+            "brackets": [{"i": i + 1, "j": j + 1,
+                          "coeffs": {str(k + 1): spell(c) for k, c in cell.items()}}
+                         for (i, j), cell in brackets.items()]}))
+        L, M = load_lie_file(str(lie))
+        assert all(type(c) is int for row in L.brackets for cell in row for c in cell.values())
+        assert all(type(x) is int for row in M for x in row)
+        outs.append(run(capsys, "lie-check", "--structure", str(lie)))
+    assert outs[0] == outs[1] == \
+        (0, "averaging on basis pairs: ok\nleft Leibniz on basis triples: ok\n", "")
+
+
 def test_a_closed_stdout_is_not_a_file_error(tmp_path):
     # S4's listing is about 370 KB, more than a pipe holds, so the CLI is
     # still printing when the reader goes away
@@ -620,6 +665,27 @@ def test_unreadable_data_files_exit_2(tmp_path):
             assert "Traceback" not in proc.stderr, argv
             assert proc.stderr.startswith(f"error: {path} is not readable JSON: "), proc.stderr
             assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_repeated_keys_are_refused(capsys, tmp_path):
+    # json.load keeps the last of two values for one key, and "2" and "02"
+    # name one coefficient index: each is one error line and exit 2
+    group = tmp_path / "group.json"
+    group.write_text('{"elements": ["e", "g"], "mul": [[0, 1], [1, 0]],'
+                     ' "op": {"e": "e", "e": "g", "g": "e"}}')
+    for argv in (["eval", "x", "--group", str(group), "--map", "x=g"],
+                 ["search-ops", "--group", str(group)], ["hopf-check", "--group", str(group)]):
+        assert run(capsys, *argv) == (2, "", f"error: {group} repeats the key 'e'\n"), argv
+    lie = tmp_path / "lie.json"
+    head = '{"dim": 2, "matrix": [[1, 0], [0, 0]], "brackets": [{"i": 1, "j": 2, "coeffs": '
+    for coeffs, err in (('{"2": 1, "2": 5}', f"{lie} repeats the key '2'"),
+                        ('{"2": 1, "02": "5"}', "coefficient index repeated in (e1, e2)"),
+                        ('{" 2": 1, "2": "5"}', "coefficient index repeated in (e1, e2)")):
+        lie.write_text(head + coeffs + "}]}")
+        assert run(capsys, "lie-check", "--structure", str(lie)) == (2, "", f"error: {err}\n")
+    # one spelling of each key reads as before
+    lie.write_text(head + '{"2": 1}}]}')
+    assert run(capsys, "lie-check", "--structure", str(lie))[0] == 0
 
 
 def test_shrinker_minimizes_while_preserving_failure():

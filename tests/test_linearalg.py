@@ -766,20 +766,33 @@ def test_lie_values_written_as_ints_or_fractions_give_identical_reports():
     half = ("half", 3, {(0, 1): {1: Fraction(1, 2)}, (0, 2): {2: 1}},
             (("P", [[1, 0, 0], [0, 0, 0], [0, 0, 0]]), ("H", [[0, 0, 0], [0, 1, 0], [0, 0, 1]]),
              ("Q", [[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 0]])))
+    def exact(values):
+        """Only ints where a value is integral, and Fractions only where not."""
+        return all(type(v) is int or type(v) is Fraction and v.denominator > 1 for v in values)
+
     for name, dim, brackets, mats in _lie_inputs() + (half,):
-        as_fractions = {pair: {k: Fraction(v) for k, v in cell.items()}
-                        for pair, cell in brackets.items()}
-        L, F = (LieAlgebraSpec.from_brackets(dim, b) for b in (brackets, as_fractions))
-        # integer values stay ints; a Fraction stays where one is written
-        assert all(type(v) is int or v.denominator > 1
-                   for row in L.brackets for cell in row for v in cell.values())
-        assert validate_lie(L).entries == validate_lie(F).entries
+        as_fractions, as_strings = ({pair: {k: spell(v) for k, v in cell.items()}
+                                     for pair, cell in brackets.items()} for spell in (Fraction, str))
+        L, F, S = (LieAlgebraSpec.from_brackets(dim, b) for b in (brackets, as_fractions, as_strings))
+        # an integral value is an int however it is written: 3, Fraction(3) or "3"
+        for spec in (L, F, S):
+            assert exact(v for row in spec.brackets for cell in row for v in cell.values()), name
+        assert L.brackets == F.brackets == S.brackets
+        assert validate_lie(L).entries == validate_lie(F).entries == validate_lie(S).entries
         for mname, M in mats:
             MF = [[Fraction(v) for v in row] for row in M]
+            MS = [[str(v) for v in row] for row in M]
+            for spelled in (M, MF, MS):
+                assert exact(v for row in linearalg.as_matrix(dim, spelled) for v in row), mname
             for check in (check_averaging_lie, check_leibniz):
                 want = check(F, MF).entries
                 assert check(L, M).entries == want == check(L, MF).entries == \
-                    check(F, M).entries, (name, mname, check.__name__)
+                    check(F, M).entries == check(S, MS).entries, (name, mname, check.__name__)
+    # explicit basis images read their values the same way
+    z3 = cyclic_group(3)
+    images = linearalg._extension(z3, [{0: "2"}, {1: Fraction(6, 3)}, {2: "1/3", 0: "-4/2"}])[1]
+    assert images == [{0: 2}, {1: 2}, {2: Fraction(1, 3), 0: -2}]
+    assert exact(v for img in images for v in img.values())
 
 
 def _fresh_draws(n, seed, count, per_sample):
