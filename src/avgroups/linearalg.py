@@ -47,6 +47,8 @@ from .structures import (
     as_operator,
 )
 
+_PAIRS, _SAMPLES = (0, 100), (1, 20)  # (seed, count) of the seeded spot checks
+
 
 def _coeff(v):
     """An exact coefficient: an int where the value is integral, else a Fraction."""
@@ -165,30 +167,28 @@ def _sides(P, m, a, b, pa, pb):
 def _averaging_chunks(P, images, m):
     """Lazy chunks of P(a)P(b) = P(P(a)b) = P(aP(b)): one per basis pair, in
     product order, each side alone, so a failing law stops at its first
-    failing pair, then one for the seeded pairs, drawn once per (carrier
-    size, seed)."""
+    failing pair, then one for the seeded pairs."""
     return ((tuple(zip(_sides(P, m, {a: 1}, {b: 1}, pa, pb)))
              for a, pa in enumerate(images) for b, pb in enumerate(images)),
             (tuple(zip(*(_sides(P, m, a, b, P(a), P(b))
-                         for a, b in _samples(len(images), 0, 100, 2))))
+                         for a, b in _samples(len(images), *_PAIRS, 2))))
              for _ in (0,)))
 
 
 def check_averaging_algebra(g: FiniteGroupTable, A) -> CheckReport:
     """P(a)P(b) = P(P(a)b) = P(aP(b)) on the group algebra.
 
-    Both sides are bilinear, so basis pairs decide the law; the random
-    non-basis pairs only guard the linear-extension plumbing.  Those seeded
-    pairs are drawn once per (carrier size, seed) and reused by every call.
+    Both sides are bilinear, so basis pairs decide the law; the seeded
+    non-basis pairs, drawn once by `_samples`, guard the linear extension.
     """
     pairs, seeded = _averaging_chunks(*_extension(g, A), g.mul_table)
     entries = [_law("averaging on basis pairs", pairs, len(g), 2, g.name)]
     if entries[0][1]:
-        entries.append(_spot_checks("averaging on random combinations", seeded, 100, "pairs", 0))
+        entries.append(_spot_checks("averaging on random combinations", seeded, "pairs", *_PAIRS))
     return CheckReport(tuple(entries))
 
 
-def _spot_checks(law, chunks, count, noun, seed):
+def _spot_checks(law, chunks, noun, seed, count):
     """Entry of a seeded random check; offset t of the chunks is sample t."""
     law, ok, detail = _law(law, chunks, count, 1, lambda t: f"sample {t}, seed {seed}")
     return law, ok, detail if not ok else f"{count} {noun}, seed {seed}"
@@ -216,7 +216,7 @@ def _coalgebra_chunks(P, images):
 
     return ((([coproduct(img) for img in images], squares),),
             (([counit(img) for img in images], [1] * len(images)),),
-            (tuple(zip(*(sides(x, P(x)) for x, in _samples(len(images), 1, 20, 1))))
+            (tuple(zip(*(sides(x, P(x)) for x, in _samples(len(images), *_SAMPLES, 1))))
              for _ in (0,)))
 
 
@@ -224,16 +224,15 @@ def check_coalgebra_map(g: FiniteGroupTable, A) -> CheckReport:
     """Coproduct and counit compatibility of an operator on the algebra.
 
     Verifies cop(P(x)) = (P tensor P)(cop(x)) and counit(P(x)) = counit(x),
-    on the basis and on random combinations.  Linear extensions of set maps
-    always pass; genuinely spread-out operators can fail.  The seeded
-    samples are drawn once per (carrier size, seed) and reused by every call.
+    on the basis and on seeded samples, drawn once by `_samples`.  Linear
+    extensions of set maps always pass; genuinely spread-out operators can fail.
     """
     cop, cou, seeded = _coalgebra_chunks(*_extension(g, A))
     entries = [_law("coproduct compatibility on basis", cop, len(g), 1, g.name),
                _law("counit preservation on basis", cou, len(g), 1, g.name)]
     if all(ok for _, ok, _ in entries):
         entries.append(_spot_checks("compatibility on random combinations",
-                                    seeded, 20, "samples", 1))
+                                    seeded, "samples", *_SAMPLES))
     return CheckReport(tuple(entries))
 
 
@@ -254,8 +253,8 @@ def check_hopf_equivalence(g: FiniteGroupTable, A):
     vector, so a star side's coefficient of e_z is the bitmask, over bits
     g n + h, of the pairs (g, h) whose side is e_z, and the star pair holds
     exactly when every basis pair does.  That leans on P and `_conv` being
-    linear, which the 100 seeded pairs and 20 seeded coalgebra samples
-    check, so they stay.
+    linear, which the seeded pairs and coalgebra samples check, so they
+    stay.
     """
     A = as_operator(g, A)
     m = g.mul_table
@@ -274,8 +273,9 @@ def check_hopf_equivalence(g: FiniteGroupTable, A):
     left, mid, right = _sides(P, m, a, b, P(a), P(b))
     images = [{z: 1} for z in A]
     chunks = (_averaging_chunks(P, images, m)[1], *_coalgebra_chunks(P, images))
+    counts = (_PAIRS[1], n, n, _SAMPLES[1])
     if left != mid or left != right or any(
-            _witness(law, count, 1) is not None for law, count in zip(chunks, (100, n, n, 20))):
+            _witness(law, count, 1) is not None for law, count in zip(chunks, counts)):
         raise RuntimeError(f"verdicts disagree on {A}: group True, algebra False")
     return True, True
 
