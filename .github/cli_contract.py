@@ -7,7 +7,9 @@ with no arguments:
 
     PYTHONPATH=src python .github/cli_contract.py
 
-Every case runs, even after a failure.  One line per case gives its verdict
+Every case runs, even after a failure.  The tier-1 test
+`tests/test_cli_contract.py` runs every case not marked `ci_only` through
+`write_files`, `run` and `failure` below.  One line per case gives its verdict
 and elapsed seconds; a case with no output check also shows its last stdout
 line.  The exit status is 1 when any case failed.  The data files are written
 to a temporary directory, which is removed at the end.
@@ -68,6 +70,7 @@ class Case(NamedTuple):
     name: str = ""  # shown instead of the arguments
     program: tuple = CLI
     head: bool = False  # read one stdout line, then close stdout, as `| head -n 1`
+    ci_only: bool = False  # slow: this script runs it, the tier-1 test does not
 
 
 def permutation_group(k):
@@ -132,7 +135,7 @@ def cases(f):
         # nests past the recursion limit
         Case(("normalize", "[x]^200"), 10, 2),
         Case(("op", "--iter", "0", "[x]^1000"), 2, 2, ("stderr has", "--iter must be at least 1")),
-        Case(("normalize", "[x]^1000"), 30, 2, error),
+        Case(("normalize", "[x]^1000"), 30, 2, error, ci_only=True),
         # a draw at breadth 100,000 and depth 3 stops at MAX_DRAW_LETTERS
         Case(("check", "--max-breadth", "100000", "--max-depth", "3", "--trials", "1",
               "--suite", "assoc"), 10, 2, error),
@@ -158,7 +161,7 @@ def cases(f):
              ("first stdout line", "found 30 averaging operator(s) on 29 elements")),
         # the exhaustive mode: all 6^6 maps of Z6, and Z8 past the cap
         Case(("hopf-check", "--group", f("z6.json")), 20, 0,
-             ("stdout", "verdicts agree on all 46656 operator maps")),
+             ("stdout", "verdicts agree on all 46656 operator maps"), ci_only=True),
         Case(("hopf-check", "--group", f("z8.json")), 5, 2,
              ("one stderr line", "error: carrier size 8 exceeds the exhaustive cap 7")),
         Case(("normalize", "--check-only", "--trace", "x"), 5, 2),
@@ -175,7 +178,7 @@ def cases(f):
              ("stderr", "error: standard output was closed"), head=True),
         # all 1,546 operators of S4 pass and 6,184 one-entry mutants fail
         Case((f("s4.json"),), 10, 0, name="S4 Hopf library script",
-             program=(sys.executable, "-c", S4_HOPF)),
+             program=(sys.executable, "-c", S4_HOPF), ci_only=True),
         # files that are not UTF-8, JSON integers of 5,000 digits, arrays
         # 100,000 deep, exponent rationals, string rows, names that are not
         # strings, a key written twice, a coefficient index spelled twice
@@ -229,27 +232,36 @@ def failure(case, code, out, err, elapsed):
     return None
 
 
+def write_files(d):
+    """Write the data files into directory `d`; return the table that reads them there."""
+    for name, text in files().items():
+        with open(os.path.join(d, name + ".json"), "wb") as fh:
+            fh.write(text.encode("latin-1"))
+    return cases(lambda name: os.path.join(d, name))
+
+
+def shown(case, d):
+    """The case as its verdict line names it, with the data directory `d` dropped."""
+    text = case.name or shlex.join(a.replace(d + os.sep, "") for a in case.args)
+    return text + (" | head -n 1" if case.head else "")
+
+
 def main():
     with tempfile.TemporaryDirectory() as d:
-        for name, text in files().items():
-            with open(os.path.join(d, name + ".json"), "wb") as fh:
-                fh.write(text.encode("latin-1"))
+        table = write_files(d)
         failed, start = 0, time.perf_counter()
-        table = cases(lambda name: os.path.join(d, name))
         for case in table:
             code, out, err, elapsed = run(case)
-            shown = case.name or shlex.join(a.replace(d + os.sep, "") for a in case.args)
-            shown += " | head -n 1" if case.head else ""
             why = failure(case, code, out, err, elapsed)
             out = out.decode(errors="replace").splitlines()
             if why:
                 failed += 1
-                print(f"FAIL {elapsed:6.2f} s  {shown}: {why}", flush=True)
+                print(f"FAIL {elapsed:6.2f} s  {shown(case, d)}: {why}", flush=True)
                 for line in out[:3] + err.splitlines()[-5:]:
                     print(f"       | {line[:200]}")
             else:
                 last = "".join(f"  ({line})" for line in out[-1:] if not case.check)
-                print(f"ok   {elapsed:6.2f} s  {shown}{last}", flush=True)
+                print(f"ok   {elapsed:6.2f} s  {shown(case, d)}{last}", flush=True)
         print(f"{len(table) - failed} of {len(table)} cases ok in"
               f" {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0

@@ -46,8 +46,9 @@ numbers are decimal digits of any script, no more than ``int()`` reads from a
 string.  Brackets may nest at most :data:`MAX_NESTING` deep, and the powers
 of one text may expand to at most :data:`MAX_POWER_LETTERS` letters.
 ``_FACTOR_RE`` is the grammar of a letter token and ``_TOKEN_RE`` splits
-text into tokens.  :func:`parse` caches what a short piece of text spells,
-by the piece's text, and makes its letters per call.
+text into tokens.  :func:`parse` keeps what each short piece of text reads
+as, letters made, in one bounded table shared by every call, which letters
+being immutable allows; a generator cancels a letter equal to its inverse.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import repeat
 from typing import Mapping
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
@@ -273,22 +274,29 @@ _TOKEN_RE = re.compile(rf"\s*(\[|{_FACTOR_RE.pattern}|\S)")
 MAX_NESTING = 100
 
 # Most letters the powers ``^k`` with |k| >= 2 of one text may expand to;
-# past it, a WordSyntaxError.  A power is expanded letter by letter before
-# anything else can refuse it, so ``x^99999999999`` would otherwise fill
-# memory.  ``x^3000000`` (24 MB of letter references on a 64-bit build) is
-# the largest power a CI step reads.
+# past it, a WordSyntaxError.  A power is expanded before anything else can
+# refuse it, so ``x^99999999999`` would otherwise fill memory.
+# ``x^3000000`` (24 MB of letter references on a 64-bit build) is the
+# largest power a CI step reads.
 MAX_POWER_LETTERS = 3_000_000
 _TOO_MANY = "powers expand to more than {} letters"
 
+# What each piece of text of at most 32 characters reads as, by its text:
+# _spell's reading, letters made.  Shared by every call, since letters are
+# immutable, and emptied when it holds _MAX_READINGS readings.  Threads that
+# race past the check add at most one reading each beyond it.
+_READINGS: dict = {}
+_MAX_READINGS = 4096
 
-@lru_cache(maxsize=512)
+
 def _spell(piece: str) -> tuple:
-    """What `piece` spells, by one ``_FACTOR_RE`` match: (kind, a, sign, count).
+    """What `piece` reads as, by one ``_FACTOR_RE`` match: (kind, a, b, count).
 
-    kind "g": generator named `a`; kind "]": a closing bracket of iteration
-    `a`; either `count` copies of the letter of that sign.  Kind "1":
-    nothing.  Kind "!": not one well-formed token, and for a piece that is
-    one token the syntax error, message `a` at offset `sign` in the piece.
+    kind "g": `count` copies of the generator letter `a`, whose inverse is
+    `b`; kind "]": `count` copies of a closing bracket of iteration `a` and
+    sign `b`.  Kind "1": nothing.  Kind "!": not one well-formed token, and
+    for a piece that is one token the syntax error, message `a` at offset `b`
+    in the piece.
     """
     m = _FACTOR_RE.fullmatch(piece)
     if m is None:
@@ -316,23 +324,8 @@ def _spell(piece: str) -> tuple:
     if closed:
         return "]", n, sign, count * sign
     if name:
-        return "g", name, sign, count * sign
+        return "g", _new(Gen, (name, sign)), _new(Gen, (name, -sign)), count * sign
     return "1", None, None, 0
-
-
-def _read_piece(piece: str, gens: dict) -> tuple:
-    """_spell's reading of `piece`, with a generator's letter and its inverse
-    from `gens` (name -> its two letters) in place of its name and sign.  A
-    piece over 32 characters is spelled uncached: the cache keeps short texts.
-    """
-    spell = _spell if len(piece) <= 32 else _spell.__wrapped__
-    kind, name, sign, count = read = spell(piece)
-    if kind != "g":
-        return read
-    pair = gens.get(name)
-    if pair is None:
-        pair = gens[name] = _new(Gen, (name, 1)), _new(Gen, (name, -1))
-    return ("g", *pair, count) if sign > 0 else ("g", pair[1], pair[0], count)
 
 
 def _tokens(text: str, start: list):
@@ -364,18 +357,16 @@ def parse(text: str) -> Word:
     stops at the failing token, and the error is placed from where that
     token starts.
 
-    A memo maps each distinct piece of one call to its reading with
-    letters; what a piece spells is cached across calls as strings and
-    ints.  Generator letters come from one table per call, one object per
-    (name, sign), so a generator cancels the letter before it exactly when
-    that is its inverse object, and is pushed with no call.  A closing
-    bracket calls make_br only when its content is a lone positive bracket,
-    which folds, and pushes its letter with no call unless the letter
-    before is a bracket of the opposite sign, which may cancel it.  No
-    letter outlives its call.
+    A table shared by every call, _READINGS, maps each piece or token of at
+    most 32 characters to _spell's reading of it, letters made; a longer one
+    is read afresh each time.  Letters are immutable, so calls share them:
+    a generator cancels the letter before it when that equals its inverse,
+    wherever either was made, and is pushed with no call.  A closing bracket
+    calls make_br only when its content is a lone positive bracket, which
+    folds, and pushes its letter with no call unless the letter before is a
+    bracket of the opposite sign, which may cancel it.  A power cancels what
+    it can of the letters before it and appends its other copies at once.
     """
-    memo: dict = {}  # piece or token text -> _read_piece's reading
-    gens: dict = {}  # name -> the positive and negative letter of this call
     start = None  # in the second reading, where its last token starts
     tokens = text.replace("[", " [ ").replace("]", " ]").split()
     while True:
@@ -390,22 +381,22 @@ def parse(text: str) -> Word:
                 outer.append(out)
                 out = []
                 continue
-            read = memo.get(tok)
+            read = _READINGS.get(tok)
             if read is None:
-                read = memo[tok] = _read_piece(tok, gens)
+                read = _spell(tok)
+                if len(tok) <= 32:
+                    if len(_READINGS) >= _MAX_READINGS:
+                        _READINGS.clear()
+                    _READINGS[tok] = read
             kind, a, b, count = read
             if kind == "g":
-                if count == 1 and not (out and out[-1] is b):
-                    out.append(a)
-                    continue
-                if count > 1 and (powered := powered + count) > MAX_POWER_LETTERS:
-                    error = _TOO_MANY.format(MAX_POWER_LETTERS), 0
-                    break
-                for _ in range(count):
-                    if out and out[-1] is b:
+                if count == 1:
+                    if out and out[-1] == b:
                         out.pop()
                     else:
                         out.append(a)
+                    continue
+                letter = a
             elif kind == "]":
                 if not outer:
                     error = "unexpected ']'", 0
@@ -418,14 +409,18 @@ def parse(text: str) -> Word:
                 if count == 1 and not (out and type(out[-1]) is Br and out[-1].sign != b):
                     out.append(letter)
                     continue
-                if count > 1 and (powered := powered + count) > MAX_POWER_LETTERS:
-                    error = _TOO_MANY.format(MAX_POWER_LETTERS), 0
-                    break
-                for _ in range(count):
-                    _push_reduced(out, letter)
             elif kind == "!":
                 error = ("unexpected ']'", 0) if tok[0] == "]" and not outer else (a, b)
                 break
+            else:
+                continue
+            if count > 1 and (powered := powered + count) > MAX_POWER_LETTERS:
+                error = _TOO_MANY.format(MAX_POWER_LETTERS), 0
+                break
+            while count and out and are_inverse(out[-1], letter):
+                out.pop()
+                count -= 1
+            out.extend(repeat(letter, count))
         else:
             if outer:
                 raise WordSyntaxError("expected ']'", len(text))

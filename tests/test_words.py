@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from avgroups.words import (
     Word,
     WordMetrics,
     WordSyntaxError,
+    _READINGS,
+    _spell,
     are_inverse,
     eval_operated,
     inverse,
@@ -108,13 +111,16 @@ def test_words_and_letters_are_immutable():
 
 
 def test_equality_and_hashing_are_structural():
-    for text in ("x", "y^-1", "[x]", "[x y]@2^-1", "[[x]@3 y] z"):
-        u, v = parse(text), parse(text)
+    # parsed words against the same words built apart: distinct objects, equal
+    x, y, z = make_gen("x"), make_gen("y"), make_gen("z")
+    for text, letters in (("x", (x,)), ("y^-1", (make_gen("y", -1),)),
+                          ("[x]", (make_br(Word((x,))),)),
+                          ("[x y]@2^-1", (make_br(Word((x, y)), 2, -1),)),
+                          ("[[x]@3 y] z", (make_br(Word((make_br(Word((x,)), 3), y))), z))):
+        u, v = parse(text), Word(letters)
         assert u is not v and u == v and hash(u) == hash(v), text
         for f, g in zip(u, v):
             assert f is not g and f == g and hash(f) == hash(g), text
-    assert make_gen("x", -1) == parse("x^-1")[0]
-    assert make_br(parse("x"), 2, -1) == parse("[x]@2^-1")[0]
     # no two node types are equal: a Gen has two items, a Br three, a word letters
     assert Gen("x", 1) != Br(ONE, 1, 1) and Br(ONE, 1, 1) != Gen("x", 1)
     assert Gen("x", 1) != parse("x") != parse("[x]")[0]
@@ -225,38 +231,84 @@ def test_powers_are_bounded_per_call(monkeypatch):
     assert len(parse("x^10")) == len(parse("y^10")) == 10
 
 
-def test_cached_spellings_are_placed_and_lettered_per_call():
-    from avgroups.words import _spell
-    # one malformed token, cached by its text, is placed where each call has it
+def test_kept_readings_are_placed_per_call_and_share_letters():
+    # one malformed token, kept by its text, is placed where each call has it
     for _ in range(2):
         for text, pos in (("x@2", 1), ("  x@2", 3), ("[y x@2]", 4)):
             with pytest.raises(WordSyntaxError) as exc:
                 parse(text)
             assert str(exc.value) == f"'@' is only valid after ']' (at position {pos})"
+    # every call reads a kept piece as the same immutable letters, and a
+    # letter cancels an equal inverse whichever call made either
     u = parse("x y^2 [x]@2 x^-1")
     assert reduce_concat(u, parse("x [x]@2^-1 y^-2 x^-1")) == ONE
     assert parse("x y^2 [x]@2 x^-1") == u and reduce_concat(u, inverse(u)) == ONE
-    # the cache is bounded and holds text and numbers, never letters
-    assert _spell.cache_parameters()["maxsize"] == 512
+    assert parse("x")[0] is parse("y x")[1] and parse("x^-1 x") == ONE
+
+
+def test_the_reading_table_is_bounded_and_keeps_short_pieces(monkeypatch):
+    monkeypatch.setattr(avgroups.words, "_MAX_READINGS", 64)
     pieces = set()
     for i in range(300):
-        text = f"v{i} v{i}^-3 [v{i}]@{i + 1}^2"
-        assert parse(text) == parse(f"v{i}^-2 [v{i}]@{i + 1} [v{i}]@{i + 1}")
+        text, same = f"v{i} v{i}^-3 [v{i}]@{i + 1}^2", f"v{i}^-2 [v{i}]@{i + 1} [v{i}]@{i + 1}"
+        assert parse(text) == parse(same)
+        assert len(_READINGS) <= 64
         text += f" v{i}@2"
         with pytest.raises(WordSyntaxError):
             parse(text)
-        pieces.update(text.replace("[", " [ ").replace("]", " ]").split())
-    assert _spell.cache_info().currsize == 512
-    for piece in pieces:
-        assert {type(v) for v in _spell(piece)} <= {str, int, type(None)}, piece
-    # a piece over 32 characters is spelled uncached, so the cache keeps short texts
-    _spell.cache_clear()
+        assert len(_READINGS) <= 64
+        pieces.update(f"{text} {same}".replace("[", " [ ").replace("]", " ]").split())
+    assert len(pieces) > 1000 and set(_READINGS) <= pieces
+    # a reading is _spell's, with letters: a generator's letter and its inverse
+    assert all(_READINGS[piece] == _spell(piece) for piece in _READINGS)
+    _READINGS.clear()
+    parse("v1^-3")
+    assert _READINGS == {"v1^-3": ("g", make_gen("v1", -1), make_gen("v1"), 3)}
+    # a piece over 32 characters is read afresh each time, so the table
+    # keeps short texts
+    _READINGS.clear()
     n = int("7" * 31)
     u = parse(f"{'v' * 33} [x]@{n}^-1 x")
     assert u == (make_gen("v" * 33), make_br(parse("x"), n, -1), make_gen("x"))
     with pytest.raises(WordSyntaxError, match="too many digits"):
         parse("x^" + "9" * 5000)
-    assert _spell.cache_info().currsize == 1  # "x" alone
+    assert list(_READINGS) == ["x"]
+
+
+def test_letters_read_before_a_clear_cancel_those_read_after(monkeypatch):
+    # at a limit of one reading, each new piece empties the table mid-call
+    monkeypatch.setattr(avgroups.words, "_MAX_READINGS", 1)
+    _READINGS.clear()
+    assert parse("x x^-1") == ONE and list(_READINGS) == ["x^-1"]
+    assert parse("x y [z] y^-1 x^-1") == parse("x y [z] y^-1 x^-1 x x^-1")
+    assert parse("x y y^-1 x^-1") == ONE
+    assert parse("y x^-2 x^3 x^-1 y^-1") == ONE
+    assert parse("y^-1 x^-1 x^4") == Word((make_gen("y", -1),) + (make_gen("x"),) * 3)
+
+
+def test_threads_share_the_reading_table(monkeypatch):
+    # readings are immutable, so threads racing at a clear only re-read a piece
+    monkeypatch.setattr(avgroups.words, "_MAX_READINGS", 8)
+    texts = [f"v{i} [v{i + 1}^-2 x]@2 v{i}^-1 x^3 x^-2 [v{i + 1}^-2 x]@2^-1" for i in range(40)]
+    want = [parse(text) for text in texts]
+    wrong = []
+
+    def work():
+        for _ in range(20):
+            wrong.extend(t for t, w in zip(texts, want) if parse(t) != w)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
+    assert len(_READINGS) <= 8 + len(threads)
 
 
 # --- reference: the per-factor scanner parse used before the one-pass
@@ -395,6 +447,16 @@ def test_parse_matches_the_per_factor_reference():
         for w in (random_raw_word(p), random_normal_word(p)):
             text = render(w)
             texts += [text, _respaced(rng, text)]
+    # more distinct pieces than the reading table holds, so that it is
+    # emptied mid-text: letters, their inverses and powers on both sides
+    names = [f"g{i}" for i in range(6000)]
+    assert len(names) > avgroups.words._MAX_READINGS
+    cold = [" ".join(names + [f"{n}^-1" for n in reversed(names)]),
+            " ".join([f"{n}^2" for n in names] + [f"{n}^-3" for n in reversed(names)])]
+    window = [f"{rng.choice(names[i // 3:i // 3 + 3])}^{rng.choice((1, -1, 2, -2, 3))}"
+              for i in range(3 * len(names))]
+    cold.append(" ".join(f"[{p}]" if rng.random() < 0.1 else p for p in window))
+    texts += cold + [_respaced(rng, text) for text in cold] + [text + " x@2" for text in cold]
     for text in texts:
         want = _outcome(_reference_parse, text)
         assert _outcome(parse, text) == want, text
